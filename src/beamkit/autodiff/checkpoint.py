@@ -1,7 +1,6 @@
 """Named-tensor checkpoint container.
 
-Byte layout (all integers little-endian; documented in
-``docs/checkpoint_format.md``):
+Byte layout (all integers little-endian):
 
     offset  size          content
     0       8             magic b"BKTENSR\\0"
@@ -21,6 +20,7 @@ sorted, and there are no timestamps.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -90,7 +90,8 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dic
     Raises
     ------
     CheckpointError
-        On a bad magic number, unsupported version, or truncated payload.
+        On a bad magic number, unsupported version, malformed header or
+        tensor entry, or truncated payload.
     """
     with open(os.fspath(path), "rb") as fh:
         blob = fh.read()
@@ -111,14 +112,49 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dic
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
 
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("tensors"), list)
+        and isinstance(header.get("meta"), dict)
+    ):
+        raise CheckpointError(f"{path}: header lacks a 'tensors' list or a 'meta' object")
+
     payload = blob[20 + header_len :]
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload for tensor {entry['name']!r}")
+    for index, entry in enumerate(header["tensors"]):
+        _check_entry(path, index, entry, len(payload))
+        dtype = np.dtype(entry["dtype"])
         array = np.frombuffer(
-            payload, dtype=np.dtype(entry["dtype"]), count=nbytes // np.dtype(entry["dtype"]).itemsize, offset=start
+            payload, dtype=dtype, count=entry["nbytes"] // dtype.itemsize, offset=entry["offset"]
         ).reshape(entry["shape"])
         tensors[entry["name"]] = array.copy()
     return tensors, header["meta"]
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_entry(path, index: int, entry, payload_len: int):
+    """Raise :class:`CheckpointError` unless ``entry`` describes a readable tensor."""
+    if not isinstance(entry, dict) or not {"name", "dtype", "shape", "offset", "nbytes"} <= entry.keys():
+        raise CheckpointError(
+            f"{path}: tensor entry {index} needs name, dtype, shape, offset and nbytes"
+        )
+    name, shape = entry["name"], entry["shape"]
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: tensor entry {index} has a non-string name")
+    if entry["dtype"] not in _ALLOWED_DTYPES:
+        raise CheckpointError(f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise CheckpointError(f"{path}: tensor {name!r} has invalid shape {shape!r}")
+    if not (_is_count(entry["offset"]) and _is_count(entry["nbytes"])):
+        raise CheckpointError(f"{path}: tensor {name!r} has an invalid offset or nbytes")
+    expected = math.prod(shape) * np.dtype(entry["dtype"]).itemsize
+    if expected != entry["nbytes"]:
+        raise CheckpointError(
+            f"{path}: tensor {name!r} of shape {shape} needs {expected} bytes, "
+            f"header says {entry['nbytes']}"
+        )
+    if entry["offset"] + entry["nbytes"] > payload_len:
+        raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")

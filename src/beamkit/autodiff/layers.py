@@ -36,7 +36,6 @@ __all__ = [
     "Linear",
     "PReLU",
     "AxisNorm",
-    "instance_norm_axes",
     "LSTM",
     "lstm_step",
     "glu",
@@ -316,11 +315,6 @@ class AxisNorm(Module):
         view = [1] * x.ndim
         view[self.channel_axis] = self.gamma.shape[0]
         return normalized * self.gamma.reshape(view) + self.beta.reshape(view)
-
-
-def instance_norm_axes() -> tuple[int, int]:
-    """The axes instance normalization reduces over on (N, C, T, F) maps."""
-    return (2, 3)
 
 
 def glu(linear_branch: Tensor, gate_branch: Tensor) -> Tensor:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NonFiniteError, ValidationError
 
@@ -557,13 +558,44 @@ def magnitude(real: Tensor, imag: Tensor) -> Tensor:
 # -- 2-D convolution -----------------------------------------------------------
 
 
-def _conv_geometry(extent: int, kernel: int, stride: int, dilation: int) -> int:
-    span = (kernel - 1) * dilation + 1
-    if extent < span:
-        raise ValidationError(
-            f"input extent {extent} shorter than dilated kernel span {span}"
-        )
-    return (extent - span) // stride + 1
+def _windows(a: np.ndarray, kernel, stride, dilation) -> np.ndarray:
+    """Strided view ``(n, c, t_out, f_out, kt, kf)`` of ``a`` ``(n, c, t, f)``.
+
+    Element ``[b, c, i, j, p, q]`` is ``a[b, c, i*st + p*dt, j*sf + q*df]``.
+    """
+    (kt, kf), (st, sf), (dt, df) = kernel, stride, dilation
+    span = ((kt - 1) * dt + 1, (kf - 1) * df + 1)
+    for extent, need in zip(a.shape[2:], span):
+        if extent < need:
+            raise ValidationError(f"input extent {extent} shorter than dilated kernel span {need}")
+    return sliding_window_view(a, span, axis=(2, 3))[:, :, ::st, ::sf, ::dt, ::df]
+
+
+def _gather(windows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``out[b, o, i, j] = sum_{c,p,q} weight[o, c, p, q] * windows[b, c, i, j, p, q]``.
+
+    One BLAS contraction over (channel, kt, kf).
+    """
+    return np.moveaxis(np.tensordot(weight, windows, axes=([1, 2, 3], [1, 4, 5])), 0, 1)
+
+
+def _scatter(y: np.ndarray, weight: np.ndarray, shape, stride, dilation) -> np.ndarray:
+    """Adjoint of :func:`_gather`: ``y`` ``(n, c, t, f)`` spread over a zero map.
+
+    ``out[b, o, i*st + p*dt, j*sf + q*df] += sum_c weight[c, o, p, q] * y[b, c, i, j]``.
+    One BLAS contraction puts the weight's tap axes first, so each tap's
+    slice is contiguous; then one strided add per tap.
+    """
+    (st, sf), (dt, df) = stride, dilation
+    t, f = y.shape[2:]
+    taps = np.tensordot(weight.transpose(2, 3, 1, 0), y, axes=([3], [1]))  # (kt, kf, o, n, t, f)
+    out = np.zeros(shape, dtype=y.dtype)
+    for p in range(weight.shape[2]):
+        for q in range(weight.shape[3]):
+            rows = slice(p * dt, p * dt + (t - 1) * st + 1, st)
+            cols = slice(q * df, q * df + (f - 1) * sf + 1, sf)
+            out[:, :, rows, cols] += taps[p, q].transpose(1, 0, 2, 3)
+    return out
 
 
 def conv2d(
@@ -574,6 +606,11 @@ def conv2d(
     dilation: tuple[int, int] = (1, 1),
 ) -> Tensor:
     """Valid (unpadded) 2-D convolution over the last two axes.
+
+    The forward pass gathers every tap window as one strided view and
+    contracts it with the weight in a single BLAS call; the input
+    gradient is the matching scatter, and the weight gradient contracts
+    the output gradient with the same windows.
 
     Parameters
     ----------
@@ -589,50 +626,21 @@ def conv2d(
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValidationError(f"conv2d expects 4-D input/weight, got {x.shape}, {weight.shape}")
-    n, c_in, t_in, f_in = x.shape
-    c_out, c_in_w, kt, kf = weight.shape
-    if c_in != c_in_w:
+    c_out, c_in, kt, kf = weight.shape
+    if x.shape[1] != c_in:
         raise ValidationError(
-            f"conv2d channel mismatch: input has {c_in}, weight expects {c_in_w}"
+            f"conv2d channel mismatch: input has {x.shape[1]}, weight expects {c_in}"
         )
-    (st, sf), (dt, df) = stride, dilation
-    t_out = _conv_geometry(t_in, kt, st, dt)
-    f_out = _conv_geometry(f_in, kf, sf, df)
-
-    def tap_index(it, jf):
-        return (
-            slice(None),
-            slice(None),
-            slice(it * dt, it * dt + (t_out - 1) * st + 1, st),
-            slice(jf * df, jf * df + (f_out - 1) * sf + 1, sf),
-        )
-
-    data = np.zeros((n, c_out, t_out, f_out), dtype=x.data.dtype)
-    for it in range(kt):
-        for jf in range(kf):
-            data += np.einsum(
-                "nctf,oc->notf", x.data[tap_index(it, jf)], weight.data[:, :, it, jf]
-            )
+    windows = _windows(x.data, (kt, kf), stride, dilation)
+    data = _gather(windows, weight.data)
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros(x.shape, dtype=g.dtype)
-            for it in range(kt):
-                for jf in range(kf):
-                    gx[tap_index(it, jf)] += np.einsum(
-                        "notf,oc->nctf", g, weight.data[:, :, it, jf]
-                    )
-            x._accumulate(gx)
+            x._accumulate(_scatter(g, weight.data, x.shape, stride, dilation))
         if weight.requires_grad:
-            gw = np.zeros(weight.shape, dtype=g.dtype)
-            for it in range(kt):
-                for jf in range(kf):
-                    gw[:, :, it, jf] = np.einsum(
-                        "notf,nctf->oc", g, x.data[tap_index(it, jf)]
-                    )
-            weight._accumulate(gw)
+            weight._accumulate(np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -647,6 +655,11 @@ def deconv2d(
     stride: tuple[int, int] = (1, 1),
 ) -> Tensor:
     """Transposed 2-D convolution (the adjoint of :func:`conv2d`).
+
+    The forward pass scatters: one BLAS contraction over input channels,
+    then one strided add per tap.  The input gradient is the matching
+    gather over windows of the output gradient, and the weight gradient
+    contracts the input with those windows.
 
     Parameters
     ----------
@@ -669,39 +682,17 @@ def deconv2d(
             f"deconv2d channel mismatch: input has {c_in}, weight expects {c_in_w}"
         )
     st, sf = stride
-    t_out = (t_in - 1) * st + kt
-    f_out = (f_in - 1) * sf + kf
-
-    def tap_index(it, jf):
-        return (
-            slice(None),
-            slice(None),
-            slice(it, it + (t_in - 1) * st + 1, st),
-            slice(jf, jf + (f_in - 1) * sf + 1, sf),
-        )
-
-    data = np.zeros((n, c_out, t_out, f_out), dtype=x.data.dtype)
-    for it in range(kt):
-        for jf in range(kf):
-            data[tap_index(it, jf)] += np.einsum(
-                "nctf,co->notf", x.data, weight.data[:, :, it, jf]
-            )
+    shape = (n, c_out, (t_in - 1) * st + kt, (f_in - 1) * sf + kf)
+    data = _scatter(x.data, weight.data, shape, stride, (1, 1))
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
+        windows = _windows(g, (kt, kf), stride, (1, 1))
         if x.requires_grad:
-            gx = np.zeros(x.shape, dtype=g.dtype)
-            for it in range(kt):
-                for jf in range(kf):
-                    gx += np.einsum("notf,co->nctf", g[tap_index(it, jf)], weight.data[:, :, it, jf])
-            x._accumulate(gx)
+            x._accumulate(_gather(windows, weight.data))
         if weight.requires_grad:
-            gw = np.zeros(weight.shape, dtype=g.dtype)
-            for it in range(kt):
-                for jf in range(kf):
-                    gw[:, :, it, jf] = np.einsum("nctf,notf->co", x.data, g[tap_index(it, jf)])
-            weight._accumulate(gw)
+            weight._accumulate(np.tensordot(x.data, windows, axes=([0, 2, 3], [0, 2, 3])))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 

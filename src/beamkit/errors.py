@@ -84,9 +84,10 @@ class DivergenceError(BeamkitError, RuntimeError):
     Attributes
     ----------
     epoch : int
-        Zero-based epoch index at which the non-finite loss appeared.
+        1-based epoch index at which the non-finite loss appeared.
     batch : int
-        Zero-based batch index within that epoch.
+        1-based batch index within that epoch, or 0 when the validation
+        pass produced it.
     """
 
     def __init__(self, epoch: int, batch: int, message: str | None = None):

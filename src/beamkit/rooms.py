@@ -774,14 +774,19 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
     Raises
     ------
     ManifestSchemaError
-        On a missing/invalid header or a schema version this code does
-        not understand.
+        On a file that is not UTF-8, a line that is not a JSON object, a
+        missing/invalid header or a schema version this code does not
+        understand.
     """
-    with open(os.fspath(manifest_path), "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(os.fspath(manifest_path), "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestSchemaError(f"{manifest_path}: not UTF-8 text ({exc})") from exc
     if not lines:
         raise ManifestSchemaError(f"{manifest_path}: empty manifest")
-    header = json.loads(lines[0])
+    header = _parse_record(manifest_path, 1, lines[0])
     if header.get("kind") != "manifest_header":
         raise ManifestSchemaError(f"{manifest_path}: first record is not a manifest header")
     version = header.get("schema_version")
@@ -794,11 +799,21 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        record = json.loads(line)
+        record = _parse_record(manifest_path, line_no, line)
         if record.get("kind") != "scene":
             raise ManifestSchemaError(f"{manifest_path}:{line_no}: unknown record kind")
         scenes.append(record)
     return header, scenes
+
+
+def _parse_record(manifest_path, line_no: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ManifestSchemaError(f"{manifest_path}:{line_no}: invalid JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise ManifestSchemaError(f"{manifest_path}:{line_no}: record is not a JSON object")
+    return record
 
 
 def rebuild_scene_audio(

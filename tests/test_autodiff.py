@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from beamkit.autodiff import (
     LSTM,
@@ -40,7 +41,7 @@ def leaf(rng, *shape):
 
 
 def conv2d_loops(x, w, b, stride, dilation):
-    """Direct nested-loop 2-D convolution, the oracle for the einsum path."""
+    """Direct nested-loop 2-D convolution, the oracle for the gather path."""
     n, c_in, t_in, f_in = x.shape
     c_out, _, kt, kf = w.shape
     (st, sf), (dt, df) = stride, dilation
@@ -83,6 +84,38 @@ def deconv2d_loops(x, w, b, stride):
                                     x[ni, c, ti, fi] * w[c, o, it, jf]
                                 )
     return out
+
+
+def conv2d_grad_loops(x, w, g, stride, dilation):
+    """Per-position loop oracle for conv2d's (dx, dw, db) given upstream ``g``."""
+    (st, sf), (dt, df) = stride, dilation
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    n, _, t_out, f_out = g.shape
+    for ni in range(n):
+        for ti in range(t_out):
+            for fi in range(f_out):
+                for it in range(w.shape[2]):
+                    for jf in range(w.shape[3]):
+                        t, f = ti * st + it * dt, fi * sf + jf * df
+                        gx[ni, :, t, f] += w[:, :, it, jf].T @ g[ni, :, ti, fi]
+                        gw[:, :, it, jf] += np.outer(g[ni, :, ti, fi], x[ni, :, t, f])
+    return gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def deconv2d_grad_loops(x, w, g, stride):
+    """Per-position loop oracle for deconv2d's (dx, dw, db) given upstream ``g``."""
+    st, sf = stride
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    n, _, t_in, f_in = x.shape
+    for ni in range(n):
+        for ti in range(t_in):
+            for fi in range(f_in):
+                for it in range(w.shape[2]):
+                    for jf in range(w.shape[3]):
+                        t, f = ti * st + it, fi * sf + jf
+                        gx[ni, :, ti, fi] += w[:, :, it, jf] @ g[ni, :, t, f]
+                        gw[:, :, it, jf] += np.outer(x[ni, :, ti, fi], g[ni, :, t, f])
+    return gx, gw, g.sum(axis=(0, 2, 3))
 
 
 def lstm_step_loops(x, h, c, w_ih, w_hh, bias):
@@ -291,6 +324,91 @@ class TestDeconvForward:
                 x = x.pad(((0, 0), (0, 0), (0, 0), (0, target - width)))
             assert x.shape[-1] == target
         assert x.shape[-1] == 161
+
+
+# The model's convolution geometries at small channel counts: gated
+# encoder conv (2, 3) / (1, 2) with causal time and leading frequency
+# padding, refiner conv (1, 3) / (1, 2), dilated temporal convs (5, 1)
+# and the 1x1 squeeze/expand convs.
+MODEL_CONV_GEOMETRIES = [
+    # (kernel, stride, dilation, padding of (time, freq), input (t, f))
+    ((2, 3), (1, 2), (1, 1), ((1, 0), (1, 0)), (6, 11)),
+    ((1, 3), (1, 2), (1, 1), ((0, 0), (1, 0)), (5, 11)),
+    ((5, 1), (1, 1), (1, 1), ((4, 0), (0, 0)), (7, 1)),
+    ((5, 1), (1, 1), (2, 1), ((8, 0), (0, 0)), (7, 1)),
+    ((5, 1), (1, 1), (16, 1), ((64, 0), (0, 0)), (7, 1)),
+    ((1, 1), (1, 1), (1, 1), ((0, 0), (0, 0)), (5, 4)),
+]
+MODEL_DECONV_GEOMETRIES = [
+    # (kernel, stride, input (t, f))
+    ((2, 3), (1, 2), (5, 6)),
+    ((1, 3), (1, 2), (5, 6)),
+    ((1, 1), (1, 1), (5, 4)),
+    ((2, 3), (2, 2), (4, 3)),
+]
+
+
+class TestConvBackwardOracle:
+    @pytest.mark.parametrize(
+        "kernel,stride,dilation,padding,extent",
+        MODEL_CONV_GEOMETRIES,
+        ids=["gated-2x3", "refiner-1x3", "temporal-d1", "temporal-d2", "temporal-d16", "pointwise"],
+    )
+    def test_conv2d_grads_match_loops(self, kernel, stride, dilation, padding, extent):
+        rng = np.random.default_rng(sum(kernel) + 7 * dilation[0])
+        x = leaf(rng, 2, 3, *extent)
+        w = leaf(rng, 4, 3, *kernel)
+        b = leaf(rng, 4)
+        padded = x.pad(((0, 0), (0, 0)) + padding)
+        out = conv2d(padded, w, b, stride=stride, dilation=dilation)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        gx, gw, gb = conv2d_grad_loops(padded.data, w.data, g, stride, dilation)
+        (tp, _), (fp, _) = padding
+        assert np.max(np.abs(x.grad - gx[:, :, tp:, fp:])) <= 1e-10
+        assert np.max(np.abs(w.grad - gw)) <= 1e-10
+        assert np.max(np.abs(b.grad - gb)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "kernel,stride,extent",
+        MODEL_DECONV_GEOMETRIES,
+        ids=["gated-2x3", "refiner-1x3", "pointwise", "stride-2x2"],
+    )
+    def test_deconv2d_grads_match_loops(self, kernel, stride, extent):
+        rng = np.random.default_rng(sum(kernel) + 3 * stride[0])
+        x = leaf(rng, 2, 3, *extent)
+        w = leaf(rng, 3, 4, *kernel)
+        b = leaf(rng, 4)
+        out = deconv2d(x, w, b, stride=stride)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        gx, gw, gb = deconv2d_grad_loops(x.data, w.data, g, stride)
+        assert np.max(np.abs(x.grad - gx)) <= 1e-10
+        assert np.max(np.abs(w.grad - gw)) <= 1e-10
+        assert np.max(np.abs(b.grad - gb)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    stride=strategies.tuples(strategies.integers(1, 2), strategies.integers(1, 2)),
+    dilation_t=strategies.integers(1, 3),
+    kernel=strategies.tuples(strategies.integers(1, 5), strategies.integers(1, 3)),
+    batch=strategies.integers(1, 2),
+    extra=strategies.tuples(strategies.integers(0, 3), strategies.integers(0, 3)),
+    seed=strategies.integers(0, 2**16),
+)
+def test_conv_and_deconv_forward_match_loops(stride, dilation_t, kernel, batch, extra, seed):
+    rng = np.random.default_rng(seed)
+    kt, kf = kernel
+    x = rng.standard_normal((batch, 2, (kt - 1) * dilation_t + 1 + extra[0], kf + extra[1]))
+    w = rng.standard_normal((3, 2, kt, kf))
+    b = rng.standard_normal(3)
+    dilation = (dilation_t, 1)
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, dilation=dilation)
+    assert np.max(np.abs(out.data - conv2d_loops(x, w, b, stride, dilation))) <= 1e-12
+    y = rng.standard_normal((batch, 3, 1 + extra[0], 1 + extra[1]))
+    out = deconv2d(Tensor(y), Tensor(w), Tensor(b[:2]), stride=stride)
+    assert np.max(np.abs(out.data - deconv2d_loops(y, w, b[:2], stride))) <= 1e-12
 
 
 class TestActivations:
@@ -825,6 +943,45 @@ class TestCheckpoint:
         raw[8:12] = struct.pack("<I", 999)
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+        import json
+        import struct
+
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20 : 20 + header_len])
+        edit(header)
+        encoded = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(encoded)) + encoded
+                         + raw[20 + header_len :])
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda h: h.pop("tensors"), "tensors"),
+            (lambda h: h.pop("meta"), "meta"),
+            (lambda h: h["tensors"][0].pop("nbytes"), "needs name"),
+            (lambda h: h["tensors"].__setitem__(0, "w"), "needs name"),
+            (lambda h: h["tensors"][0].update(shape=[7, 7, 7]), "bytes"),
+            (lambda h: h["tensors"][0].update(shape=[-1]), "shape"),
+            (lambda h: h["tensors"][0].update(dtype="|O"), "dtype"),
+            (lambda h: h["tensors"][0].update(offset="0"), "offset"),
+        ],
+        ids=["no-tensors", "no-meta", "entry-key", "entry-type", "shape-nbytes",
+             "negative-dim", "dtype", "offset-type"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, edit, match):
+        from beamkit.autodiff import load_checkpoint, save_checkpoint
+        from beamkit.errors import CheckpointError
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.arange(8.0)}, {})
+        self.rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

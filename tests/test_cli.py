@@ -163,6 +163,42 @@ class TestExitCodes:
         assert "validation error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "line_no,text,message",
+        [(1, b"{not json", ":1: invalid JSON"), (2, b"{not json", ":2: invalid JSON"),
+         (2, b"[1, 2]", ":2: record is not a JSON object"), (2, b"\xff", ": not UTF-8")],
+    )
+    def test_malformed_manifest_line_exits_3(
+        self, tmp_path, corpus_dir, capsys, line_no, text, message
+    ):
+        lines = (corpus_dir / "manifest.jsonl").read_bytes().splitlines()
+        lines[line_no - 1] = text
+        broken = tmp_path / "manifest.jsonl"
+        broken.write_bytes(b"\n".join(lines) + b"\n")
+        rc = main(["evaluate", "--out", str(tmp_path / "o"), "--system", "identity",
+                   "--manifest", str(broken)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"manifest.jsonl{message}" in err[0]
+
+    def test_malformed_checkpoint_header_exits_4(self, tmp_path, capsys):
+        from beamkit.autodiff import save_checkpoint
+
+        ckpt = tmp_path / "bad.bkt"
+        save_checkpoint(ckpt, {"w": np.zeros(2)}, {})
+        raw = ckpt.read_bytes()
+        header = b'{"meta":{}}'
+        ckpt.write_bytes(raw[:12] + len(header).to_bytes(8, "little") + header)
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, WaveBuffer(np.zeros((2, 1600)), 16000))
+        rc = main(["enhance", "--out", str(tmp_path / "o"),
+                   "--checkpoint", str(ckpt), "--input", str(wav)])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "tensors" in err[0]
+
+
 class TestSimulate:
     def test_writes_manifest_audio_and_config_echo(self, corpus_dir):
         manifest = corpus_dir / "manifest.jsonl"

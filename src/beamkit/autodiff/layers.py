@@ -16,9 +16,9 @@ import numpy as np
 from ..errors import ConfigMismatchError, ValidationError
 from .tensor import (
     Tensor,
-    concat,
     conv2d,
     deconv2d,
+    lstm_sequence,
     matmul,
     prelu,
     sigmoid,
@@ -370,7 +370,10 @@ def lstm_step(
 class LSTM(Module):
     """Unidirectional single-layer LSTM run along the time axis.
 
-    All weights and the single bias vector are initialized uniformly in
+    The forward pass is one :func:`~.tensor.lstm_sequence` node (batched
+    input projection, hand-written BPTT); :func:`lstm_step` is the same
+    cell built from elementary ops and serves as its test oracle.  All
+    weights and the single bias vector are initialized uniformly in
     ``(-1/sqrt(hidden), +1/sqrt(hidden))``.
     """
 
@@ -389,12 +392,4 @@ class LSTM(Module):
             raise ValidationError(
                 f"LSTM expects (batch, time, {self.input_size}), got {x.shape}"
             )
-        batch, steps, _ = x.shape
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        c = Tensor(np.zeros((batch, self.hidden_size)))
-        outputs = []
-        for t in range(steps):
-            x_t = x.narrow(1, t, 1).reshape((batch, self.input_size))
-            h, c = lstm_step(x_t, h, c, self.w_ih, self.w_hh, self.bias)
-            outputs.append(h.reshape((batch, 1, self.hidden_size)))
-        return concat(outputs, axis=1)
+        return lstm_sequence(x, self.w_ih, self.w_hh, self.bias)

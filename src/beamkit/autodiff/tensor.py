@@ -6,7 +6,8 @@ reverse topological order, with each node's closure accumulating
 gradients into its parents.  The operator set is exactly what the
 enhancement network needs: elementwise arithmetic, matmul, reductions,
 shape ops, 2-D (transposed) convolution with stride/dilation, the usual
-activations, and a damped complex-magnitude op.
+activations, a damped complex-magnitude op, and a whole-sequence LSTM
+(:func:`lstm_sequence`: one graph node per layer, hand-written BPTT).
 
 Every operation asserts its outputs are finite (a cheap way to catch
 divergence at the op that produced it); disable with
@@ -38,23 +39,10 @@ __all__ = [
     "sigmoid",
     "tanh",
     "magnitude",
-    "set_default_dtype",
-    "get_default_dtype",
+    "lstm_sequence",
 ]
 
-_state = {"grad": True, "finite": True, "dtype": np.float64}
-
-
-def set_default_dtype(dtype):
-    """Set the dtype new tensors are created with (float64 or float32)."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValidationError(f"default dtype must be float32 or float64, got {dtype}")
-    _state["dtype"] = dtype.type
-
-
-def get_default_dtype():
-    return _state["dtype"]
+_state = {"grad": True, "finite": True}
 
 
 def is_grad_enabled() -> bool:
@@ -94,7 +82,7 @@ class Tensor:
     Parameters
     ----------
     data : array_like
-        Values; converted to the engine's default float dtype.
+        Values; converted to float64.
     requires_grad : bool
         Leaf flag; results of ops derive theirs from their parents.
     """
@@ -104,10 +92,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise ValidationError("cannot wrap a Tensor in a Tensor")
-        arr = np.asarray(data)
-        if arr.dtype != _state["dtype"]:
-            arr = arr.astype(_state["dtype"])
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -512,9 +497,23 @@ def prelu(a: Tensor, alpha: Tensor, channel_axis: int = 1) -> Tensor:
     return Tensor._result(data, (a, alpha), backward, "prelu")
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free logistic function: ``exp`` only ever sees ``-|x|``.
+
+    ``1/(1+e)`` for ``x >= 0`` and ``e/(1+e)`` below, with ``e = exp(-|x|)``;
+    the numerator is ``max(e, x >= 0)`` because ``e <= 1``, which avoids a
+    branchy ``np.where``.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    data = _sigmoid(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -698,3 +697,133 @@ def deconv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._result(data, parents, backward, "deconv2d")
+
+
+# -- recurrence -----------------------------------------------------------------
+
+# Time steps per input-projection matmul: long enough to keep BLAS busy,
+# short enough that no whole-sequence (batch, time, 4*hidden) array is
+# live when no gradient is recorded.
+_LSTM_BLOCK = 16
+
+
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """``(batch, time, n)`` → ``(time * batch, n)``, rows ordered by step."""
+    return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
+
+
+def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
+    """A whole LSTM layer over time, from a zero state, as one graph node.
+
+    Computes exactly the recurrence of ``layers.lstm_step`` (gate layout
+    [input, forget, cell, output], pre-activations summed as
+    ``(x Wᵢᵀ + h Wₕᵀ) + b``), but only the recurrence runs step by step:
+    the input projection is one matmul per block of time steps.  Gate
+    pre-activations are checked for non-finite values at every step,
+    because the saturating gates would hide an overflow from the output.
+    The backward pass is hand-written BPTT: one reverse sweep fills a
+    ``(time, batch, 4*hidden)`` buffer of pre-activation gradients, from
+    which the gradients of ``x``, ``w_ih``, ``w_hh`` and ``bias`` are
+    each one contraction over all steps.
+
+    Parameters
+    ----------
+    x : Tensor, shape (batch, time, input_size)
+    w_ih : Tensor, shape (4 * hidden, input_size)
+    w_hh : Tensor, shape (4 * hidden, hidden)
+    bias : Tensor, shape (4 * hidden,)
+
+    Returns
+    -------
+    Tensor, shape (batch, time, hidden)
+        The hidden state after every step.
+    """
+    hidden = w_hh.shape[-1]
+    four_h = 4 * hidden
+    if (
+        x.ndim != 3
+        or w_hh.shape != (four_h, hidden)
+        or w_ih.shape != (four_h, x.shape[-1])
+        or bias.shape != (four_h,)
+    ):
+        raise ValidationError(
+            f"lstm_sequence shapes disagree: x {x.shape}, w_ih {w_ih.shape}, "
+            f"w_hh {w_hh.shape}, bias {bias.shape}"
+        )
+    batch, steps, n_in = x.shape
+    parents = (x, w_ih, w_hh, bias)
+    record = _state["grad"] and any(p.requires_grad for p in parents)
+    w_ih_t, w_hh_t = w_ih.data.T, w_hh.data.T
+    cell = slice(2 * hidden, 3 * hidden)
+
+    # Without a gradient to record, one step's state is kept and
+    # overwritten in place; with one, every step's is kept for BPTT.
+    kept = steps if record else 1
+    acts = np.empty((kept, batch, four_h))
+    cells = np.empty((kept, batch, hidden))
+    tanh_cells = np.empty((kept, batch, hidden))
+    out = np.empty((batch, steps, hidden))
+    gates = np.empty((batch, four_h))
+    h = np.zeros((batch, hidden))
+    c_prev = np.zeros((batch, hidden))
+    proj_buf = np.empty((min(steps, _LSTM_BLOCK), batch, four_h))
+    for start in range(0, steps, _LSTM_BLOCK):
+        block = x.data[:, start : start + _LSTM_BLOCK].transpose(1, 0, 2)
+        proj = proj_buf[: len(block)]
+        np.matmul(block.reshape(-1, n_in), w_ih_t, out=proj.reshape(-1, four_h))
+        for k, x_proj in enumerate(proj):
+            t = start + k
+            s = t if record else 0
+            act, c, tanh_c = acts[s], cells[s], tanh_cells[s]
+            np.matmul(h, w_hh_t, out=gates)
+            gates += x_proj
+            gates += bias.data
+            # The cell state needs no check of its own: with finite gates,
+            # |c_t| <= t.
+            _check_finite(gates, "lstm_sequence")
+            _sigmoid(gates, out=act)
+            np.tanh(gates[:, cell], out=act[:, cell])
+            np.multiply(act[:, hidden : 2 * hidden], c_prev, out=c)
+            c += act[:, :hidden] * act[:, cell]
+            np.tanh(c, out=tanh_c)
+            np.multiply(act[:, 3 * hidden :], tanh_c, out=h)
+            out[:, t] = h
+            c_prev = c
+
+    def backward(g):
+        # One reverse sweep; per step, each gate's pre-activation gradient
+        # is dc (i, f, g) or dh (o), times the activation's derivative
+        # (s(1-s), or 1-g² for the cell candidate), times its partner in
+        # c' = f*c + i*g or h = o*tanh(c').
+        dgates = np.empty((steps, batch, four_h))
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            a = acts[t].reshape(batch, 4, hidden)
+            d = dgates[t].reshape(batch, 4, hidden)
+            tanh_c = tanh_cells[t]
+            dh += g[:, t]
+            dc += dh * a[:, 3] * (1.0 - tanh_c * tanh_c)
+            np.subtract(1.0, a, out=d)
+            d *= a
+            d[:, 2] = 1.0 - a[:, 2] ** 2
+            d[:, :3] *= dc[:, None]
+            d[:, 0] *= a[:, 2]
+            d[:, 1] *= cells[t - 1] if t else 0.0
+            d[:, 2] *= a[:, 0]
+            d[:, 3] *= dh * tanh_c
+            dc *= a[:, 1]
+            dh = dgates[t] @ w_hh.data
+        # Rows are (step, batch) pairs, so each gradient is one matmul.
+        dgates = dgates.reshape(-1, four_h)
+        if x.requires_grad:
+            dx = (dgates @ w_ih.data).reshape(steps, batch, n_in)
+            x._accumulate(dx.transpose(1, 0, 2))
+        if w_ih.requires_grad:
+            w_ih._accumulate(dgates.T @ _time_major(x.data))
+        if w_hh.requires_grad:
+            w_hh._accumulate(dgates[batch:].T @ _time_major(out[:, :-1]))
+        if bias.requires_grad:
+            bias._accumulate(dgates.sum(axis=0))
+
+    return Tensor._result(out, parents, backward, "lstm_sequence")

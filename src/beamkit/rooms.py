@@ -62,6 +62,16 @@ __all__ = [
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.jsonl"
 
+# Fields every manifest record must carry (``max_order`` and ``count`` are
+# informational and may be absent).
+_HEADER_FIELDS = ("duration", "sample_rate", "sampling")
+_SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
+# The SceneSampling fields a header records; the rest keep their defaults.
+_SAMPLING_FIELDS = (
+    "room_length", "room_width", "room_height", "rt60_range", "num_mics",
+    "mic_spacing", "array_height", "source_distances", "min_doa_deg", "snr_grid_db",
+)
+
 
 @dataclass(frozen=True)
 class RoomSpec:
@@ -705,16 +715,8 @@ def build_corpus(
         "sample_rate": sample_rate,
         "max_order": max_order,
         "sampling": {
-            "room_length": list(sampling.room_length),
-            "room_width": list(sampling.room_width),
-            "room_height": list(sampling.room_height),
-            "rt60_range": list(sampling.rt60_range),
-            "num_mics": sampling.num_mics,
-            "mic_spacing": sampling.mic_spacing,
-            "array_height": sampling.array_height,
-            "source_distances": list(sampling.source_distances),
-            "min_doa_deg": sampling.min_doa_deg,
-            "snr_grid_db": list(sampling.snr_grid_db),
+            name: list(v) if isinstance(v := getattr(sampling, name), tuple) else v
+            for name in _SAMPLING_FIELDS
         },
     }
 
@@ -775,8 +777,8 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
     ------
     ManifestSchemaError
         On a file that is not UTF-8, a line that is not a JSON object, a
-        missing/invalid header or a schema version this code does not
-        understand.
+        missing/invalid header, a schema version this code does not
+        understand, or a header or scene record lacking a required field.
     """
     with open(os.fspath(manifest_path), "rb") as fh:
         raw = fh.read()
@@ -795,6 +797,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
             f"{manifest_path}: schema version {version!r} unsupported "
             f"(this build reads version {MANIFEST_SCHEMA_VERSION})"
         )
+    _require(header, _HEADER_FIELDS, f"{manifest_path}:1: manifest header")
     scenes = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -802,6 +805,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
         record = _parse_record(manifest_path, line_no, line)
         if record.get("kind") != "scene":
             raise ManifestSchemaError(f"{manifest_path}:{line_no}: unknown record kind")
+        _require(record, _SCENE_FIELDS, f"{manifest_path}:{line_no}: scene record")
         scenes.append(record)
     return header, scenes
 
@@ -814,6 +818,16 @@ def _parse_record(manifest_path, line_no: int, line: str) -> dict:
     if not isinstance(record, dict):
         raise ManifestSchemaError(f"{manifest_path}:{line_no}: record is not a JSON object")
     return record
+
+
+def _require(record, fields, where: str):
+    """Raise ManifestSchemaError naming the first of ``fields`` missing
+    from the JSON object ``record``."""
+    if not isinstance(record, dict):
+        raise ManifestSchemaError(f"{where} is not a JSON object")
+    for name in fields:
+        if name not in record:
+            raise ManifestSchemaError(f"{where} lacks field {name!r}")
 
 
 def rebuild_scene_audio(
@@ -847,16 +861,11 @@ def rebuild_scene_audio(
 
 
 def _sampling_from_header(header: dict) -> SceneSampling:
-    s = header["sampling"]
+    sampling = header["sampling"]
+    _require(sampling, _SAMPLING_FIELDS, "manifest header field 'sampling'")
     return SceneSampling(
-        room_length=tuple(s["room_length"]),
-        room_width=tuple(s["room_width"]),
-        room_height=tuple(s["room_height"]),
-        rt60_range=tuple(s["rt60_range"]),
-        num_mics=s["num_mics"],
-        mic_spacing=s["mic_spacing"],
-        array_height=s["array_height"],
-        source_distances=tuple(s["source_distances"]),
-        min_doa_deg=s["min_doa_deg"],
-        snr_grid_db=tuple(s["snr_grid_db"]),
+        **{
+            name: tuple(v) if isinstance(v := sampling[name], list) else v
+            for name in _SAMPLING_FIELDS
+        }
     )

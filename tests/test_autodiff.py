@@ -20,6 +20,7 @@ from beamkit.autodiff import (
     finite_checks,
     finite_difference_check,
     glu,
+    lstm_sequence,
     lstm_step,
     magnitude,
     matmul,
@@ -441,6 +442,14 @@ class TestActivations:
         t = tanh(Tensor(x))
         np.testing.assert_allclose(t.data, [-1.0, 0.0, 1.0], atol=1e-12)
 
+    def test_sigmoid_bits_match_reference_formula(self):
+        rng = np.random.default_rng(9)
+        extremes = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0]
+        x = np.concatenate([rng.standard_normal(20_000) * 8, extremes])
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        np.testing.assert_array_equal(sigmoid(Tensor(x)).data.view(np.int64), want.view(np.int64))
+
     def test_glu_gate_zero_halves_linear(self):
         rng = np.random.default_rng(7)
         lin = Tensor(rng.standard_normal((3, 4)))
@@ -595,6 +604,124 @@ class TestLSTM:
         partial = lstm(Tensor(corrupted)).data
         np.testing.assert_array_equal(full[:, :4, :], partial[:, :4, :])
         assert np.any(full[:, 4:, :] != partial[:, 4:, :])
+
+
+def lstm_unfused(x, w_ih, w_hh, bias):
+    """The sequence as a graph of ``lstm_step`` cells: the fused op's oracle."""
+    batch, steps, inputs = x.shape
+    hidden = w_hh.shape[1]
+    h = Tensor(np.zeros((batch, hidden)))
+    c = Tensor(np.zeros((batch, hidden)))
+    outputs = []
+    for t in range(steps):
+        h, c = lstm_step(x.narrow(1, t, 1).reshape((batch, inputs)), h, c, w_ih, w_hh, bias)
+        outputs.append(h.reshape((batch, 1, hidden)))
+    return concat(outputs, axis=1)
+
+
+def lstm_output_and_grads(fn, arrays, upstream):
+    """Output of ``fn`` on fresh leaves, and each leaf's gradient of
+    ``sum(output * upstream)``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    (out * Tensor(upstream)).sum().backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def lstm_problem(rng, batch, steps, inputs, hidden):
+    bound = 1.0 / np.sqrt(hidden)
+    arrays = [
+        rng.standard_normal((batch, steps, inputs)),
+        rng.uniform(-bound, bound, (4 * hidden, inputs)),
+        rng.uniform(-bound, bound, (4 * hidden, hidden)),
+        rng.uniform(-bound, bound, 4 * hidden),
+    ]
+    return arrays, rng.standard_normal((batch, steps, hidden))
+
+
+def assert_lstm_matches_unfused(arrays, upstream, tol=1e-10):
+    fused = lstm_output_and_grads(lstm_sequence, arrays, upstream)
+    ref = lstm_output_and_grads(lstm_unfused, arrays, upstream)
+    for name, got, want in zip(("out", "dx", "dw_ih", "dw_hh", "dbias"), fused, ref):
+        assert got.shape == want.shape, name
+        err = np.max(np.abs(got - want), initial=0.0)
+        assert err <= tol * np.max(np.abs(want), initial=0.0), (name, err)
+
+
+class TestLSTMSequence:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("steps", [1, 17, 37])
+    def test_matches_unfused_graph(self, steps, batch):
+        # 17 and 37 cross the input projection's time-block boundaries.
+        rng = np.random.default_rng(300 + steps + batch)
+        assert_lstm_matches_unfused(*lstm_problem(rng, batch, steps, 3, 5))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        batch=strategies.integers(1, 4),
+        steps=strategies.integers(1, 40),
+        inputs=strategies.integers(1, 4),
+        hidden=strategies.integers(1, 5),
+        seed=strategies.integers(0, 2**16),
+    )
+    def test_matches_unfused_graph_property(self, batch, steps, inputs, hidden, seed):
+        rng = np.random.default_rng(seed)
+        assert_lstm_matches_unfused(*lstm_problem(rng, batch, steps, inputs, hidden))
+
+    def test_module_forward_is_one_node(self):
+        lstm = LSTM(3, 4, Initializer(7))
+        x = Tensor(np.ones((2, 5, 3)), requires_grad=True)
+        out = lstm(x)
+        assert out._op == "lstm_sequence"
+        assert out._parents == (x, lstm.w_ih, lstm.w_hh, lstm.bias)
+
+    def test_inf_input_raises(self):
+        rng = np.random.default_rng(310)
+        (x, w_ih, w_hh, bias), _ = lstm_problem(rng, 2, 6, 3, 4)
+        x[1, 4, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="lstm_sequence"):
+            lstm_sequence(Tensor(x), Tensor(w_ih), Tensor(w_hh), Tensor(bias))
+
+    def test_overflowing_preactivation_raises(self):
+        # Finite inputs whose projection overflows: the saturating gates
+        # would turn the inf into a finite output, so only the per-step
+        # check on the pre-activations can catch it.
+        args = [Tensor(np.full((1, 3, 2), 1e200)), Tensor(np.full((8, 2), 1e200)),
+                Tensor(np.zeros((8, 2))), Tensor(np.zeros(8))]
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="lstm_sequence"):
+                lstm_sequence(*args)
+            with finite_checks(False):
+                assert np.all(np.isfinite(lstm_sequence(*args).data))
+
+    def test_no_grad_records_nothing(self):
+        rng = np.random.default_rng(311)
+        arrays, _ = lstm_problem(rng, 2, 20, 3, 4)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with no_grad():
+            out = lstm_sequence(*leaves)
+        assert out._parents == () and not out.requires_grad
+        np.testing.assert_array_equal(out.data, lstm_sequence(*leaves).data)
+
+    def test_retained_graph_accumulates_twice(self):
+        rng = np.random.default_rng(312)
+        arrays, upstream = lstm_problem(rng, 3, 19, 2, 4)
+        once = lstm_output_and_grads(lstm_sequence, arrays, upstream)[1:]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        loss = (lstm_sequence(*leaves) * Tensor(upstream)).sum()
+        loss.backward(retain_graph=True)
+        loss.backward(retain_graph=True)
+        for leaf, single in zip(leaves, once):
+            np.testing.assert_allclose(leaf.grad, 2.0 * single, rtol=1e-14, atol=0.0)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            lstm_sequence(
+                Tensor(np.zeros((1, 2, 3))),
+                Tensor(np.zeros((16, 2))),
+                Tensor(np.zeros((16, 4))),
+                Tensor(np.zeros(16)),
+            )
 
 
 class TestLinear:

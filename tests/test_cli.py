@@ -182,6 +182,46 @@ class TestExitCodes:
         assert len(err) == 1
         assert f"manifest.jsonl{message}" in err[0]
 
+    @staticmethod
+    def drop_manifest_field(corpus_dir, out_dir, line_no, path):
+        """Copy of the corpus manifest with ``path`` deleted from one record."""
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(lines[line_no - 1])
+        owner = record
+        for key in path[:-1]:
+            owner = owner[key]
+        del owner[path[-1]]
+        lines[line_no - 1] = json.dumps(record)
+        broken = out_dir / "manifest.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        return broken
+
+    @pytest.mark.parametrize(
+        "line_no,path,message",
+        [(1, ("sampling",), ":1: manifest header lacks field 'sampling'"),
+         (1, ("sampling", "num_mics"), "header field 'sampling' lacks field 'num_mics'"),
+         (3, ("snr_db",), ":3: scene record lacks field 'snr_db'")],
+    )
+    def test_evaluate_manifest_missing_field_exits_3(
+        self, tmp_path, corpus_dir, capsys, line_no, path, message
+    ):
+        broken = self.drop_manifest_field(corpus_dir, tmp_path, line_no, path)
+        rc = main(["evaluate", "--out", str(tmp_path / "o"), "--system", "identity",
+                   "--manifest", str(broken)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert message in err[0]
+
+    def test_train_manifest_missing_scene_field_exits_3(self, tmp_path, corpus_dir, capsys):
+        broken = self.drop_manifest_field(corpus_dir, tmp_path, 2, ("mixture_path",))
+        rc = main(["train", "--out", str(tmp_path / "o"),
+                   "--set", f"train.manifest={broken}", "--set", "model.mics=2"])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert ":2: scene record lacks field 'mixture_path'" in err[0]
+
     def test_malformed_checkpoint_header_exits_4(self, tmp_path, capsys):
         from beamkit.autodiff import save_checkpoint
 

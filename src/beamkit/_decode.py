@@ -1,0 +1,61 @@
+"""The one decoder from JSON-shaped dicts to config dataclasses, shared by
+run configs, manifest headers and checkpoint metadata.  Its type rules
+are stated in :mod:`beamkit.config`."""
+
+from __future__ import annotations
+
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
+
+from .errors import ConfigError
+
+# Scalar annotation -> (its name in errors, accepted-value test).  ``bool``
+# is an ``int`` subclass, so integer and number fields test for it.
+_SCALARS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("null", lambda v: v is None),
+}
+
+
+def as_object(raw, label: str) -> dict:
+    """``raw`` itself if it is a dict, else a ConfigError naming ``label``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label or 'config'} must be an object, got {raw!r}")
+    return raw
+
+
+def decode(cls, raw, label: str):
+    """Build dataclass ``cls`` from the dict ``raw``; omitted fields keep
+    their defaults.  ``label`` is the dotted path of ``raw`` (empty at the
+    config root) and prefixes every field an error names."""
+    hints = get_type_hints(cls)
+    known = {f.name for f in fields(cls)}
+    unknown = set(as_object(raw, label)) - known
+    if unknown:
+        where = f"{label} " if label else ""
+        raise ConfigError(f"unknown {where}config fields: {sorted(unknown)}")
+    return cls(**{
+        name: _decode(hints[name], value, f"{label}.{name}" if label else name)
+        for name, value in raw.items()
+    })
+
+
+def _decode(tp, value, path: str):
+    if is_dataclass(tp):
+        return decode(tp, value, path)
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, (list, tuple)) or not variadic and len(value) != len(args):
+            shape = "a list" if variadic else f"a list of {len(args)} entries"
+            raise ConfigError(f"{path} must be {shape}, got {value!r}")
+        types = args[:1] * len(value) if variadic else args
+        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    options = args or (tp,)  # the members of ``X | None``, or one scalar type
+    if any(_SCALARS[option][1](value) for option in options):
+        return value
+    expected = " or ".join(_SCALARS[option][0] for option in options)
+    raise ConfigError(f"{path} must be {expected}, got {value!r}")

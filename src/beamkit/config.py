@@ -28,14 +28,25 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
                     "mic_spacing": 0.04, "max_order": null,
                     "sample_rate": 16000, "fractional_delay": "round" }
     }
+
+Type rules, checked by one decoder before any range check: a section is
+a JSON object without unknown keys; an integer field takes an integer but
+not ``true``, ``1.0`` or ``"1"``; a number field takes an integer or a
+float and keeps it as given; a boolean field takes only ``true``/``false``;
+a string field takes only a string; a field whose default is ``null`` also
+takes ``null``; a list field takes a JSON list (stored as a tuple) whose
+entries follow these rules, with two entries for ranges and kernel/stride
+pairs and three for ``rir`` positions.  A violation is a ``ConfigError``
+naming the dotted field, e.g. ``model.glu_kernel[1] must be an integer``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
+from ._decode import as_object, decode
 from .errors import ConfigError, ConfigMismatchError
 from .model import ModelConfig
 from .rooms import SceneSampling
@@ -57,21 +68,6 @@ MAX_SEED = 2**64 - 1
 
 EVALUATE_SYSTEMS = ("model", "identity", "oracle-mvdr")
 FRACTIONAL_DELAY_MODES = ("round", "sinc8")
-
-
-def _from_dict(cls, raw: dict, label: str):
-    """Build a dataclass from a dict, rejecting unknown keys."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{label} section must be an object, got {type(raw).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown {label} fields: {sorted(unknown)}")
-    coerced = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in raw.items()
-    }
-    return cls(**coerced)
 
 
 @dataclass(frozen=True)
@@ -100,16 +96,6 @@ class SimulateSection:
                 f"simulate.max_order must be >= 0 or null, got {self.max_order}"
             )
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SimulateSection":
-        raw = dict(raw)
-        sampling_raw = raw.pop("sampling", None)
-        section = _from_dict(cls, raw, "simulate")
-        if sampling_raw is not None:
-            sampling = _from_dict(SceneSampling, sampling_raw, "simulate.sampling")
-            object.__setattr__(section, "sampling", sampling)
-        return section
-
 
 @dataclass(frozen=True)
 class EnhanceSection:
@@ -130,10 +116,6 @@ class EvaluateSection:
     dump_audio: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.dump_audio, bool):
-            raise ConfigError(
-                f"evaluate.dump_audio must be true or false, got {self.dump_audio!r}"
-            )
         if self.system not in EVALUATE_SYSTEMS:
             raise ConfigError(
                 f"evaluate.system must be one of {EVALUATE_SYSTEMS}, "
@@ -149,10 +131,10 @@ class EvaluateSection:
 class RirSection:
     """One-shot impulse-response dump geometry."""
 
-    room_dimensions: tuple = (6.0, 5.0, 3.0)
+    room_dimensions: tuple[float, float, float] = (6.0, 5.0, 3.0)
     rt60: float = 0.3
-    source_position: tuple = (2.0, 3.0, 1.5)
-    array_center: tuple = (3.0, 2.5, 1.5)
+    source_position: tuple[float, float, float] = (2.0, 3.0, 1.5)
+    array_center: tuple[float, float, float] = (3.0, 2.5, 1.5)
     num_mics: int = 9
     mic_spacing: float = 0.04
     max_order: int | None = None
@@ -161,10 +143,8 @@ class RirSection:
 
     def __post_init__(self):
         for name in ("room_dimensions", "source_position", "array_center"):
-            value = tuple(float(v) for v in getattr(self, name))
-            if len(value) != 3:
-                raise ConfigError(f"rir.{name} must have three entries, got {value}")
-            object.__setattr__(self, name, value)
+            # Integer coordinates are echoed as floats, e.g. 6.0 for 6.
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.rt60 <= 0:
             raise ConfigError(f"rir.rt60 must be > 0, got {self.rt60}")
         if self.num_mics < 1:
@@ -205,8 +185,6 @@ class RunConfig:
     rir: RirSection = field(default_factory=RirSection)
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.stft.freq_bins != self.model.freq_bins:
@@ -218,37 +196,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-        known = {
-            "seed", "model", "stft", "train", "simulate", "enhance",
-            "evaluate", "rir",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        """Decode a config dict under the type rules of this module.
 
-        kwargs = {}
-        if "seed" in raw:
-            kwargs["seed"] = raw["seed"]
-        if "model" in raw:
-            kwargs["model"] = ModelConfig.from_dict(raw["model"])
-        if "stft" in raw:
-            kwargs["stft"] = _from_dict(StftConfig, raw["stft"], "stft")
-        if "train" in raw:
-            section = dict(raw["train"])
-            kwargs["train_manifest"] = section.pop("manifest", None)
-            kwargs["val_manifest"] = section.pop("val_manifest", None)
-            kwargs["train"] = TrainConfig.from_dict(section)
-        if "simulate" in raw:
-            kwargs["simulate"] = SimulateSection.from_dict(raw["simulate"])
-        if "enhance" in raw:
-            kwargs["enhance"] = _from_dict(EnhanceSection, raw["enhance"], "enhance")
-        if "evaluate" in raw:
-            kwargs["evaluate"] = _from_dict(EvaluateSection, raw["evaluate"], "evaluate")
-        if "rir" in raw:
-            kwargs["rir"] = _from_dict(RirSection, raw["rir"], "rir")
-        return cls(**kwargs)
+        The manifests are written inside the ``train`` section but held
+        on :attr:`train_manifest`/:attr:`val_manifest`, so they are
+        lifted out first; the top-level names stay unknown keys.
+        """
+        raw = dict(as_object(raw, ""))
+        train = dict(as_object(raw.get("train", {}), "train"))
+        lifted = {
+            "train_manifest": train.pop("manifest", None),
+            "val_manifest": train.pop("val_manifest", None),
+        }
+        unknown = lifted.keys() & raw.keys()
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        return decode(cls, {**raw, "train": train, **lifted}, "")
 
     def to_dict(self) -> dict:
         train = self.train.to_dict()

@@ -14,7 +14,7 @@ time, freq)``.  A P-channel spectrogram enters as ``2P`` planes ordered
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,6 +35,7 @@ from .autodiff import (
     no_grad,
     relu,
 )
+from ._decode import decode
 from .errors import ConfigError, ValidationError
 from .stft import ComplexSpectrogram, compress
 
@@ -94,17 +95,6 @@ class ModelConfig:
     compression_exponent: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "glu_kernel", tuple(self.glu_kernel))
-        object.__setattr__(self, "glu_stride", tuple(self.glu_stride))
-        object.__setattr__(self, "unet_kernel", tuple(self.unet_kernel))
-        object.__setattr__(self, "unet_stride", tuple(self.unet_stride))
-        object.__setattr__(
-            self, "unet_block_depths_encoder", tuple(self.unet_block_depths_encoder)
-        )
-        object.__setattr__(
-            self, "unet_block_depths_decoder", tuple(self.unet_block_depths_decoder)
-        )
-        object.__setattr__(self, "stcm_dilations", tuple(self.stcm_dilations))
         if self.multi_output is None:
             object.__setattr__(self, "multi_output", self.bf_type != "mask")
         self.validate()
@@ -192,23 +182,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown model config fields: {sorted(unknown)}")
-        coerced = dict(raw)
-        for name in (
-            "glu_kernel",
-            "glu_stride",
-            "unet_kernel",
-            "unet_stride",
-            "unet_block_depths_encoder",
-            "unet_block_depths_decoder",
-            "stcm_dilations",
-        ):
-            if name in coerced and coerced[name] is not None:
-                coerced[name] = tuple(coerced[name])
-        return cls(**coerced)
+        """Decode a ``model`` section (type rules in :mod:`beamkit.config`)."""
+        return decode(cls, raw, "model")
 
 
 def tiny_config() -> ModelConfig:

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.signal import fftconvolve
 
+from ._decode import decode
 from .errors import (
     ConfigError,
     EmptySignalError,
@@ -638,22 +639,6 @@ def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int
     }
 
 
-def _scene_from_record(record: dict) -> SceneSpec:
-    room = RoomSpec(
-        tuple(record["room"]["dimensions"]),
-        rt60=record["room"]["rt60"],
-        speed_of_sound=record["room"]["speed_of_sound"],
-    )
-    return SceneSpec(
-        room=room,
-        array=ArraySpec(np.asarray(record["array"]["mic_positions"])),
-        speech_position=np.asarray(record["speech_position"]),
-        noise_position=np.asarray(record["noise_position"]),
-        snr_db=record["snr_db"],
-        seed=tuple(record["seed"]) if record.get("seed") is not None else None,
-    )
-
-
 def build_corpus(
     out_dir: str | os.PathLike,
     count: int,
@@ -714,10 +699,7 @@ def build_corpus(
         "duration": duration,
         "sample_rate": sample_rate,
         "max_order": max_order,
-        "sampling": {
-            name: list(v) if isinstance(v := getattr(sampling, name), tuple) else v
-            for name in _SAMPLING_FIELDS
-        },
+        "sampling": {name: getattr(sampling, name) for name in _SAMPLING_FIELDS},
     }
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
@@ -778,7 +760,8 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
     ManifestSchemaError
         On a file that is not UTF-8, a line that is not a JSON object, a
         missing/invalid header, a schema version this code does not
-        understand, or a header or scene record lacking a required field.
+        understand, a header or scene record lacking a required field, or
+        a header ``sampling`` object with an ill-typed field.
     """
     with open(os.fspath(manifest_path), "rb") as fh:
         raw = fh.read()
@@ -798,6 +781,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
             f"(this build reads version {MANIFEST_SCHEMA_VERSION})"
         )
     _require(header, _HEADER_FIELDS, f"{manifest_path}:1: manifest header")
+    _sampling_from_header(header)  # an ill-typed sampling fails here, before any scene
     scenes = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -863,9 +847,9 @@ def rebuild_scene_audio(
 def _sampling_from_header(header: dict) -> SceneSampling:
     sampling = header["sampling"]
     _require(sampling, _SAMPLING_FIELDS, "manifest header field 'sampling'")
-    return SceneSampling(
-        **{
-            name: tuple(v) if isinstance(v := sampling[name], list) else v
-            for name in _SAMPLING_FIELDS
-        }
-    )
+    try:
+        return decode(
+            SceneSampling, {name: sampling[name] for name in _SAMPLING_FIELDS}, "sampling"
+        )
+    except ConfigError as exc:
+        raise ManifestSchemaError(f"manifest header field {exc}") from exc

@@ -267,19 +267,23 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig) -> WaveBuffer:
 
     shift, length = cfg.frame_shift, cfg.frame_length
     num_frames = spec.num_frames
-    out_len = (num_frames - 1) * shift + length
+    phases = length // shift  # frames that overlap each shift-sized block
 
     window = cfg.analysis_window()
     frames = np.fft.irfft(spec.data.transpose(2, 1, 0), n=cfg.fft_size, axis=-1)
     frames = frames[:, :, :length] * window  # (ch, T, length)
 
-    out = np.zeros((spec.num_channels, out_len), dtype=np.float64)
-    norm = np.zeros(out_len, dtype=np.float64)
-    for t in range(num_frames):
-        out[:, t * shift : t * shift + length] += frames[:, t, :]
-        norm[t * shift : t * shift + length] += window**2
+    # Block b receives piece r of frame b - r.  Adding the pieces from the
+    # last phase down sums each block over ascending frames, the order of
+    # a frame-by-frame overlap-add, so the result is bit-identical to it.
+    out = np.zeros((spec.num_channels, num_frames + phases - 1, shift), dtype=np.float64)
+    norm = np.zeros((num_frames + phases - 1, shift), dtype=np.float64)
+    pieces = frames.reshape(spec.num_channels, num_frames, phases, shift)
+    for r in reversed(range(phases)):
+        out[:, r : r + num_frames] += pieces[:, :, r]
+        norm[r : r + num_frames] += window[r * shift : (r + 1) * shift] ** 2
 
-    out /= np.maximum(norm, NORM_FLOOR)
+    out = out.reshape(spec.num_channels, -1) / np.maximum(norm.reshape(-1), NORM_FLOOR)
 
     if spec.num_samples is not None:
         out = out[:, : spec.num_samples]

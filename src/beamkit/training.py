@@ -18,12 +18,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._decode import decode
 from .autodiff import Tensor, load_checkpoint, no_grad, save_checkpoint
 from .errors import (
+    CheckpointError,
     ConfigError,
     ConfigMismatchError,
     DivergenceError,
@@ -119,11 +121,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown training config fields: {sorted(unknown)}")
-        return cls(**raw)
+        """Decode a ``train`` section (type rules in :mod:`beamkit.config`)."""
+        return decode(cls, raw, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +571,19 @@ def save_model_checkpoint(
 
 
 def load_trained_model(path: str | os.PathLike) -> tuple[NeuralBeamformer, StftConfig, dict]:
-    """Rebuild a model (and its transform geometry) from a checkpoint."""
+    """Rebuild a model (and its transform geometry) from a checkpoint;
+    a missing or undecodable ``model``/``stft`` entry is a CheckpointError."""
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != CHECKPOINT_META_KIND:
         raise ConfigMismatchError(
             f"{path}: checkpoint metadata kind {meta.get('kind')!r} is not "
             f"{CHECKPOINT_META_KIND!r}"
         )
-    model_cfg = ModelConfig.from_dict(meta["model"])
-    stft_cfg = StftConfig(**meta["stft"])
+    try:
+        model_cfg = ModelConfig.from_dict(meta.get("model"))
+        stft_cfg = decode(StftConfig, meta.get("stft"), "stft")
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: checkpoint metadata: {exc}") from exc
     model = build_model(model_cfg, seed=0)
     model.load_state_dict(tensors)
     return model, stft_cfg, meta
@@ -688,6 +691,33 @@ def _mvdr_waveform(mixture, speech_img, noise_img, stft_cfg) -> np.ndarray:
     return istft(enhanced, stft_cfg).data[0]
 
 
+def _system_callable(system, stft_cfg: StftConfig):
+    """Resolve an :func:`evaluate` system into one function
+    ``(mixture, speech_image, noise_image, mvdr_estimate) -> mono samples``."""
+    if isinstance(system, NeuralBeamformer):
+        _check_geometry(system, stft_cfg)
+        return lambda mixture, *_: enhance_waveform(system, mixture, stft_cfg).data[0]
+    named = {
+        "identity": lambda mixture, speech_img, noise_img, mvdr_est: mixture.data[0],
+        "oracle-mvdr": lambda mixture, speech_img, noise_img, mvdr_est: mvdr_est,
+    }
+    if isinstance(system, str) and system in named:
+        return named[system]
+    if not callable(system):
+        raise ConfigError(
+            f"system must be a model, 'identity', 'oracle-mvdr', or a "
+            f"callable, got {system!r}"
+        )
+
+    def run(mixture, speech_img, noise_img, mvdr_est):
+        out = system(mixture, speech_img, noise_img)
+        if not isinstance(out, WaveBuffer) or out.num_channels != 1:
+            raise ValidationError("a callable system must return a mono WaveBuffer")
+        return out.data[0]
+
+    return run
+
+
 def evaluate(
     system,
     manifest_path: str | os.PathLike,
@@ -710,13 +740,7 @@ def evaluate(
     aligned table to ``metrics_summary.txt``; ``dump_audio`` adds each
     scene's enhanced output under ``audio/``.
     """
-    if isinstance(system, str) and system not in ("identity", "oracle-mvdr"):
-        raise ConfigError(
-            f"system must be a model, 'identity', 'oracle-mvdr', or a "
-            f"callable, got {system!r}"
-        )
-    if isinstance(system, NeuralBeamformer):
-        _check_geometry(system, stft_cfg)
+    enhance = _system_callable(system, stft_cfg)
 
     header, scenes = read_manifest(manifest_path)
     if max_scenes is not None:
@@ -734,30 +758,10 @@ def evaluate(
     rows: list[MetricsRow] = []
     for record in scenes:
         _, mixture, speech_img, noise_img = rebuild_scene_audio(record, header)
-        if isinstance(system, NeuralBeamformer) and (
-            mixture.num_channels != system.cfg.mics
-        ):
-            raise ConfigMismatchError(
-                f"scene {record['id']} has {mixture.num_channels} channels, "
-                f"model expects {system.cfg.mics}"
-            )
         reference = speech_img.data[0]
         noisy = mixture.data[0]
         mvdr_est = _mvdr_waveform(mixture, speech_img, noise_img, stft_cfg)
-
-        if isinstance(system, NeuralBeamformer):
-            enhanced = enhance_waveform(system, mixture, stft_cfg).data[0]
-        elif system == "identity":
-            enhanced = noisy
-        elif system == "oracle-mvdr":
-            enhanced = mvdr_est
-        else:
-            out = system(mixture, speech_img, noise_img)
-            if not isinstance(out, WaveBuffer) or out.num_channels != 1:
-                raise ValidationError(
-                    "a callable system must return a mono WaveBuffer"
-                )
-            enhanced = out.data[0]
+        enhanced = enhance(mixture, speech_img, noise_img, mvdr_est)
 
         if audio_dir is not None:
             write_wav(

@@ -10,6 +10,7 @@ import pytest
 
 from beamkit import __version__
 from beamkit.cli import build_parser, main
+from beamkit.config import RunConfig, default_config
 from beamkit.model import ModelConfig, build_model
 from beamkit.training import save_model_checkpoint
 from beamkit.wavio import WaveBuffer, read_wav, write_wav
@@ -238,6 +239,86 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "tensors" in err[0]
 
+    @pytest.mark.parametrize(
+        "meta,field",
+        [({"stft": {}}, "model must be"),
+         ({"model": 5, "stft": {}}, "model must be"),
+         ({"model": tiny_model_fields(), "stft": {"hop": 3}}, "unknown stft config fields")],
+        ids=["no-model", "model-not-object", "unknown-stft-key"],
+    )
+    def test_malformed_checkpoint_metadata_exits_4(self, tmp_path, capsys, meta, field):
+        from beamkit.autodiff import save_checkpoint
+
+        ckpt = tmp_path / "bad.bkt"
+        save_checkpoint(ckpt, {"w": np.zeros(2)}, {"kind": "model_checkpoint", **meta})
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, WaveBuffer(np.zeros((2, 1600)), 16000))
+        rc = main(["enhance", "--out", str(tmp_path / "o"),
+                   "--checkpoint", str(ckpt), "--input", str(wav)])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"checkpoint metadata: {field}" in err[0]
+
+    @pytest.mark.parametrize(
+        "args", [["evaluate", "--system", "identity"], ["train"]], ids=["evaluate", "train"]
+    )
+    def test_ill_typed_header_sampling_exits_3(self, tmp_path, corpus_dir, capsys, args):
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["sampling"]["snr_grid_db"] = 5  # rng.choice(5) would draw from 0..4 dB
+        tampered = tmp_path / "manifest.jsonl"
+        tampered.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        rc = main(args + ["--out", str(tmp_path / "o"), "--manifest", str(tampered)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "sampling.snr_grid_db must be a list, got 5" in err[0]
+
+
+class TestConfigDecoding:
+    @pytest.mark.parametrize(
+        "assignment,field",
+        [
+            ("model=5", "model"),
+            ("train=[1]", "train"),
+            ('model.mics="9"', "model.mics"),
+            ('train.epochs="3"', "train.epochs"),
+            ("model.glu_kernel=3", "model.glu_kernel"),
+            ("model.glu_kernel=[2]", "model.glu_kernel"),
+            ("rir.room_dimensions=5", "rir.room_dimensions"),
+            ('evaluate.max_scenes="a"', "evaluate.max_scenes"),
+            ('simulate.sampling.num_mics="a"', "simulate.sampling.num_mics"),
+            ("simulate.sampling.room_length=[1,2,3]", "simulate.sampling.room_length"),
+            ("simulate.sampling.snr_grid_db=5", "simulate.sampling.snr_grid_db"),
+            # one per leaf field type of default_config()
+            ("simulate.count=2.0", "simulate.count"),
+            ("train.learning_rate=true", "train.learning_rate"),
+            ("model.use_unet_blocks=1", "model.use_unet_blocks"),
+            ("enhance.checkpoint=3", "enhance.checkpoint"),
+            ('model.unet_stride=[1,"2"]', "model.unet_stride[1]"),
+            ("model.stcm_dilations=[1,2,4,8,16,true]", "model.stcm_dilations[5]"),
+            ('simulate.sampling.min_doa_deg="5"', "simulate.sampling.min_doa_deg"),
+        ],
+    )
+    def test_ill_typed_value_exits_2_naming_the_field(
+        self, tmp_path, capsys, assignment, field
+    ):
+        rc = main(["simulate", "--out", str(tmp_path / "o"),
+                   "--set", "simulate.count=0", "--set", assignment])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"configuration error: {field} must be" in err[0]
+
+    @pytest.mark.parametrize(
+        "raw", [default_config(), {"model": tiny_model_fields()}], ids=["default", "tiny"]
+    )
+    def test_round_trip(self, raw):
+        cfg = RunConfig.from_dict(raw)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
 
 class TestSimulate:
     def test_writes_manifest_audio_and_config_echo(self, corpus_dir):
@@ -333,7 +414,7 @@ def passthrough_checkpoint(tmp_path_factory):
     invert.  The output must then match the reference channel.
     """
     root = tmp_path_factory.mktemp("passthrough")
-    cfg = ModelConfig(**tiny_model_fields(), bf_type="mask")
+    cfg = ModelConfig.from_dict({**tiny_model_fields(), "bf_type": "mask"})
     model = build_model(cfg, seed=0)
     model.head.fc_out.weight.data[:] = 0.0
     model.head.fc_out.bias.data[:] = np.array([1.0, 0.0])

@@ -201,6 +201,32 @@ class TestSynthesis:
         rng = np.random.default_rng(8)
         assert roundtrip_error(rng.standard_normal(5000), cfg) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "length,shift,window",
+        [(320, 160, "hann"), (320, 80, "hann"), (320, 320, "rect"),
+         (512, 128, "hann"), (300, 100, "hann")],
+    )
+    @pytest.mark.parametrize("num_frames", [1, 2, 5, 37, 601])
+    def test_overlap_add_equals_frame_loop(self, length, shift, window, num_frames):
+        cfg = StftConfig(frame_length=length, frame_shift=shift, fft_size=length, window=window)
+        rng = np.random.default_rng(num_frames)
+        shape = (cfg.freq_bins, num_frames, 2)
+        spec = ComplexSpectrogram(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            frame_shift=shift, frame_length=length, fft_size=length,
+        )
+        # Reference: one windowed frame at a time, in frame order.
+        w = cfg.analysis_window()
+        frames = np.fft.irfft(spec.data.transpose(2, 1, 0), n=length, axis=-1) * w
+        out_len = (num_frames - 1) * shift + length
+        out = np.zeros((2, out_len))
+        norm = np.zeros(out_len)
+        for t in range(num_frames):
+            out[:, t * shift : t * shift + length] += frames[:, t, :]
+            norm[t * shift : t * shift + length] += w**2
+        out /= np.maximum(norm, NORM_FLOOR)
+        assert np.array_equal(istft(spec, cfg).data, out)
+
 
 class TestCompression:
     def test_sqrt_of_four(self):

@@ -624,6 +624,34 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="system"):
             evaluate("wiener", corpus)
 
+    def test_non_callable_system_rejected_before_any_scene(self, corpus, monkeypatch):
+        def regenerate(*args, **kwargs):
+            raise AssertionError("a scene was regenerated")
+
+        monkeypatch.setattr("beamkit.training.rebuild_scene_audio", regenerate)
+        with pytest.raises(ConfigError, match="system"):
+            evaluate(5, corpus)
+
+    @pytest.mark.parametrize("system", ["identity", "oracle-mvdr"])
+    def test_oracle_mvdr_runs_once_per_scene(self, corpus, monkeypatch, system):
+        import beamkit.training as training
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        real = training.oracle_mvdr_enhance
+        monkeypatch.setattr(training, "oracle_mvdr_enhance", counted)
+        result = evaluate(system, corpus, max_scenes=2)
+        assert len(calls) == len(result.rows) == 2
+
+    def test_model_channel_mismatch_rejected(self, corpus):
+        widened = ModelConfig.from_dict({**tiny_config().to_dict(), "mics": 3})
+        with pytest.raises(ConfigError, match="expects 3"):
+            evaluate(build_model(widened, seed=0), corpus, max_scenes=1)
+
     def test_max_scenes_limits_the_run(self, corpus):
         result = evaluate("identity", corpus, max_scenes=2)
         assert len(result.rows) == 2

@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import ConfigMismatchError, ValidationError
 from .tensor import (
     Tensor,
+    axis_norm,
     conv2d,
     deconv2d,
     lstm_sequence,
@@ -308,13 +309,7 @@ class AxisNorm(Module):
         self.beta = init.constant((channels,), 0.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=self.axes, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=self.axes, keepdims=True)
-        normalized = centered * ((var + self.eps) ** -0.5)
-        view = [1] * x.ndim
-        view[self.channel_axis] = self.gamma.shape[0]
-        return normalized * self.gamma.reshape(view) + self.beta.reshape(view)
+        return axis_norm(x, self.gamma, self.beta, self.axes, self.channel_axis, self.eps)
 
 
 def glu(linear_branch: Tensor, gate_branch: Tensor) -> Tensor:

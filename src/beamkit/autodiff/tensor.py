@@ -3,11 +3,16 @@
 A :class:`Tensor` wraps an ndarray and remembers how it was produced;
 calling :meth:`Tensor.backward` on a scalar result walks the graph in
 reverse topological order, with each node's closure accumulating
-gradients into its parents.  The operator set is exactly what the
-enhancement network needs: elementwise arithmetic, matmul, reductions,
-shape ops, 2-D (transposed) convolution with stride/dilation, the usual
-activations, a damped complex-magnitude op, and a whole-sequence LSTM
-(:func:`lstm_sequence`: one graph node per layer, hand-written BPTT).
+gradients into its parents.  Unless the graph is retained, the pass
+frees each intermediate node (its edges, closure and gradient) as soon
+as it has handed its gradient on, so the graph shrinks as backward runs.
+The operator set is exactly what the enhancement network needs:
+elementwise arithmetic, matmul, reductions, shape ops, 2-D (transposed)
+convolution with stride/dilation, the usual activations, a damped
+complex-magnitude op, and two fused ops with hand-written gradients:
+:func:`axis_norm` (normalization with a per-channel affine, one graph
+node that saves only the normalized map and the inverse deviation) and
+:func:`lstm_sequence` (a whole LSTM layer as one node, BPTT by hand).
 
 Every operation asserts its outputs are finite (a cheap way to catch
 divergence at the op that produced it); disable with
@@ -17,6 +22,7 @@ paused with :func:`no_grad`.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -39,6 +45,7 @@ __all__ = [
     "sigmoid",
     "tanh",
     "magnitude",
+    "axis_norm",
     "lstm_sequence",
 ]
 
@@ -72,7 +79,14 @@ def finite_checks(enabled: bool):
 
 
 def _check_finite(data: np.ndarray, op: str):
-    if _state["finite"] and not np.all(np.isfinite(data)):
+    # A finite sum has only finite terms (an inf or NaN term makes the sum
+    # inf or NaN), so one reduction decides the common case exactly; only
+    # a sum that overflows needs the elementwise test.
+    if not _state["finite"]:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(data, axis=None)
+    if not np.isfinite(total) and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by op {op!r}")
 
 
@@ -153,8 +167,12 @@ class Tensor:
     def backward(self, retain_graph: bool = False):
         """Reverse-mode gradients of this scalar w.r.t. the whole graph.
 
-        Unless ``retain_graph`` is set, graph edges are freed as they are
-        consumed, so a second backward pass needs a fresh forward pass.
+        Unless ``retain_graph`` is set, each intermediate node is freed as
+        soon as its closure has run: its edges, closure and gradient are
+        dropped (``.grad`` reads ``None`` afterwards), so the arrays only
+        it kept alive are released during the pass, and a second backward
+        pass needs a fresh forward pass.  Leaf gradients are kept either
+        way.
         """
         if self.data.size != 1:
             raise ValidationError(
@@ -188,10 +206,17 @@ class Tensor:
             if node._backward_fn is not None:
                 node.grad = None
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+        # Popping, not iterating, drops the list's reference: in reverse
+        # topological order every consumer of a node has already run, so
+        # once the node itself has run nothing in the pass needs it.
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
-            if not retain_graph and node._backward_fn is not None:
+            if not retain_graph:
+                node.grad = None
                 node._backward_fn = None
                 node._parents = ()
                 node._freed = True
@@ -484,10 +509,13 @@ def prelu(a: Tensor, alpha: Tensor, channel_axis: int = 1) -> Tensor:
     view = [1] * a.ndim
     view[axis] = alpha.shape[0]
     alpha_b = alpha.data.reshape(view)
-    negative = a.data < 0
-    data = np.where(negative, alpha_b * a.data, a.data)
+    # Equals np.where(x < 0, alpha * x, x) except possibly for the sign of
+    # a zero, and avoids np.where's slow data-dependent select.
+    data = np.maximum(a.data, 0.0)
+    data += alpha_b * np.minimum(a.data, 0.0)
 
     def backward(g):
+        negative = a.data < 0
         if a.requires_grad:
             a._accumulate(np.where(negative, alpha_b * g, g))
         if alpha.requires_grad:
@@ -552,6 +580,77 @@ def magnitude(real: Tensor, imag: Tensor) -> Tensor:
             imag._accumulate(scale * imag.data)
 
     return Tensor._result(data, (real, imag), backward, "magnitude")
+
+
+# -- normalization ----------------------------------------------------------------
+
+
+def axis_norm(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    axes: tuple[int, ...],
+    channel_axis: int = 1,
+    eps: float = 1e-5,
+) -> Tensor:
+    """Zero-mean, unit-variance normalization over ``axes``, then a
+    per-channel ``gamma * n + beta``, as one graph node.
+
+    The forward pass runs the numpy operations of the elementary-op
+    composition (mean as ``sum * (1/n)``, centre, variance, ``+ eps``,
+    ``** -0.5``, scale, affine) in the same order, so its values are the
+    same bits.  Only the normalized map ``n`` and the inverse deviation
+    are kept for the backward pass, which with ``ĝ = g * gamma`` is
+    ``dc = inv * (ĝ - n * mean(ĝ * n))`` and ``dx = dc - mean(dc)``.  The
+    variance is checked for non-finite values as well as the output: an
+    overflowing variance makes ``inv`` zero and would leave the output
+    finite.
+
+    Parameters
+    ----------
+    x : Tensor
+    gamma, beta : Tensor, shape (channels,)
+        Applied along ``channel_axis`` of ``x``.
+    axes : tuple of int
+        Axes the statistics are taken over.
+    """
+    ndim = x.ndim
+    channel_axis %= ndim
+    channels = x.shape[channel_axis]
+    if gamma.shape != (channels,) or beta.shape != (channels,):
+        raise ValidationError(
+            f"axis_norm gamma {gamma.shape} and beta {beta.shape} do not match "
+            f"{channels} channels"
+        )
+    axes = tuple(axes)
+    scale = 1.0 / math.prod(x.shape[ax % ndim] for ax in axes)
+    view = [1] * ndim
+    view[channel_axis] = channels
+    gamma_b = gamma.data.reshape(view)
+
+    mean = x.data.sum(axis=axes, keepdims=True) * scale
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) * scale
+    _check_finite(var, "axis_norm")
+    inv = (var + eps) ** -0.5
+    normalized = np.multiply(centered, inv, out=centered)
+    data = normalized * gamma_b
+    data += beta.data.reshape(view)
+
+    def backward(g):
+        reduce_axes = tuple(i for i in range(ndim) if i != channel_axis)
+        if gamma.requires_grad:
+            gamma._accumulate((g * normalized).sum(axis=reduce_axes))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=reduce_axes))
+        if x.requires_grad:
+            d = g * gamma_b
+            d -= normalized * ((d * normalized).sum(axis=axes, keepdims=True) * scale)
+            d *= inv
+            d -= d.sum(axis=axes, keepdims=True) * scale
+            x._accumulate(d)
+
+    return Tensor._result(data, (x, gamma, beta), backward, "axis_norm")
 
 
 # -- 2-D convolution -----------------------------------------------------------

@@ -129,6 +129,10 @@ class ModelConfig:
             raise ConfigError("temporal stack sizes must be positive")
         if self.stcm_kernel < 1 or any(d < 1 for d in self.stcm_dilations):
             raise ConfigError("temporal kernel and dilations must be >= 1")
+        for name in ("glu_kernel", "glu_stride", "unet_kernel", "unet_stride"):
+            pair = getattr(self, name)
+            if any(v < 1 for v in pair):
+                raise ConfigError(f"{name} entries must be >= 1, got {pair}")
         if self.bf_type not in BF_TYPES:
             raise ConfigError(f"bf_type must be one of {BF_TYPES}, got {self.bf_type!r}")
         if self.bf_type == "mask" and self.multi_output:

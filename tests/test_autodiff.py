@@ -1,5 +1,7 @@
 """Tests for the reverse-mode tensor engine and layer library."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
@@ -14,6 +16,7 @@ from beamkit.autodiff import (
     Module,
     PReLU,
     Tensor,
+    axis_norm,
     concat,
     conv2d,
     deconv2d,
@@ -30,6 +33,7 @@ from beamkit.autodiff import (
     sigmoid,
     tanh,
 )
+from beamkit.autodiff.tensor import _check_finite
 from beamkit.errors import NonFiniteError, ValidationError
 
 
@@ -178,6 +182,46 @@ class TestBackwardBasics:
         loss.backward(retain_graph=True)
         np.testing.assert_allclose(x.grad, 4 * np.ones(3))  # two accumulations
 
+    def test_plain_backward_frees_intermediates_keeps_leaves(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        w = Tensor(np.full(4, 2.0), requires_grad=True)
+        hidden = x * w
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        assert hidden._parents == () and hidden._backward_fn is None
+        np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+        np.testing.assert_array_equal(w.grad, 2.0 * x.data**2 * 2.0)
+
+    def test_retained_backward_keeps_intermediate_grads(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        hidden = x * 3.0
+        loss = (hidden * hidden).sum()
+        loss.backward(retain_graph=True)
+        np.testing.assert_array_equal(hidden.grad, 2.0 * hidden.data)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        assert hidden._parents[0] is x and hidden._backward_fn is not None
+
+    def test_backward_releases_gradients_as_it_goes(self):
+        # A 16-op chain: keeping every intermediate gradient to the end of
+        # the pass would grow the traced peak by ~16 arrays; freeing each
+        # node once it has run bounds it by the few live at one step.
+        n = 1_000_000
+        x = Tensor(np.ones(n), requires_grad=True)
+        y = x
+        for _ in range(16):
+            y = y * 1.0001
+        loss = y.sum()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 4 * x.data.nbytes
+        np.testing.assert_allclose(x.grad, 1.0001**16, rtol=1e-14)
+
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
@@ -193,6 +237,22 @@ class TestBackwardBasics:
             with finite_checks(False):
                 y = x ** -1.0
                 assert np.all(np.isinf(y.data))
+
+    def test_finite_check_passes_finite_data_whose_sum_overflows(self):
+        _check_finite(np.full(4, 1e308), "op")
+        _check_finite(np.full(4, -1e308), "op")
+        _check_finite(np.zeros(0), "op")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("position", [0, 5, 10])
+    def test_finite_check_finds_one_bad_value(self, bad, position):
+        for base in (np.ones(11), np.full(11, 1e308)):
+            data = base.copy()
+            data[position] = bad
+            with pytest.raises(NonFiniteError, match="'probe'"):
+                _check_finite(data, "probe")
+            with pytest.raises(NonFiniteError):
+                _check_finite(data.reshape(1, 11)[:, ::-1], "probe")
 
     def test_two_linears_equal_product_matrix(self):
         rng = np.random.default_rng(0)
@@ -435,6 +495,15 @@ class TestActivations:
         out = prelu(x, Tensor(np.zeros(3)), channel_axis=1)
         np.testing.assert_array_equal(out.data, np.maximum(x.data, 0.0))
 
+    def test_prelu_matches_where_formula(self):
+        rng = np.random.default_rng(15)
+        extremes = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+        x = np.concatenate([rng.standard_normal(2_000) * 4, extremes] * 3).reshape(3, -1)
+        alpha = np.array([0.25, -0.7, 0.0])
+        want = np.where(x < 0, alpha[:, None] * x, x)
+        out = prelu(Tensor(x), Tensor(alpha), channel_axis=0)
+        np.testing.assert_array_equal(out.data, want)
+
     def test_sigmoid_tanh_values_and_stability(self):
         x = np.array([-1000.0, 0.0, 1000.0])
         s = sigmoid(Tensor(x))
@@ -536,6 +605,66 @@ class TestNorms:
         corrupted[:, :, 4:, :] = 99.0
         partial = norm(Tensor(corrupted)).data
         np.testing.assert_array_equal(full[:, :, :4, :], partial[:, :, :4, :])
+
+
+def axis_norm_unfused(x, gamma, beta, axes, channel_axis=1, eps=1e-5):
+    """Normalization as a graph of elementary ops: the fused op's oracle."""
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    normalized = centered * ((var + eps) ** -0.5)
+    view = [1] * x.ndim
+    view[channel_axis] = gamma.shape[0]
+    return normalized * gamma.reshape(view) + beta.reshape(view)
+
+
+class TestAxisNormFused:
+    def problem(self, seed, shape=(2, 4, 6, 7)):
+        rng = np.random.default_rng(seed)
+        arrays = [
+            3.0 * rng.standard_normal(shape) + 1.5,
+            rng.standard_normal(shape[1]),
+            rng.standard_normal(shape[1]),
+        ]
+        return arrays, rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("axes", [(3,), (1,), (2, 3)])
+    def test_matches_unfused_graph(self, axes):
+        arrays, upstream = self.problem(40 + len(axes) + axes[0])
+        results = []
+        for fn in (axis_norm, axis_norm_unfused):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*leaves, axes)
+            (out * Tensor(upstream)).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        (out, *grads), (want_out, *want_grads) = results
+        np.testing.assert_array_equal(out, want_out)
+        for name, got, want in zip(("dx", "dgamma", "dbeta"), grads, want_grads):
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), (name, err)
+
+    def test_module_forward_is_one_node(self):
+        norm = AxisNorm(4, (3,), Initializer(3))
+        x = Tensor(np.ones((1, 4, 2, 5)), requires_grad=True)
+        out = norm(x)
+        assert out._op == "axis_norm"
+        assert out._parents == (x, norm.gamma, norm.beta)
+
+    def test_overflowing_variance_raises(self):
+        # Finite inputs whose squared deviations overflow: the variance is
+        # inf, so the inverse deviation is 0 and the output stays finite;
+        # only the check on the variance catches it.
+        arrays, _ = self.problem(44)
+        args = [Tensor(arrays[0] * 1e200), Tensor(arrays[1]), Tensor(arrays[2])]
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="axis_norm"):
+                axis_norm(*args, (3,))
+            with finite_checks(False):
+                assert np.all(np.isfinite(axis_norm(*args, (3,)).data))
+
+    def test_affine_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            axis_norm(Tensor(np.zeros((1, 3, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), (2,))
 
 
 class TestLSTM:

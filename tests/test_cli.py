@@ -312,6 +312,24 @@ class TestConfigDecoding:
         assert f"configuration error: {field} must be" in err[0]
 
     @pytest.mark.parametrize(
+        "assignment,field",
+        [
+            ("model.glu_stride=[1,0]", "glu_stride"),
+            ("model.unet_stride=[1,0]", "unet_stride"),
+            ("model.glu_kernel=[0,0]", "glu_kernel"),
+            ("model.glu_kernel=[-1,3]", "glu_kernel"),
+            ("model.unet_kernel=[1,0]", "unet_kernel"),
+        ],
+    )
+    def test_kernel_or_stride_below_one_exits_2(self, tmp_path, capsys, assignment, field):
+        rc = main(["simulate", "--out", str(tmp_path / "o"),
+                   "--set", "simulate.count=0", "--set", assignment])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"configuration error: {field} entries must be >= 1" in err[0]
+
+    @pytest.mark.parametrize(
         "raw", [default_config(), {"model": tiny_model_fields()}], ids=["default", "tiny"]
     )
     def test_round_trip(self, raw):

@@ -51,7 +51,7 @@ from .errors import ConfigError, ConfigMismatchError
 from .model import ModelConfig
 from .rooms import SceneSampling
 from .stft import StftConfig
-from .training import TrainConfig
+from .training import TrainConfig, check_max_scenes
 
 __all__ = [
     "RunConfig",
@@ -121,10 +121,7 @@ class EvaluateSection:
                 f"evaluate.system must be one of {EVALUATE_SYSTEMS}, "
                 f"got {self.system!r}"
             )
-        if self.max_scenes is not None and self.max_scenes < 1:
-            raise ConfigError(
-                f"evaluate.max_scenes must be >= 1 or null, got {self.max_scenes}"
-            )
+        check_max_scenes(self.max_scenes)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ vector is extracted as the principal eigenvector, and the minimum-variance
 distortionless-response solution turns both into one complex weight vector
 per frequency bin that is applied to every frame.
 
-All operations are per-frequency and independent across bins.  Arrays use
-the (freq, time, channel) spectrogram layout and (freq, mic, mic)
-covariance layout throughout.
+Every operation is batched over frequency and independent across bins.
+Arrays use the (freq, time, channel) spectrogram layout and (freq, mic,
+mic) covariance layout throughout.
 """
 
 from __future__ import annotations
@@ -107,76 +107,87 @@ def spatial_covariance(
     """
     mask = validate_mask(mask, mixture)
     x = mixture.data
-    weighted = np.einsum("ft,ftp,ftq->fpq", mask, x, np.conj(x))
+    # One (freq, time, mic) temporary: conj(m·X) as the left factor of a
+    # batched matmul gives Σ_t m·conj(X_p)·X_q, whose conjugate is Φ.
+    w = x * mask[:, :, None]
+    np.conjugate(w, out=w)
+    weighted = np.conj(np.matmul(np.swapaxes(w, 1, 2), x))
     denom = np.maximum(mask.sum(axis=1), MASK_FLOOR)
     phi = weighted / denom[:, None, None]
     return 0.5 * (phi + np.conj(np.swapaxes(phi, 1, 2)))
 
 
-def _principal_eigenvector(mat: np.ndarray, freq_index: int) -> np.ndarray:
-    """Dominant eigenvector of one Hermitian PSD matrix by power iteration.
+def _covariance_stack(phi: np.ndarray) -> np.ndarray:
+    """A finite (freq, mic, mic) complex stack, or a ValidationError."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.ndim != 3 or phi.shape[1] != phi.shape[2] or phi.shape[1] == 0:
+        raise ValidationError(f"covariance must be (freq, mic, mic), got {phi.shape}")
+    bad = ~np.isfinite(phi).all(axis=(1, 2))
+    if bad.any():
+        raise ValidationError(
+            f"covariance at frequency {np.argmax(bad)} contains non-finite values"
+        )
+    return phi
 
-    Starts from the first canonical basis vector so exact ties (such as a
-    scaled identity) resolve deterministically to that direction; if the
-    start lies in the null space, later basis directions are tried in
-    order.
+
+def _principal_eigenvectors(mats: np.ndarray) -> np.ndarray:
+    """Dominant eigenvector of each Hermitian PSD matrix by power iteration.
+
+    Each frequency starts from the first canonical basis vector its matrix
+    does not annihilate, so exact ties (such as a scaled identity) resolve
+    deterministically to that direction, and freezes once its direction
+    stops moving.  The lowest failing frequency's error is raised.
     """
-    p = mat.shape[0]
-    if not np.any(mat != 0.0):
-        raise DegenerateSteeringError(
-            f"zero covariance matrix at frequency {freq_index}: "
-            "no steering direction exists"
-        )
-    vec = None
-    for start in range(p):
-        candidate = np.zeros(p, dtype=np.complex128)
-        candidate[start] = 1.0
-        if np.linalg.norm(mat @ candidate) > 0.0:
-            vec = candidate
-            break
-    if vec is None:
-        raise DegenerateSteeringError(
-            f"covariance at frequency {freq_index} annihilates every "
-            "canonical direction"
-        )
+    num_freqs, p = mats.shape[:2]
+    starts = np.linalg.norm(mats, axis=1) > 0.0  # [f, k]: ‖Φ_f e_k‖ > 0
+    failures = {
+        f: f"covariance at frequency {f} annihilates every canonical direction"
+        if mats[f].any()
+        else f"zero covariance matrix at frequency {f}: no steering direction exists"
+        for f in np.flatnonzero(~starts.any(axis=1))
+    }
+    vecs = np.zeros((num_freqs, p), dtype=np.complex128)
+    vecs[np.arange(num_freqs), np.argmax(starts, axis=1)] = 1.0
+    active = np.flatnonzero(starts.any(axis=1))
     for _ in range(POWER_ITERATIONS):
-        nxt = mat @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            raise DegenerateSteeringError(
-                f"power iteration collapsed at frequency {freq_index}"
-            )
-        nxt = nxt / norm
+        if active.size == 0:
+            break
+        nxt = np.matmul(mats[active], vecs[active, :, None])[:, :, 0]
+        norm = np.linalg.norm(nxt, axis=1)
+        live = norm > 0.0
+        for f in active[~live]:
+            failures[f] = f"power iteration collapsed at frequency {f}"
+        active, vec, nxt = active[live], vecs[active[live]], nxt[live] / norm[live, None]
+        vecs[active] = nxt
         # Compare directions modulo sign so a negative dominant eigenvalue
         # (possible only through rounding; inputs are PSD) still converges.
-        if min(np.linalg.norm(nxt - vec), np.linalg.norm(nxt + vec)) < POWER_TOLERANCE:
-            vec = nxt
-            break
-        vec = nxt
-    return vec
+        moved = np.minimum(
+            np.linalg.norm(nxt - vec, axis=1), np.linalg.norm(nxt + vec, axis=1)
+        )
+        active = active[moved >= POWER_TOLERANCE]
+    if failures:
+        raise DegenerateSteeringError(failures[min(failures)])
+    return vecs
 
 
 def _rotate_reference_real(values: np.ndarray) -> np.ndarray:
-    """Multiply by a unit phase so the reference component is real ≥ 0.
+    """Multiply each row by a unit phase so its reference component is real ≥ 0.
 
-    If the reference component is numerically zero, the first component of
-    meaningful magnitude sets the phase instead, keeping the result
-    deterministic.
+    Where the reference component is numerically zero, the component of
+    largest magnitude sets the phase instead, keeping the result
+    deterministic; an all-zero row is left as it is.
     """
+    rows = np.arange(values.shape[0])
+    mags = np.abs(values)
+    weak = mags[:, REFERENCE_CHANNEL] < 1e-12 * np.linalg.norm(values, axis=1)
+    pivot_idx = np.where(weak, np.argmax(mags, axis=1), REFERENCE_CHANNEL)
+    pivot, size = values[rows, pivot_idx], mags[rows, pivot_idx]
+    live = size > 0.0
     out = values.copy()
-    for f in range(out.shape[0]):
-        row = out[f]
-        pivot_idx = REFERENCE_CHANNEL
-        if abs(row[pivot_idx]) < 1e-12 * np.linalg.norm(row):
-            pivot_idx = int(np.argmax(np.abs(row)))
-        pivot = row[pivot_idx]
-        if abs(pivot) > 0.0:
-            rotated = row * (np.conj(pivot) / abs(pivot))
-            # z·conj(z)/|z| is exactly |z|; write that value directly so the
-            # pivot component carries no rounding residue in its imaginary
-            # part.
-            rotated[pivot_idx] = abs(pivot)
-            out[f] = rotated
+    out[live] *= (np.conj(pivot[live]) / size[live])[:, None]
+    # z·conj(z)/|z| is exactly |z|; write that value directly so the pivot
+    # component carries no rounding residue in its imaginary part.
+    out[rows[live], pivot_idx[live]] = size[live]
     return out
 
 
@@ -197,9 +208,8 @@ def noise_compensated_speech_covariance(
     direction of the difference, i.e. the speech subspace when one
     exists.
     """
-    phi_s = np.asarray(phi_s, dtype=np.complex128)
-    phi_n = np.asarray(phi_n, dtype=np.complex128)
-    if phi_s.shape != phi_n.shape or phi_s.ndim != 3:
+    phi_s, phi_n = _covariance_stack(phi_s), _covariance_stack(phi_n)
+    if phi_s.shape != phi_n.shape:
         raise ValidationError(
             f"covariance stacks must share a (freq, mic, mic) shape, got "
             f"{phi_s.shape} and {phi_n.shape}"
@@ -211,14 +221,7 @@ def noise_compensated_speech_covariance(
 
 def steering_from_covariance(phi_s: np.ndarray) -> SteeringVector:
     """Principal eigenvector per frequency as a unit-norm steering vector."""
-    phi_s = np.asarray(phi_s, dtype=np.complex128)
-    if phi_s.ndim != 3 or phi_s.shape[1] != phi_s.shape[2]:
-        raise ValidationError(
-            f"covariance must be (freq, mic, mic), got {phi_s.shape}"
-        )
-    vectors = np.empty(phi_s.shape[:2], dtype=np.complex128)
-    for f in range(phi_s.shape[0]):
-        vectors[f] = _principal_eigenvector(phi_s[f], f)
+    vectors = _principal_eigenvectors(_covariance_stack(phi_s))
     return SteeringVector(_rotate_reference_real(vectors), mode="unit")
 
 
@@ -247,11 +250,7 @@ def mvdr_weights(phi_n: np.ndarray, steering: SteeringVector) -> np.ndarray:
     The noise covariance is diagonally loaded with ``1e-6·trace/P`` before
     the solve; the result satisfies ``w^H c = 1`` at machine precision.
     """
-    phi_n = np.asarray(phi_n, dtype=np.complex128)
-    if phi_n.ndim != 3 or phi_n.shape[1] != phi_n.shape[2]:
-        raise ValidationError(
-            f"covariance must be (freq, mic, mic), got {phi_n.shape}"
-        )
+    phi_n = _covariance_stack(phi_n)
     c = steering.values
     if c.shape != phi_n.shape[:2]:
         raise ValidationError(
@@ -306,15 +305,20 @@ def oracle_mvdr_enhance(
     """Full oracle pipeline: IRM → covariances → steering → MVDR → apply.
 
     ``speech`` and ``noise`` are the clean source images used only to form
-    the oracle mask; the beamformer itself sees the mixture.  The steering
-    vector comes from the noise-compensated speech covariance and is
-    reference-normalized, so the output aims at unit gain on the
-    reference-channel speech image.
+    the oracle mask, which reads their reference channel alone; they share
+    one shape and the mixture's (freq, frames) grid.  The beamformer itself
+    sees the mixture.  The steering vector comes from the noise-compensated
+    speech covariance and is reference-normalized, so the output aims at
+    unit gain on the reference-channel speech image.
     """
-    if speech.data.shape != mixture.data.shape or noise.data.shape != mixture.data.shape:
+    if (
+        speech.data.shape != noise.data.shape
+        or speech.data.shape[:2] != mixture.data.shape[:2]
+    ):
         raise ValidationError(
-            "mixture, speech and noise spectrograms must share one shape, "
-            f"got {mixture.data.shape}, {speech.data.shape}, {noise.data.shape}"
+            "speech and noise spectrograms must share one shape and the "
+            f"mixture's (freq, frames) grid, got {mixture.data.shape}, "
+            f"{speech.data.shape}, {noise.data.shape}"
         )
     mask = irm(speech, noise)
     phi_s = spatial_covariance(mixture, mask)

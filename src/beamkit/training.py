@@ -33,7 +33,13 @@ from .errors import (
     ValidationError,
 )
 from .metrics import SATURATION_DB, loss_tensors, si_snr_db, snr_db
-from .model import ModelConfig, NeuralBeamformer, build_model, ri_stack
+from .model import (
+    REFERENCE_CHANNEL,
+    ModelConfig,
+    NeuralBeamformer,
+    build_model,
+    ri_stack,
+)
 from .mvdr import oracle_mvdr_enhance
 from .rooms import read_manifest, rebuild_scene_audio
 from .signals import WaveBuffer
@@ -683,10 +689,13 @@ def enhance_waveform(
 
 
 def _mvdr_waveform(mixture, speech_img, noise_img, stft_cfg) -> np.ndarray:
+    def reference_stft(img: WaveBuffer):
+        # The oracle mask reads only the reference channel of each image.
+        ref = img.data[REFERENCE_CHANNEL : REFERENCE_CHANNEL + 1]
+        return stft(WaveBuffer(ref, img.sample_rate), stft_cfg)
+
     enhanced = oracle_mvdr_enhance(
-        stft(mixture, stft_cfg),
-        stft(speech_img, stft_cfg),
-        stft(noise_img, stft_cfg),
+        stft(mixture, stft_cfg), reference_stft(speech_img), reference_stft(noise_img)
     )
     return istft(enhanced, stft_cfg).data[0]
 
@@ -718,6 +727,18 @@ def _system_callable(system, stft_cfg: StftConfig):
     return run
 
 
+def check_max_scenes(max_scenes) -> None:
+    """Reject an :func:`evaluate` scene cap that is neither None nor an int ≥ 1."""
+    if max_scenes is not None and (
+        isinstance(max_scenes, bool)
+        or not isinstance(max_scenes, (int, np.integer))
+        or max_scenes < 1
+    ):
+        raise ConfigError(
+            f"evaluate.max_scenes must be an integer >= 1 or null, got {max_scenes!r}"
+        )
+
+
 def evaluate(
     system,
     manifest_path: str | os.PathLike,
@@ -741,6 +762,7 @@ def evaluate(
     scene's enhanced output under ``audio/``.
     """
     enhance = _system_callable(system, stft_cfg)
+    check_max_scenes(max_scenes)
 
     header, scenes = read_manifest(manifest_path)
     if max_scenes is not None:

@@ -1,12 +1,19 @@
 """Tests for masked covariance estimation and MVDR beamforming."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from beamkit.errors import DegenerateSteeringError, SolverError, ValidationError
 from beamkit.model import filter_and_sum
 from beamkit.mvdr import (
+    POWER_ITERATIONS,
+    POWER_TOLERANCE,
     SteeringVector,
+    _principal_eigenvectors,
+    _rotate_reference_real,
     apply_utterance_beamformer,
     irm,
     mvdr_weights,
@@ -17,7 +24,7 @@ from beamkit.mvdr import (
     steering_from_covariance,
 )
 from beamkit.rooms import ArraySpec, RoomSpec, SceneSpec, synthesize_mixture
-from beamkit.signals import noise_like, speech_like
+from beamkit.signals import WaveBuffer, noise_like, speech_like
 from beamkit.stft import ComplexSpectrogram, StftConfig, istft, stft
 
 
@@ -46,6 +53,100 @@ def distortionless_candidates(rng, steering_row, count):
 
 def noise_powers(candidates, phi):
     return np.einsum("np,pq,nq->n", np.conj(candidates), phi, candidates).real
+
+
+# Per-frequency reference implementations that the batched code replaced.
+
+
+def einsum_covariance(x, mask):
+    weighted = np.einsum("ft,ftp,ftq->fpq", mask, x, np.conj(x))
+    phi = weighted / np.maximum(mask.sum(axis=1), 1e-8)[:, None, None]
+    return 0.5 * (phi + np.conj(np.swapaxes(phi, 1, 2)))
+
+
+def loop_principal_eigenvector(mat, freq_index):
+    """Power iteration on one matrix; returns (vector, iterations run)."""
+    p = mat.shape[0]
+    if not np.any(mat != 0.0):
+        raise DegenerateSteeringError(
+            f"zero covariance matrix at frequency {freq_index}: "
+            "no steering direction exists"
+        )
+    vec = None
+    for start in range(p):
+        candidate = np.zeros(p, dtype=np.complex128)
+        candidate[start] = 1.0
+        if np.linalg.norm(mat @ candidate) > 0.0:
+            vec = candidate
+            break
+    if vec is None:
+        raise DegenerateSteeringError(
+            f"covariance at frequency {freq_index} annihilates every "
+            "canonical direction"
+        )
+    for iteration in range(1, POWER_ITERATIONS + 1):
+        nxt = mat @ vec
+        norm = np.linalg.norm(nxt)
+        if norm == 0.0:
+            raise DegenerateSteeringError(
+                f"power iteration collapsed at frequency {freq_index}"
+            )
+        nxt = nxt / norm
+        if min(np.linalg.norm(nxt - vec), np.linalg.norm(nxt + vec)) < POWER_TOLERANCE:
+            return nxt, iteration
+        vec = nxt
+    return vec, POWER_ITERATIONS
+
+
+def loop_rotate_reference_real(values):
+    out = values.copy()
+    for f in range(out.shape[0]):
+        row = out[f]
+        pivot_idx = 0
+        if abs(row[pivot_idx]) < 1e-12 * np.linalg.norm(row):
+            pivot_idx = int(np.argmax(np.abs(row)))
+        pivot = row[pivot_idx]
+        if abs(pivot) > 0.0:
+            rotated = row * (np.conj(pivot) / abs(pivot))
+            rotated[pivot_idx] = abs(pivot)
+            out[f] = rotated
+    return out
+
+
+def loop_steering(phi):
+    found = [loop_principal_eigenvector(mat, f) for f, mat in enumerate(phi)]
+    vectors = np.array([vec for vec, _ in found])
+    return loop_rotate_reference_real(vectors), [its for _, its in found]
+
+
+def mixed_psd_stack(rng, p, count):
+    """Identities, rank-1 matrices, near-ties, generic PSD matrices and
+    ones whose first canonical direction is null, so that power iteration
+    starts from different basis vectors and stops at many iterations."""
+    mats = []
+    for f in range(count):
+        kind = f % 5
+        if kind == 0:
+            mats.append(np.eye(p, dtype=complex) * (1.0 + f))
+        elif kind == 1:
+            c = crandn(rng, p)
+            mats.append(np.outer(c, np.conj(c)))
+        elif kind == 2:
+            q, _ = np.linalg.qr(crandn(rng, p, p))
+            eigs = np.linspace(0.1, 0.5, p)
+            eigs[-1], eigs[-2] = 1.0, 1.0 - 10.0 ** -(1 + f % 3)
+            mats.append((q * eigs) @ q.conj().T)
+        elif kind == 3:
+            mats.append(random_psd(rng, p))
+        else:
+            mat = random_psd(rng, p)
+            mat[0, :] = mat[:, 0] = 0.0
+            mats.append(mat)
+    return np.stack(mats)
+
+
+def relative_rows(got, want):
+    return np.max(np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1))
 
 
 class TestIrm:
@@ -148,6 +249,34 @@ class TestSpatialCovariance:
         with pytest.raises(ValidationError, match="grid"):
             spatial_covariance(spec_of(crandn(rng, 3, 4, 2)), np.ones((3, 5)))
 
+    @pytest.mark.parametrize("layout", ["contiguous", "stft"])
+    def test_matches_einsum_oracle(self, layout):
+        rng = np.random.default_rng(40)
+        for p in (2, 3, 9):
+            # stft returns a (freq, time, mic) view of a (time, freq, mic) buffer.
+            x = crandn(rng, 50, 21, p).transpose(1, 0, 2)
+            if layout == "contiguous":
+                x = np.ascontiguousarray(x)
+            mask = rng.uniform(0.0, 1.0, size=x.shape[:2])
+            mask[3] = 0.0  # one bin with no weight: the floor divides
+            got = spatial_covariance(spec_of(x), mask)
+            want = einsum_covariance(x, mask)
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert np.max(np.abs(got - want) / np.maximum(scale, 1e-300)) <= 1e-12
+            np.testing.assert_array_equal(got[3], 0.0)
+
+    def test_peak_memory_is_one_input_copy(self):
+        rng = np.random.default_rng(41)
+        x = spec_of(crandn(rng, 161, 600, 9))
+        mask = rng.uniform(0.0, 1.0, size=(161, 600))
+        tracemalloc.start()
+        try:
+            spatial_covariance(x, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.data.nbytes
+
     def test_out_of_range_mask_rejected(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValidationError, match="0, 1"):
@@ -192,6 +321,79 @@ class TestSteering:
         phi[0] = np.eye(3)
         with pytest.raises(DegenerateSteeringError, match="frequency 1"):
             steering_from_covariance(phi)
+
+    @pytest.mark.parametrize("p", [2, 3, 9])
+    def test_matches_per_frequency_loop_on_random_stacks(self, p):
+        rng = np.random.default_rng(42 + p)
+        phi = np.stack([random_psd(rng, p) for _ in range(24)])
+        want, _ = loop_steering(phi)
+        assert relative_rows(steering_from_covariance(phi).values, want) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 9])
+    def test_matches_loop_when_frequencies_freeze_at_different_iterations(self, p):
+        rng = np.random.default_rng(50 + p)
+        phi = mixed_psd_stack(rng, p, 24)
+        want, iterations = loop_steering(phi)
+        # Immediate stops (identity, rank 1), slow near-ties and the cap.
+        assert min(iterations) <= 2 and POWER_ITERATIONS in iterations
+        assert len(set(iterations)) >= 5
+        got = steering_from_covariance(phi).values
+        assert relative_rows(got, want) <= 1e-12
+        np.testing.assert_array_equal(got[0], np.eye(p)[0])
+
+    def test_error_names_lowest_failing_frequency(self):
+        nilpotent = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(DegenerateSteeringError, match="collapsed at frequency 0"):
+            steering_from_covariance(np.stack([nilpotent, np.zeros((2, 2))]))
+        with pytest.raises(DegenerateSteeringError, match="zero .* frequency 0"):
+            steering_from_covariance(np.stack([np.zeros((2, 2)), nilpotent]))
+
+    def test_every_failure_kind_matches_the_loop_message(self):
+        # Entries of 1e-170 are nonzero, but every column norm underflows.
+        tiny = np.full((2, 2), 1e-170, dtype=complex)
+        nilpotent = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+        for bad in (np.zeros((2, 2)), tiny, nilpotent):
+            phi = np.stack([np.eye(2), np.eye(2), bad, np.zeros((2, 2))])
+            with pytest.raises(DegenerateSteeringError) as want:
+                loop_steering(phi)
+            with pytest.raises(DegenerateSteeringError) as got:
+                _principal_eigenvectors(phi.astype(complex))
+            assert str(got.value) == str(want.value)
+            assert "frequency 2" in str(got.value)
+
+    def test_rotation_matches_loop_with_zero_pivots(self):
+        rng = np.random.default_rng(60)
+        values = crandn(rng, 8, 4)
+        values[1, 0] = 0.0  # zero reference: the largest component pivots
+        values[2] = 0.0  # all-zero row: left as it is
+        values[3, 0] = 1e-14 * np.exp(0.4j)  # numerically zero reference
+        values[4] = [0.0, 0.0, -2.0j, 0.0]
+        got = _rotate_reference_real(values)
+        want = loop_rotate_reference_real(values)
+        live = np.linalg.norm(want, axis=1) > 0.0
+        assert relative_rows(got[live], want[live]) <= 1e-12
+        # Each pivot is written as |pivot|: real and positive, exactly.
+        rows = [0, 1, 3, 5, 6, 7]
+        pivots = np.argmax(np.abs(values), axis=1)
+        pivots[[0, 5, 6, 7]] = 0
+        assert np.all(got[rows, pivots[rows]].imag == 0.0)
+        assert np.all(got[rows, pivots[rows]].real > 0.0)
+        np.testing.assert_array_equal(got[4], [0.0, 0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(got[2], 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 2), (2, 0, 0)])
+    def test_malformed_stack_rejected(self, shape):
+        with pytest.raises(ValidationError, match="freq, mic, mic"):
+            steering_from_covariance(np.ones(shape, dtype=complex))
+
+    def test_non_finite_covariance_rejected_by_name(self):
+        phi = np.stack([np.eye(3, dtype=complex)] * 3)
+        phi[1, 0, 2] = np.nan
+        phi[2, 1, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="frequency 1 .*non-finite"):
+                steering_from_covariance(phi)
 
     def test_unit_norm_and_reference_phase(self):
         rng = np.random.default_rng(11)
@@ -306,6 +508,16 @@ class TestMvdrWeights:
         c = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(SolverError, match="frequency 1"):
             mvdr_weights(phi, SteeringVector(c))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_covariance_rejected_by_name(self, bad):
+        phi = np.stack([np.eye(2, dtype=complex)] * 3)
+        phi[2, 1, 0] = bad
+        c = np.array([[1.0, 0.0]] * 3, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="frequency 2 .*non-finite"):
+                mvdr_weights(phi, SteeringVector(c))
 
     def test_scaling_covariance_leaves_weights_unchanged(self):
         rng = np.random.default_rng(16)
@@ -433,3 +645,29 @@ class TestOraclePipeline:
         s = spec_of(crandn(rng, 3, 5, 2))
         with pytest.raises(ValidationError, match="share"):
             oracle_mvdr_enhance(mix, s, spec_of(crandn(rng, 3, 4, 2)))
+
+    def test_images_off_the_mixture_grid_rejected(self):
+        rng = np.random.default_rng(23)
+        mix = spec_of(crandn(rng, 3, 5, 2))
+        off_grid = spec_of(crandn(rng, 3, 4, 1))
+        with pytest.raises(ValidationError, match="grid"):
+            oracle_mvdr_enhance(mix, off_grid, off_grid)
+        with pytest.raises(ValidationError, match="share"):
+            oracle_mvdr_enhance(
+                mix, spec_of(crandn(rng, 3, 5, 1)), spec_of(crandn(rng, 3, 5, 2))
+            )
+
+    def test_reference_channel_images_give_identical_output(self):
+        rng = np.random.default_rng(24)
+        cfg = StftConfig()
+        mixture, speech_img, noise_img = (
+            WaveBuffer(rng.standard_normal((9, 4000)), 16_000) for _ in range(3)
+        )
+        mix = stft(mixture, cfg)
+        full = oracle_mvdr_enhance(mix, stft(speech_img, cfg), stft(noise_img, cfg))
+        reference_only = oracle_mvdr_enhance(
+            mix,
+            stft(WaveBuffer(speech_img.data[:1], 16_000), cfg),
+            stft(WaveBuffer(noise_img.data[:1], 16_000), cfg),
+        )
+        np.testing.assert_array_equal(reference_only.data, full.data)

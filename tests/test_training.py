@@ -656,6 +656,20 @@ class TestEvaluate:
         result = evaluate("identity", corpus, max_scenes=2)
         assert len(result.rows) == 2
 
+    @pytest.mark.parametrize("max_scenes", [-1, 0, True, False, 1.0, "2"])
+    def test_bad_max_scenes_rejected_before_any_scene(
+        self, corpus, monkeypatch, max_scenes
+    ):
+        def regenerate(*args, **kwargs):
+            raise AssertionError("a scene was regenerated")
+
+        monkeypatch.setattr("beamkit.training.rebuild_scene_audio", regenerate)
+        with pytest.raises(ConfigError, match="evaluate.max_scenes"):
+            evaluate("identity", corpus, max_scenes=max_scenes)
+
+    def test_max_scenes_accepts_numpy_integer(self, corpus):
+        assert len(evaluate("identity", corpus, max_scenes=np.int64(1)).rows) == 1
+
     def test_metrics_row_rejects_unknown_saturation_flag(self):
         with pytest.raises(ValidationError, match="flags"):
             MetricsRow(

@@ -3,8 +3,12 @@
 Modules hold named :class:`Parameter` tensors, support recursive
 traversal for optimizers and checkpoints, and are initialized
 deterministically: an :class:`Initializer` seeded once per model hands
-every parameter its values in registration order, and each parameter
-records the scheme and draw index it was created with.
+every parameter its values in registration order.
+
+Convolutions are causal along time.  :class:`Conv2d` pads its own input
+(past frames and low-frequency bins; :func:`downsampled_width` is the
+resulting width), and :func:`causal_crop` trims a transposed
+convolution's output to the mirror geometry.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ __all__ = [
     "ModuleList",
     "Conv2d",
     "ConvTranspose2d",
+    "causal_crop",
+    "downsampled_width",
     "Linear",
     "PReLU",
     "AxisNorm",
@@ -44,13 +50,12 @@ __all__ = [
 
 
 class Parameter(Tensor):
-    """A leaf tensor that optimizers update, with its initialization record."""
+    """A leaf tensor that optimizers update."""
 
-    __slots__ = ("init_record",)
+    __slots__ = ()
 
-    def __init__(self, data, init_record: dict | None = None):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.init_record = dict(init_record or {})
 
 
 class Initializer:
@@ -62,27 +67,16 @@ class Initializer:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(np.random.SeedSequence([0x1A7E5, self.seed]))
-        self._count = 0
-
-    def _record(self, scheme: str, **detail) -> dict:
-        record = {"seed": self.seed, "index": self._count, "scheme": scheme, **detail}
-        self._count += 1
-        return record
+        self._rng = np.random.default_rng(np.random.SeedSequence([0x1A7E5, int(seed)]))
 
     def kaiming_uniform(self, shape, fan_in: int) -> Parameter:
-        bound = math.sqrt(6.0 / fan_in)
-        data = self._rng.uniform(-bound, bound, size=shape)
-        return Parameter(data, self._record("kaiming_uniform", fan_in=fan_in))
+        return self.uniform(shape, math.sqrt(6.0 / fan_in))
 
     def uniform(self, shape, bound: float) -> Parameter:
-        data = self._rng.uniform(-bound, bound, size=shape)
-        return Parameter(data, self._record("uniform", bound=bound))
+        return Parameter(self._rng.uniform(-bound, bound, size=shape))
 
     def constant(self, shape, value: float) -> Parameter:
-        data = np.full(shape, float(value))
-        return Parameter(data, self._record("constant", value=value))
+        return Parameter(np.full(shape, float(value)))
 
 
 class Module:
@@ -178,19 +172,32 @@ class ModuleList(Module):
         return self._items[index]
 
 
+def downsampled_width(width: int, kernel: int, stride: int) -> int:
+    """Output width of a :class:`Conv2d` over ``width`` frequency bins.
+
+    The layer pads ``(kernel-1)//2`` zeros on the low-frequency side only,
+    so the default (kernel 3, stride 2) chain maps 161→80→40→20→10→5.
+    """
+    pad = (kernel - 1) // 2
+    return (width + pad - kernel) // stride + 1
+
+
 class Conv2d(Module):
-    """2-D convolution over (time, freq) with explicit zero padding.
+    """Causal 2-D convolution over (time, freq).
+
+    The layer zero-pads its input by ``(k_time-1)·dilation_time`` past
+    frames, so output frame ``t`` sees only input frames ``<= t`` and a
+    time stride of 1 keeps the frame count, and by ``(k_freq-1)//2``
+    bins below the lowest frequency, so the output width is
+    :func:`downsampled_width`.  A 1×1 conv is not padded.
 
     Parameters
     ----------
     in_channels, out_channels : int
     kernel : (int, int)
         (k_time, k_freq).
-    stride, dilation : (int, int)
-    padding : ((int, int), (int, int))
-        ((before_t, after_t), (before_f, after_f)) zeros applied before the
-        valid convolution; a causal layer pads only before in time.
     init : Initializer
+    stride, dilation : (int, int)
     bias : bool
     """
 
@@ -202,27 +209,26 @@ class Conv2d(Module):
         init: Initializer,
         stride: tuple[int, int] = (1, 1),
         dilation: tuple[int, int] = (1, 1),
-        padding: tuple[tuple[int, int], tuple[int, int]] = ((0, 0), (0, 0)),
         bias: bool = True,
     ):
         super().__init__()
         self.stride = tuple(stride)
         self.dilation = tuple(dilation)
-        self.padding = tuple((int(a), int(b)) for a, b in padding)
         kt, kf = kernel
+        self.padding = ((kt - 1) * self.dilation[0], (kf - 1) // 2)
         fan_in = in_channels * kt * kf
         self.weight = init.kaiming_uniform((out_channels, in_channels, kt, kf), fan_in)
         self.bias = init.uniform((out_channels,), 1.0 / math.sqrt(fan_in)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        (pt, pf) = self.padding
-        if pt != (0, 0) or pf != (0, 0):
-            x = x.pad(((0, 0), (0, 0), pt, pf))
+        pt, pf = self.padding
+        if pt or pf:
+            x = x.pad(((0, 0), (0, 0), (pt, 0), (pf, 0)))
         return conv2d(x, self.weight, self.bias, stride=self.stride, dilation=self.dilation)
 
 
 class ConvTranspose2d(Module):
-    """Transposed 2-D convolution; output trimming is the caller's job."""
+    """Transposed 2-D convolution; :func:`causal_crop` trims its output."""
 
     def __init__(
         self,
@@ -242,6 +248,23 @@ class ConvTranspose2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return deconv2d(x, self.weight, self.bias, stride=self.stride)
+
+
+def causal_crop(y: Tensor, frames: int, width: int) -> Tensor:
+    """Trim a transposed conv's (batch, channel, time, freq) output.
+
+    Keeps the first ``frames`` frames (later ones see future input),
+    drops the first frequency column (the image of :class:`Conv2d`'s
+    low-frequency padding), then crops or zero-fills the high-frequency
+    side to ``width``.
+    """
+    if y.shape[2] != frames:
+        y = y.narrow(2, 0, frames)
+    have = y.shape[3] - 1
+    y = y.narrow(3, 1, min(have, width))
+    if have < width:
+        y = y.pad(((0, 0), (0, 0), (0, 0), (0, width - have)))
+    return y
 
 
 class Linear(Module):

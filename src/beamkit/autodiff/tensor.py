@@ -719,8 +719,8 @@ def conv2d(
     bias : Tensor or None
         Shape ``(out_channels,)``.
     stride, dilation : (int, int)
-        Along (time, freq).  Padding is applied by callers with
-        :func:`pad`, which keeps causal/frequency padding explicit.
+        Along (time, freq).  The op does not pad; the causal
+        :class:`~.layers.Conv2d` layer pads its input first.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValidationError(f"conv2d expects 4-D input/weight, got {x.shape}, {weight.shape}")

@@ -5,8 +5,9 @@ and saturate at ±60 dB so tables stay finite when an estimate is a
 perfect (or perfectly scaled) copy of the reference.  The loss combines
 a complex squared-error term with a magnitude squared-error term over
 time-frequency bins; :func:`loss_tensors` is the differentiable route
-used by training, :func:`loss_report` the plain-array route used by
-evaluation, and both compute identical arithmetic.
+used by training, and :func:`loss_report` is its plain-array reference
+(the tests hold :func:`loss_tensors` to it), computing identical
+arithmetic.
 """
 
 from __future__ import annotations

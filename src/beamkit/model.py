@@ -15,7 +15,6 @@ time, freq)``.  A P-channel spectrogram enters as ``2P`` planes ordered
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,9 @@ from .autodiff import (
     ModuleList,
     PReLU,
     Tensor,
+    causal_crop,
     concat,
+    downsampled_width,
     glu,
     no_grad,
     relu,
@@ -206,16 +207,6 @@ def tiny_config() -> ModelConfig:
     )
 
 
-def downsampled_width(width: int, kernel: int, stride: int) -> int:
-    """Output width of a stride-``stride`` conv with left zero-padding.
-
-    The layer pads ``(kernel-1)//2`` zeros on the low-frequency side only,
-    so the default (kernel 3, stride 2) chain maps 161→80→40→20→10→5.
-    """
-    pad = (kernel - 1) // 2
-    return (width + pad - kernel) // stride + 1
-
-
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -238,19 +229,11 @@ class _NormAct(Module):
 
 
 class _DownUnit(Module):
-    """Stride-2 frequency halving conv + norm + PReLU (time kernel 1)."""
+    """Stride-2 frequency halving causal conv + norm + PReLU."""
 
     def __init__(self, channels: int, kernel: tuple[int, int], stride: tuple[int, int], init):
         super().__init__()
-        kt, kf = kernel
-        self.conv = Conv2d(
-            channels,
-            channels,
-            kernel,
-            init,
-            stride=stride,
-            padding=((kt - 1, 0), ((kf - 1) // 2, 0)),
-        )
+        self.conv = Conv2d(channels, channels, kernel, init, stride=stride)
         self.post = _NormAct(channels, init)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -260,35 +243,18 @@ class _DownUnit(Module):
 class _UpUnit(Module):
     """Transposed conv doubling the frequency width, then norm + PReLU.
 
-    The raw transposed output is trimmed: the first frequency column
-    (the image of the encoder's left padding) is dropped and the result
-    is cropped or right-padded to the mirror target width.  With a time
-    kernel of 1 no time trimming is needed.
+    :func:`causal_crop` trims the raw output to the input's frames and
+    the mirror target width.
     """
 
     def __init__(self, in_channels, out_channels, kernel, stride, target_width, init):
         super().__init__()
-        if kernel[0] != 1:
-            raise ConfigError("frequency refiner requires a time kernel of 1")
         self.deconv = ConvTranspose2d(in_channels, out_channels, kernel, init, stride=stride)
         self.post = _NormAct(out_channels, init)
         self.target_width = int(target_width)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = self.deconv(x)
-        y = adjust_width(y, self.target_width)
-        return self.post(y)
-
-
-def adjust_width(x: Tensor, target: int) -> Tensor:
-    """Drop the leftmost frequency column, then crop/pad on the right."""
-    width = x.shape[-1] - 1
-    y = x.narrow(3, 1, width)
-    if width > target:
-        return y.narrow(3, 0, target)
-    if width < target:
-        return y.pad(((0, 0), (0, 0), (0, 0), (0, target - width)))
-    return y
+        return self.post(causal_crop(self.deconv(x), x.shape[2], self.target_width))
 
 
 class FrequencyUnet(Module):
@@ -296,9 +262,9 @@ class FrequencyUnet(Module):
 
     ``depth`` halving stages compress the frequency axis, mirrored
     upsampling stages restore it; inner skip connections are channel
-    concatenations.  All kernels have time extent 1, so the block is
-    per-frame (trivially causal).  The caller adds the block's output to
-    its input.
+    concatenations.  Every stage is causal along time (per-frame with
+    the default time kernel of 1).  The caller adds the block's output
+    to its input.
     """
 
     def __init__(self, channels, depth, width, kernel, stride, init):
@@ -337,12 +303,10 @@ class GatedConvLayer(Module):
 
     def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, out_width, init):
         super().__init__()
-        kt, kf = cfg.glu_kernel
-        pad = ((kt - 1, 0), ((kf - 1) // 2, 0))  # causal: past frames only
         self.conv_linear = Conv2d(in_channels, channels, cfg.glu_kernel, init,
-                                  stride=cfg.glu_stride, padding=pad)
+                                  stride=cfg.glu_stride)
         self.conv_gate = Conv2d(in_channels, channels, cfg.glu_kernel, init,
-                                stride=cfg.glu_stride, padding=pad)
+                                stride=cfg.glu_stride)
         self.post = _NormAct(channels, init)
         self.refiner = None
         if cfg.use_unet_blocks and unet_depth > 0:
@@ -360,14 +324,13 @@ class GatedConvLayer(Module):
 class GatedDeconvLayer(Module):
     """Decoder layer: gated transposed conv doubling frequency + refiner.
 
-    Time: the transposed conv's trailing frame (which would depend on
-    future input) is dropped, keeping the layer causal.  Frequency: the
-    raw output is trimmed to the mirror width of the encoder chain.
+    The gated output is trimmed by :func:`causal_crop`: trailing frames
+    (which would depend on future input) are dropped, keeping the layer
+    causal, and the frequency axis is fitted to the encoder's mirror width.
     """
 
     def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, target_width, init):
         super().__init__()
-        self.kernel_time = cfg.glu_kernel[0]
         self.deconv_linear = ConvTranspose2d(in_channels, channels, cfg.glu_kernel,
                                              init, stride=cfg.glu_stride)
         self.deconv_gate = ConvTranspose2d(in_channels, channels, cfg.glu_kernel,
@@ -380,16 +343,9 @@ class GatedDeconvLayer(Module):
                 channels, unet_depth, target_width, cfg.unet_kernel, cfg.unet_stride, init
             )
 
-    def _trim(self, y: Tensor, frames: int) -> Tensor:
-        if y.shape[2] != frames:
-            y = y.narrow(2, 0, frames)
-        return adjust_width(y, self.target_width)
-
     def forward(self, x: Tensor) -> Tensor:
-        frames = x.shape[2]
-        lin = self._trim(self.deconv_linear(x), frames)
-        gate = self._trim(self.deconv_gate(x), frames)
-        y = self.post(glu(lin, gate))
+        y = glu(self.deconv_linear(x), self.deconv_gate(x))
+        y = self.post(causal_crop(y, x.shape[2], self.target_width))
         if self.refiner is not None:
             y = self.refiner(y) + y
         return y
@@ -408,14 +364,7 @@ class SqueezedTemporalBlock(Module):
         super().__init__()
         self.squeeze = Conv2d(wide, squeeze, (1, 1), init)
         self.pre = _ChannelNormAct(squeeze, init)
-        self.dilated = Conv2d(
-            squeeze,
-            squeeze,
-            (kernel, 1),
-            init,
-            dilation=(dilation, 1),
-            padding=(((kernel - 1) * dilation, 0), (0, 0)),
-        )
+        self.dilated = Conv2d(squeeze, squeeze, (kernel, 1), init, dilation=(dilation, 1))
         self.mid = _ChannelNormAct(squeeze, init)
         self.expand = Conv2d(squeeze, wide, (1, 1), init)
 
@@ -540,13 +489,7 @@ def ri_unstack(planes: np.ndarray, template: ComplexSpectrogram) -> ComplexSpect
 
 
 class NeuralBeamformer(Module):
-    """Embedding network + weight head + conjugate filter-and-sum.
-
-    ``post_processor`` is an optional seam applied after beamforming in
-    :meth:`enhance_spectrogram`: any callable mapping (enhanced
-    single-channel spectrogram, reference-channel spectrogram) to a
-    refined single-channel spectrogram.  The default is identity.
-    """
+    """Embedding network + weight head + conjugate filter-and-sum."""
 
     def __init__(self, cfg: ModelConfig, init: Initializer):
         super().__init__()
@@ -592,9 +535,6 @@ class NeuralBeamformer(Module):
             self.head = RecurrentSubbandHead(
                 c, cfg.lstm_hidden, cfg.lstm_layers, out_ch, init
             )
-
-        self.post_processor: Callable | None = None
-        self._final_width = widths[-1]
 
     # -- stages ----------------------------------------------------------
     def embed(self, x: Tensor) -> Tensor:
@@ -657,11 +597,7 @@ class NeuralBeamformer(Module):
             spec = compress(spec, self.cfg.compression_exponent)
         with no_grad():
             planes = self.forward(Tensor(ri_stack(spec)[None]))
-        enhanced = ri_unstack(planes.data[0], spec)
-        if self.post_processor is not None:
-            reference = spec.with_data(spec.data[:, :, :1])
-            enhanced = self.post_processor(enhanced, reference)
-        return enhanced
+        return ri_unstack(planes.data[0], spec)
 
 
 def build_model(cfg: ModelConfig, seed: int) -> NeuralBeamformer:

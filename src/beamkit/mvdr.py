@@ -52,7 +52,7 @@ class SteeringVector:
             raise ValidationError(
                 f"steering mode must be one of {STEERING_MODES}, got {self.mode!r}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise ValidationError("steering vector contains non-finite values")
         object.__setattr__(self, "values", arr)
 

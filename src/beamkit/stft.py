@@ -159,7 +159,7 @@ class ComplexSpectrogram:
             )
         if arr.shape[1] < 1:
             raise ValidationError("spectrogram must contain at least one frame")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise ValidationError("spectrogram contains non-finite values")
         self.data = arr
 

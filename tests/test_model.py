@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from beamkit.autodiff import Initializer, Tensor, load_checkpoint, save_checkpoint
+from beamkit.autodiff import (
+    Initializer,
+    Tensor,
+    load_checkpoint,
+    no_grad,
+    save_checkpoint,
+)
 from beamkit.errors import ConfigError, ValidationError
 from beamkit.model import (
     FrequencyUnet,
@@ -285,6 +291,22 @@ class TestModelGeometry:
         with pytest.raises(ConfigError, match="channels"):
             model.enhance_spectrogram(random_spec(rng, chans=3))
 
+    def test_full_forward_graph_size(self, monkeypatch):
+        # Counts every op node one no-grad forward creates; the causal
+        # crop runs once per gated decoder layer, not once per branch.
+        model = build_model(ModelConfig(), seed=0)
+        ops = []
+        make = Tensor._result
+
+        def counted(data, parents, backward_fn, op):
+            ops.append(op)
+            return make(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+        with no_grad():
+            model.forward(Tensor(np.zeros((1, 18, 4, 161))))
+        assert len(ops) <= 463
+
     def test_zero_input_is_deterministic_bias_response(self):
         model = build_model(tiny_config(), seed=5)
         x = Tensor(np.zeros((1, 4, 5, 161)))
@@ -317,6 +339,28 @@ class TestCausality:
         out_a = filter_and_sum_ri(w_a, Tensor(x)).data
         out_b = filter_and_sum_ri(w_b, Tensor(poked)).data
         np.testing.assert_array_equal(out_a[:, :, : t0 + 1], out_b[:, :, : t0 + 1])
+
+    def test_refiner_time_kernel_two_is_causal(self):
+        # The criterion-04 prefix check on a model whose frequency
+        # refiners also reach one frame into the past.
+        cfg = ModelConfig(**{**tiny_config().to_dict(), "unet_kernel": (2, 3)})
+        model = build_model(cfg, seed=4)
+        frames = 12
+        rng = np.random.default_rng(405)
+        with no_grad():
+            for _ in range(3):
+                planes = rng.standard_normal((1, 4, frames, 161))
+                baseline = model.forward(Tensor(planes)).data
+                assert baseline.shape == (1, 2, frames, 161)
+                for prefix in (1, frames // 2, frames - 1):
+                    tampered = planes.copy()
+                    tampered[:, :, prefix:, :] += 1.0 + 5.0 * rng.standard_normal(
+                        tampered[:, :, prefix:, :].shape
+                    )
+                    out = model.forward(Tensor(tampered)).data
+                    np.testing.assert_array_equal(
+                        out[:, :, :prefix], baseline[:, :, :prefix]
+                    )
 
     def test_impulse_response_starts_at_impulse_frame(self):
         # Relative to the all-zero bias response, an input impulse at
@@ -483,38 +527,6 @@ class TestEnhancePipeline:
         out = model.enhance_spectrogram(spec)
         expected = compress(spec, 0.5).data[:, :, :1]
         np.testing.assert_array_equal(out.data, expected)
-
-    def test_post_processor_seam_defaults_to_identity(self):
-        rng = np.random.default_rng(6)
-        model = self.mask_model()
-        spec = random_spec(rng, frames=4, chans=2)
-        base = model.enhance_spectrogram(spec)
-        model.post_processor = lambda enhanced, reference: enhanced
-        np.testing.assert_array_equal(
-            model.enhance_spectrogram(spec).data, base.data
-        )
-
-    def test_post_processor_can_zero_output(self):
-        rng = np.random.default_rng(7)
-        model = self.mask_model()
-        model.post_processor = lambda enhanced, reference: enhanced.with_data(
-            np.zeros_like(enhanced.data)
-        )
-        out = model.enhance_spectrogram(random_spec(rng, frames=4, chans=2))
-        np.testing.assert_array_equal(out.data, 0.0)
-
-    def test_causal_post_processor_preserves_causality(self):
-        rng = np.random.default_rng(8)
-        model = self.mask_model()
-        model.post_processor = lambda enhanced, reference: enhanced.with_data(
-            0.5 * enhanced.data + 0.25 * reference.data
-        )
-        base = rng.standard_normal((161, 9, 2)) + 1j * rng.standard_normal((161, 9, 2))
-        poked = base.copy()
-        poked[:, 6:, :] += 1.0 - 0.5j
-        out_a = model.enhance_spectrogram(ComplexSpectrogram(base)).data
-        out_b = model.enhance_spectrogram(ComplexSpectrogram(poked)).data
-        np.testing.assert_array_equal(out_a[:, :6], out_b[:, :6])
 
     def test_geometry_fields_survive(self):
         rng = np.random.default_rng(9)

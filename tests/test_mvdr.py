@@ -413,6 +413,15 @@ class TestSteering:
         assert refd.mode == "reference"
         np.testing.assert_array_equal(refd.values[:, 0], 1.0)
 
+    def test_strided_mic_axis_accepted(self):
+        rng = np.random.default_rng(13)
+        values = (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))).T
+        assert not values.flags.c_contiguous
+        np.testing.assert_array_equal(SteeringVector(values).values, values)
+        values[4, 1] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            SteeringVector(values)
+
     def test_reference_normalize_rejects_vanishing_reference(self):
         values = np.array([[0.0, 1.0, 0.0]], dtype=complex)
         with pytest.raises(DegenerateSteeringError, match="frequency 0"):

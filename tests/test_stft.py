@@ -126,6 +126,19 @@ class TestAnalysis:
         with pytest.raises(ValidationError):
             stft(wave, CFG)
 
+    def test_strided_channel_axis_accepted(self):
+        # A (mic, time, freq) array transposed to (freq, time, mic) has a
+        # non-contiguous last axis; the finiteness check must not care.
+        rng = np.random.default_rng(12)
+        shape = (3, 4, 161)
+        data = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).transpose(2, 1, 0)
+        assert not data.flags.c_contiguous
+        spec = ComplexSpectrogram(data)
+        np.testing.assert_array_equal(spec.data, data)
+        data[7, 2, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            ComplexSpectrogram(data)
+
     def test_linearity(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(2000)

@@ -5,10 +5,11 @@ traversal for optimizers and checkpoints, and are initialized
 deterministically: an :class:`Initializer` seeded once per model hands
 every parameter its values in registration order.
 
-Convolutions are causal along time.  :class:`Conv2d` pads its own input
-(past frames and low-frequency bins; :func:`downsampled_width` is the
-resulting width), and :func:`causal_crop` trims a transposed
-convolution's output to the mirror geometry.
+Convolutions are causal along time.  :class:`Conv2d` owns the padding
+rule (past frames and low-frequency bins; :func:`downsampled_width` is
+the resulting width) and hands it to :func:`~.tensor.conv2d`, which pads
+inside the op, and :func:`causal_crop` trims a transposed convolution's
+output to the mirror geometry.
 """
 
 from __future__ import annotations
@@ -185,11 +186,13 @@ def downsampled_width(width: int, kernel: int, stride: int) -> int:
 class Conv2d(Module):
     """Causal 2-D convolution over (time, freq).
 
-    The layer zero-pads its input by ``(k_time-1)·dilation_time`` past
-    frames, so output frame ``t`` sees only input frames ``<= t`` and a
-    time stride of 1 keeps the frame count, and by ``(k_freq-1)//2``
-    bins below the lowest frequency, so the output width is
-    :func:`downsampled_width`.  A 1×1 conv is not padded.
+    The layer's ``padding`` is ``(k_time-1)·dilation_time`` past frames,
+    so output frame ``t`` sees only input frames ``<= t`` and a time
+    stride of 1 keeps the frame count, and ``(k_freq-1)//2`` bins below
+    the lowest frequency, so the output width is
+    :func:`downsampled_width`.  :func:`~.tensor.conv2d` applies it inside
+    the op, so no padded copy of the input outlives the call.  A 1×1
+    conv is not padded.
 
     Parameters
     ----------
@@ -221,10 +224,7 @@ class Conv2d(Module):
         self.bias = init.uniform((out_channels,), 1.0 / math.sqrt(fan_in)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        pt, pf = self.padding
-        if pt or pf:
-            x = x.pad(((0, 0), (0, 0), (pt, 0), (pf, 0)))
-        return conv2d(x, self.weight, self.bias, stride=self.stride, dilation=self.dilation)
+        return conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding)
 
 
 class ConvTranspose2d(Module):
@@ -336,7 +336,11 @@ class AxisNorm(Module):
 
 
 def glu(linear_branch: Tensor, gate_branch: Tensor) -> Tensor:
-    """Gated linear unit: ``linear * sigmoid(gate)``; shapes must match."""
+    """Gated linear unit: ``linear * sigmoid(gate)``; shapes must match.
+
+    Built from elementary ops; the gated layers run the fused
+    :func:`~.tensor.split_glu`, and this is its test oracle.
+    """
     if linear_branch.shape != gate_branch.shape:
         raise ValidationError(
             f"GLU branches differ in shape: {linear_branch.shape} vs {gate_branch.shape}"

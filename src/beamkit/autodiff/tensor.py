@@ -8,11 +8,15 @@ frees each intermediate node (its edges, closure and gradient) as soon
 as it has handed its gradient on, so the graph shrinks as backward runs.
 The operator set is exactly what the enhancement network needs:
 elementwise arithmetic, matmul, reductions, shape ops, 2-D (transposed)
-convolution with stride/dilation, the usual activations, a damped
-complex-magnitude op, and two fused ops with hand-written gradients:
-:func:`axis_norm` (normalization with a per-channel affine, one graph
-node that saves only the normalized map and the inverse deviation) and
-:func:`lstm_sequence` (a whole LSTM layer as one node, BPTT by hand).
+convolution with stride/dilation (:func:`conv2d` pads inside the op,
+keeping no padded copy), the usual activations, a damped
+complex-magnitude op, and three fused ops with hand-written gradients:
+:func:`axis_norm` (normalization with a per-channel affine and an
+optional PReLU, one graph node that saves only the normalized map and
+the inverse deviation), :func:`split_glu` (a gated linear unit over the
+two channel halves of one input) and :func:`lstm_sequence` (a whole
+LSTM layer as one node, BPTT by hand).  Each node keeps only what its
+backward pass reads, beyond its inputs, which the graph holds anyway.
 
 Every operation asserts its outputs are finite (a cheap way to catch
 divergence at the op that produced it); disable with
@@ -43,6 +47,7 @@ __all__ = [
     "relu",
     "prelu",
     "sigmoid",
+    "split_glu",
     "tanh",
     "magnitude",
     "axis_norm",
@@ -155,9 +160,16 @@ class Tensor:
             out._op = op
         return out
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, copy: bool = False):
+        """Add ``g`` to this tensor's gradient.
+
+        The first gradient is stored as is, so a backward closure hands
+        over a temporary it made; ``copy`` must be set when ``g`` may be
+        shared: the child's own gradient, a view of it, or an array
+        handed to another parent too.
+        """
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=copy)
         else:
             self.grad += g
 
@@ -299,9 +311,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            a._accumulate(_unbroadcast(g, a.shape), copy=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            b._accumulate(_unbroadcast(g, b.shape), copy=True)
 
     return Tensor._result(data, (a, b), backward, "add")
 
@@ -311,7 +323,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
+            a._accumulate(_unbroadcast(g, a.shape), copy=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
@@ -352,14 +364,14 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not a.requires_grad:
             return
         if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
+            a._accumulate(np.broadcast_to(g, a.shape), copy=True)
             return
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         expanded = g
         if not keepdims:
             for ax in sorted(ax % a.ndim for ax in axes):
                 expanded = np.expand_dims(expanded, ax)
-        a._accumulate(np.broadcast_to(expanded, a.shape).copy())
+        a._accumulate(np.broadcast_to(expanded, a.shape), copy=True)
 
     return Tensor._result(data, (a,), backward, "sum")
 
@@ -383,7 +395,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
+            a._accumulate(g.reshape(a.shape), copy=True)
 
     return Tensor._result(data, (a,), backward, "reshape")
 
@@ -395,7 +407,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.transpose(g, inverse))
+            a._accumulate(np.transpose(g, inverse), copy=True)
 
     return Tensor._result(data, (a,), backward, "transpose")
 
@@ -434,7 +446,7 @@ def pad(a: Tensor, pad_spec) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g[index])
+            a._accumulate(g[index], copy=True)
 
     return Tensor._result(data, (a,), backward, "pad")
 
@@ -455,7 +467,7 @@ def concat(tensors, axis: int) -> Tensor:
                     slice(offset, offset + extent) if i == axis else slice(None)
                     for i in range(g.ndim)
                 )
-                t._accumulate(g[index])
+                t._accumulate(g[index], copy=True)
             offset += extent
 
     return Tensor._result(data, tensors, backward, "concat")
@@ -550,6 +562,36 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._result(data, (a,), backward, "sigmoid")
 
 
+def split_glu(x: Tensor) -> Tensor:
+    """Gated linear unit over the two channel halves of ``x`` (axis 1):
+    ``lin * sigmoid(gate)`` with ``[lin; gate] = x``, as one graph node.
+
+    The forward values are the bits of ``layers.glu`` on the two halves.
+    Only the sigmoid is kept for the backward pass (``lin`` is a view of
+    ``x``, which the graph holds anyway): ``dlin = g * s`` and
+    ``dgate = g * lin * s * (1 - s)``, in the order the elementary ops
+    compute them.
+    """
+    if x.ndim < 2 or x.shape[1] % 2:
+        raise ValidationError(f"split_glu needs an even number of channels, got {x.shape}")
+    lin, gate = np.split(x.data, 2, axis=1)
+    s = _sigmoid(gate)
+    data = lin * s
+
+    def backward(g):
+        if not x.requires_grad:
+            return
+        dx = np.empty(x.shape)
+        dlin, dgate = np.split(dx, 2, axis=1)
+        np.multiply(g, s, out=dlin)
+        np.multiply(g, lin, out=dgate)
+        dgate *= s
+        dgate *= 1.0 - s
+        x._accumulate(dx)
+
+    return Tensor._result(data, (x,), backward, "split_glu")
+
+
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
@@ -592,15 +634,20 @@ def axis_norm(
     axes: tuple[int, ...],
     channel_axis: int = 1,
     eps: float = 1e-5,
+    alpha: Tensor | None = None,
 ) -> Tensor:
     """Zero-mean, unit-variance normalization over ``axes``, then a
-    per-channel ``gamma * n + beta``, as one graph node.
+    per-channel ``gamma * n + beta`` and, given ``alpha``, a per-channel
+    PReLU, as one graph node.
 
     The forward pass runs the numpy operations of the elementary-op
     composition (mean as ``sum * (1/n)``, centre, variance, ``+ eps``,
-    ``** -0.5``, scale, affine) in the same order, so its values are the
-    same bits.  Only the normalized map ``n`` and the inverse deviation
-    are kept for the backward pass, which with ``ĝ = g * gamma`` is
+    ``** -0.5``, scale, affine, then :func:`prelu`'s
+    ``max(y, 0) + alpha * min(y, 0)``, in place) in the same order, so
+    its values are the same bits.  Only the normalized map ``n`` and the
+    inverse deviation are kept for the backward pass: it rebuilds the
+    affine output ``y`` from ``n`` for the PReLU's gradient, and with
+    ``ĝ = g * gamma`` (``g`` taken through the PReLU) it is
     ``dc = inv * (ĝ - n * mean(ĝ * n))`` and ``dx = dc - mean(dc)``.  The
     variance is checked for non-finite values as well as the output: an
     overflowing variance makes ``inv`` zero and would leave the output
@@ -613,6 +660,8 @@ def axis_norm(
         Applied along ``channel_axis`` of ``x``.
     axes : tuple of int
         Axes the statistics are taken over.
+    alpha : Tensor, shape (channels,), optional
+        PReLU slopes for negative outputs.
     """
     ndim = x.ndim
     channel_axis %= ndim
@@ -622,11 +671,16 @@ def axis_norm(
             f"axis_norm gamma {gamma.shape} and beta {beta.shape} do not match "
             f"{channels} channels"
         )
+    if alpha is not None and alpha.shape != (channels,):
+        raise ValidationError(
+            f"axis_norm alpha {alpha.shape} does not match {channels} channels"
+        )
     axes = tuple(axes)
     scale = 1.0 / math.prod(x.shape[ax % ndim] for ax in axes)
     view = [1] * ndim
     view[channel_axis] = channels
     gamma_b = gamma.data.reshape(view)
+    beta_b = beta.data.reshape(view)
 
     mean = x.data.sum(axis=axes, keepdims=True) * scale
     centered = x.data - mean
@@ -635,10 +689,24 @@ def axis_norm(
     inv = (var + eps) ** -0.5
     normalized = np.multiply(centered, inv, out=centered)
     data = normalized * gamma_b
-    data += beta.data.reshape(view)
+    data += beta_b
+    if alpha is not None:
+        alpha_b = alpha.data.reshape(view)
+        negative_part = np.minimum(data, 0.0)
+        negative_part *= alpha_b
+        np.maximum(data, 0.0, out=data)
+        data += negative_part
 
     def backward(g):
         reduce_axes = tuple(i for i in range(ndim) if i != channel_axis)
+        if alpha is not None:
+            affine = normalized * gamma_b
+            affine += beta_b
+            negative = affine < 0
+            if alpha.requires_grad:
+                alpha._accumulate(np.sum(g * affine * negative, axis=reduce_axes))
+            del affine
+            g = np.where(negative, alpha_b * g, g)
         if gamma.requires_grad:
             gamma._accumulate((g * normalized).sum(axis=reduce_axes))
         if beta.requires_grad:
@@ -650,7 +718,8 @@ def axis_norm(
             d -= d.sum(axis=axes, keepdims=True) * scale
             x._accumulate(d)
 
-    return Tensor._result(data, (x, gamma, beta), backward, "axis_norm")
+    parents = (x, gamma, beta) if alpha is None else (x, gamma, beta, alpha)
+    return Tensor._result(data, parents, backward, "axis_norm")
 
 
 # -- 2-D convolution -----------------------------------------------------------
@@ -681,18 +750,36 @@ def _scatter(y: np.ndarray, weight: np.ndarray, shape, stride, dilation) -> np.n
     """Adjoint of :func:`_gather`: ``y`` ``(n, c, t, f)`` spread over a zero map.
 
     ``out[b, o, i*st + p*dt, j*sf + q*df] += sum_c weight[c, o, p, q] * y[b, c, i, j]``.
-    One BLAS contraction puts the weight's tap axes first, so each tap's
-    slice is contiguous; then one strided add per tap.
+    Per tap, one BLAS matmul over channels fills a reused ``(o, n*t*f)``
+    buffer, which one strided add spreads over the map; no array holds
+    every tap at once.
     """
     (st, sf), (dt, df) = stride, dilation
-    t, f = y.shape[2:]
-    taps = np.tensordot(weight.transpose(2, 3, 1, 0), y, axes=([3], [1]))  # (kt, kf, o, n, t, f)
+    n, c, t, f = y.shape
+    c_out, kt, kf = weight.shape[1:]
+    rows_in = y.transpose(1, 0, 2, 3).reshape(c, -1)
+    tap = np.empty((c_out, rows_in.shape[1]), dtype=y.dtype)
+    spread = tap.reshape(c_out, n, t, f).transpose(1, 0, 2, 3)
     out = np.zeros(shape, dtype=y.dtype)
-    for p in range(weight.shape[2]):
-        for q in range(weight.shape[3]):
+    for p in range(kt):
+        for q in range(kf):
+            np.matmul(weight[:, :, p, q].T, rows_in, out=tap)
             rows = slice(p * dt, p * dt + (t - 1) * st + 1, st)
             cols = slice(q * df, q * df + (f - 1) * sf + 1, sf)
-            out[:, :, rows, cols] += taps[p, q].transpose(1, 0, 2, 3)
+            out[:, :, rows, cols] += spread
+    return out
+
+
+def _pad_past(a: np.ndarray, padding) -> np.ndarray:
+    """A copy of ``a`` ``(n, c, t, f)`` with ``padding = (frames, bins)``
+    zeros before its first frame and below its lowest bin, or ``a``
+    itself when both are 0."""
+    pt, pf = padding
+    if not (pt or pf):
+        return a
+    n, c, t, f = a.shape
+    out = np.zeros((n, c, t + pt, f + pf), dtype=a.dtype)
+    out[:, :, pt:, pf:] = a
     return out
 
 
@@ -702,13 +789,19 @@ def conv2d(
     bias: Tensor | None = None,
     stride: tuple[int, int] = (1, 1),
     dilation: tuple[int, int] = (1, 1),
+    padding: tuple[int, int] = (0, 0),
 ) -> Tensor:
-    """Valid (unpadded) 2-D convolution over the last two axes.
+    """2-D convolution over the last two axes, zero-padded on one side.
 
-    The forward pass gathers every tap window as one strided view and
+    ``padding = (past_frames, low_bins)`` zeros go before the first frame
+    and below the lowest frequency bin (none after), which is the causal
+    :class:`~.layers.Conv2d` layer's rule.  The forward pass gathers
+    every tap window of the padded input as one strided view and
     contracts it with the weight in a single BLAS call; the input
-    gradient is the matching scatter, and the weight gradient contracts
-    the output gradient with the same windows.
+    gradient is the matching scatter onto the padded shape, sliced back,
+    and the weight gradient contracts the output gradient with the same
+    windows.  The padded copy is a temporary: the backward pass rebuilds
+    it only for the weight gradient, so the node keeps just ``x``.
 
     Parameters
     ----------
@@ -719,8 +812,9 @@ def conv2d(
     bias : Tensor or None
         Shape ``(out_channels,)``.
     stride, dilation : (int, int)
-        Along (time, freq).  The op does not pad; the causal
-        :class:`~.layers.Conv2d` layer pads its input first.
+        Along (time, freq).
+    padding : (int, int)
+        Zeros before the first frame and below the lowest bin.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ValidationError(f"conv2d expects 4-D input/weight, got {x.shape}, {weight.shape}")
@@ -729,15 +823,21 @@ def conv2d(
         raise ValidationError(
             f"conv2d channel mismatch: input has {x.shape[1]}, weight expects {c_in}"
         )
-    windows = _windows(x.data, (kt, kf), stride, dilation)
-    data = _gather(windows, weight.data)
+    pt, pf = padding = (int(padding[0]), int(padding[1]))
+    if pt < 0 or pf < 0:
+        raise ValidationError(f"conv2d padding must be >= 0, got {padding}")
+    n, _, t, f = x.shape
+    padded_shape = (n, c_in, t + pt, f + pf)
+    data = _gather(_windows(_pad_past(x.data, padding), (kt, kf), stride, dilation), weight.data)
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_scatter(g, weight.data, x.shape, stride, dilation))
+            dx = _scatter(g, weight.data, padded_shape, stride, dilation)
+            x._accumulate(dx[:, :, pt:, pf:])
         if weight.requires_grad:
+            windows = _windows(_pad_past(x.data, padding), (kt, kf), stride, dilation)
             weight._accumulate(np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
@@ -860,7 +960,7 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor
     kept = steps if record else 1
     acts = np.empty((kept, batch, four_h))
     cells = np.empty((kept, batch, hidden))
-    tanh_cells = np.empty((kept, batch, hidden))
+    tanh_c = np.empty((batch, hidden))
     out = np.empty((batch, steps, hidden))
     gates = np.empty((batch, four_h))
     h = np.zeros((batch, hidden))
@@ -873,7 +973,7 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor
         for k, x_proj in enumerate(proj):
             t = start + k
             s = t if record else 0
-            act, c, tanh_c = acts[s], cells[s], tanh_cells[s]
+            act, c = acts[s], cells[s]
             np.matmul(h, w_hh_t, out=gates)
             gates += x_proj
             gates += bias.data
@@ -893,14 +993,15 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor
         # One reverse sweep; per step, each gate's pre-activation gradient
         # is dc (i, f, g) or dh (o), times the activation's derivative
         # (s(1-s), or 1-g² for the cell candidate), times its partner in
-        # c' = f*c + i*g or h = o*tanh(c').
+        # c' = f*c + i*g or h = o*tanh(c').  tanh(c') is recomputed from
+        # the kept cell state rather than stored: np.tanh gives the same bits.
         dgates = np.empty((steps, batch, four_h))
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
             a = acts[t].reshape(batch, 4, hidden)
             d = dgates[t].reshape(batch, 4, hidden)
-            tanh_c = tanh_cells[t]
+            tanh_c = np.tanh(cells[t])
             dh += g[:, t]
             dc += dh * a[:, 3] * (1.0 - tanh_c * tanh_c)
             np.subtract(1.0, a, out=d)

@@ -29,12 +29,15 @@ from .autodiff import (
     ModuleList,
     PReLU,
     Tensor,
+    axis_norm,
     causal_crop,
     concat,
+    conv2d,
+    deconv2d,
     downsampled_width,
-    glu,
     no_grad,
     relu,
+    split_glu,
 )
 from ._decode import decode
 from .errors import ConfigError, ValidationError
@@ -134,6 +137,12 @@ class ModelConfig:
             pair = getattr(self, name)
             if any(v < 1 for v in pair):
                 raise ConfigError(f"{name} entries must be >= 1, got {pair}")
+        for name in ("glu_stride", "unet_stride"):
+            pair = getattr(self, name)
+            if pair[0] != 1:
+                raise ConfigError(
+                    f"{name} time stride must be 1 (layers keep every frame), got {pair}"
+                )
         if self.bf_type not in BF_TYPES:
             raise ConfigError(f"bf_type must be one of {BF_TYPES}, got {self.bf_type!r}")
         if self.bf_type == "mask" and self.multi_output:
@@ -216,7 +225,10 @@ class _NormAct(Module):
 
     Statistics are taken over the frequency axis independently at every
     (batch, channel, frame) — unlike whole-utterance instance
-    normalization this keeps the layer strictly causal.
+    normalization this keeps the layer strictly causal.  The two run as
+    one :func:`~.autodiff.axis_norm` node with the PReLU slopes passed
+    as its ``alpha``; the ``norm`` and ``act`` submodules only hold the
+    parameters.
     """
 
     def __init__(self, channels: int, init: Initializer, axes: tuple[int, ...] = (3,)):
@@ -225,7 +237,10 @@ class _NormAct(Module):
         self.act = PReLU(channels, init)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.act(self.norm(x))
+        norm = self.norm
+        return axis_norm(
+            x, norm.gamma, norm.beta, norm.axes, norm.channel_axis, norm.eps, self.act.alpha
+        )
 
 
 class _DownUnit(Module):
@@ -298,8 +313,21 @@ class FrequencyUnet(Module):
         return cur
 
 
+def _stacked(linear: Module, gate: Module, weight_axis: int) -> tuple[Tensor, Tensor]:
+    """Weight and bias of two same-shape (transposed) convs, stacked along
+    their output channels ``[linear; gate]``, so one op runs both."""
+    return (
+        concat([linear.weight, gate.weight], axis=weight_axis),
+        concat([linear.bias, gate.bias], axis=0),
+    )
+
+
 class GatedConvLayer(Module):
-    """Encoder layer: gated conv halving frequency, then a residual refiner."""
+    """Encoder layer: gated conv halving frequency, then a residual refiner.
+
+    Both branches run as one conv with their weights stacked per call
+    (the parameters stay two layers), split by :func:`split_glu`.
+    """
 
     def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, out_width, init):
         super().__init__()
@@ -315,7 +343,10 @@ class GatedConvLayer(Module):
             )
 
     def forward(self, x: Tensor) -> Tensor:
-        y = self.post(glu(self.conv_linear(x), self.conv_gate(x)))
+        lin = self.conv_linear
+        weight, bias = _stacked(lin, self.conv_gate, weight_axis=0)
+        y = split_glu(conv2d(x, weight, bias, lin.stride, lin.dilation, lin.padding))
+        y = self.post(y)
         if self.refiner is not None:
             y = self.refiner(y) + y
         return y
@@ -324,9 +355,11 @@ class GatedConvLayer(Module):
 class GatedDeconvLayer(Module):
     """Decoder layer: gated transposed conv doubling frequency + refiner.
 
-    The gated output is trimmed by :func:`causal_crop`: trailing frames
-    (which would depend on future input) are dropped, keeping the layer
-    causal, and the frequency axis is fitted to the encoder's mirror width.
+    Both branches run as one transposed conv with their weights stacked
+    per call, split by :func:`split_glu`.  The gated output is trimmed
+    by :func:`causal_crop`: trailing frames (which would depend on future
+    input) are dropped, keeping the layer causal, and the frequency axis
+    is fitted to the encoder's mirror width.
     """
 
     def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, target_width, init):
@@ -344,7 +377,8 @@ class GatedDeconvLayer(Module):
             )
 
     def forward(self, x: Tensor) -> Tensor:
-        y = glu(self.deconv_linear(x), self.deconv_gate(x))
+        weight, bias = _stacked(self.deconv_linear, self.deconv_gate, weight_axis=1)
+        y = split_glu(deconv2d(x, weight, bias, self.deconv_linear.stride))
         y = self.post(causal_crop(y, x.shape[2], self.target_width))
         if self.refiner is not None:
             y = self.refiner(y) + y

@@ -33,9 +33,10 @@ from beamkit.autodiff import (
     prelu,
     relu,
     sigmoid,
+    split_glu,
     tanh,
 )
-from beamkit.autodiff.tensor import _check_finite
+from beamkit.autodiff.tensor import _check_finite, _scatter
 from beamkit.errors import NonFiniteError, ValidationError
 
 
@@ -223,6 +224,30 @@ class TestBackwardBasics:
             tracemalloc.stop()
         assert peak - start < 4 * x.data.nbytes
         np.testing.assert_allclose(x.grad, 1.0001**16, rtol=1e-14)
+
+    def test_gradients_never_share_memory(self):
+        # First gradients are stored without a copy; the ones an op may
+        # share (x + x hands one array to both sides, the shape ops hand
+        # views of the child's gradient) must still be copied.
+        rng = np.random.default_rng(5)
+        x = leaf(rng, 2, 6)
+        y = leaf(rng, 2, 3)
+        doubled = x + x
+        flat = doubled.reshape((12,))
+        grid = flat.reshape((2, 6))
+        part = grid.narrow(1, 1, 3)
+        joined = concat([part, y], axis=1)
+        summed = joined.sum(axis=0)
+        loss = (summed * summed).sum() + (grid * 0.5).sum()
+        tensors = [x, y, doubled, flat, grid, part, joined, summed, loss]
+        loss.backward(retain_graph=True)
+        once = [t.grad.copy() for t in (x, y)]
+        for i, a in enumerate(tensors):
+            for b in tensors[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)
+        loss.backward(retain_graph=True)
+        for t, single in zip((x, y), once):
+            np.testing.assert_array_equal(t.grad, 2.0 * single)
 
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -849,6 +874,145 @@ class TestLSTMSequence:
             )
 
 
+# ---------------------------------------------------------------------------
+# fused ops against the elementary ops they replace
+
+
+def outputs_and_grads(fn, arrays, upstream):
+    """Output of ``fn`` on fresh leaves, and each leaf's gradient of
+    ``sum(output * upstream)``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+def assert_same_forward_close_grads(fused, unfused, arrays, upstream, tol=1e-12):
+    out, grads = outputs_and_grads(fused, arrays, upstream)
+    want_out, want_grads = outputs_and_grads(unfused, arrays, upstream)
+    np.testing.assert_array_equal(out, want_out)
+    for i, (got, want) in enumerate(zip(grads, want_grads)):
+        err = np.max(np.abs(got - want))
+        assert err <= tol * np.max(np.abs(want)), (i, err)
+
+
+class TestAxisNormPReLU:
+    @pytest.mark.parametrize("axes", [(3,), (1,), (2, 3)])
+    def test_matches_prelu_of_axis_norm(self, axes):
+        rng = np.random.default_rng(60 + len(axes) + axes[0])
+        shape = (2, 4, 6, 7)
+        arrays = [
+            3.0 * rng.standard_normal(shape) + 1.5,
+            rng.standard_normal(4),
+            rng.standard_normal(4),
+            rng.uniform(-0.5, 0.5, 4),
+        ]
+
+        def fused(x, gamma, beta, alpha):
+            return axis_norm(x, gamma, beta, axes, alpha=alpha)
+
+        def unfused(x, gamma, beta, alpha):
+            return prelu(axis_norm(x, gamma, beta, axes), alpha)
+
+        assert_same_forward_close_grads(fused, unfused, arrays, rng.standard_normal(shape))
+
+    def test_node_keeps_only_the_normalized_map(self):
+        # The PReLU's input is rebuilt in backward, not kept: one node,
+        # whose parents are the input and the four parameter vectors.
+        rng = np.random.default_rng(64)
+        x = leaf(rng, 1, 3, 2, 5)
+        params = [leaf(rng, 3) for _ in range(3)]
+        out = axis_norm(x, params[0], params[1], (3,), alpha=params[2])
+        assert out._op == "axis_norm"
+        assert out._parents == (x, *params)
+
+    def test_alpha_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="alpha"):
+            axis_norm(Tensor(np.zeros((1, 3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                      (2,), alpha=Tensor(np.ones(2)))
+
+
+class TestSplitGLU:
+    @pytest.mark.parametrize("shape", [(2, 6, 5, 7), (3, 8)])
+    def test_matches_glu_on_the_halves(self, shape):
+        rng = np.random.default_rng(70 + len(shape))
+        arrays = [3.0 * rng.standard_normal(shape)]
+        half = shape[1] // 2
+
+        def unfused(x):
+            return glu(x.narrow(1, 0, half), x.narrow(1, half, half))
+
+        upstream = rng.standard_normal((shape[0], half) + shape[2:])
+        assert_same_forward_close_grads(split_glu, unfused, arrays, upstream, tol=0.0)
+
+    def test_odd_channel_count_rejected(self):
+        with pytest.raises(ValidationError, match="even"):
+            split_glu(Tensor(np.zeros((1, 3, 2))))
+
+
+class TestConvPadding:
+    @pytest.mark.parametrize(
+        "kernel,stride,dilation,padding,extent",
+        MODEL_CONV_GEOMETRIES,
+        ids=["gated-2x3", "refiner-1x3", "temporal-d1", "temporal-d2", "temporal-d16", "pointwise"],
+    )
+    def test_matches_pad_then_conv(self, kernel, stride, dilation, padding, extent):
+        rng = np.random.default_rng(80 + sum(kernel) + dilation[0])
+        arrays = [rng.standard_normal((2, 3, *extent)), rng.standard_normal((4, 3, *kernel)),
+                  rng.standard_normal(4)]
+        (pt, _), (pf, _) = padding
+
+        def fused(x, w, b):
+            return conv2d(x, w, b, stride, dilation, padding=(pt, pf))
+
+        def unfused(x, w, b):
+            return conv2d(x.pad(((0, 0), (0, 0)) + padding), w, b, stride, dilation)
+
+        out_shape = fused(*map(Tensor, arrays)).shape
+        assert_same_forward_close_grads(fused, unfused, arrays, rng.standard_normal(out_shape))
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ValidationError, match="padding"):
+            conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 1, 1))),
+                   padding=(-1, 0))
+
+
+def scatter_loops(y, w, shape, stride, dilation):
+    """``out[b, o, i*st + p*dt, j*sf + q*df] += sum_c w[c, o, p, q] * y[b, c, i, j]``."""
+    (st, sf), (dt, df) = stride, dilation
+    out = np.zeros(shape)
+    n, c_in, t, f = y.shape
+    for b in range(n):
+        for i in range(t):
+            for j in range(f):
+                for p in range(w.shape[2]):
+                    for q in range(w.shape[3]):
+                        out[b, :, i * st + p * dt, j * sf + q * df] += w[:, :, p, q].T @ y[b, :, i, j]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    stride=strategies.tuples(strategies.integers(1, 2), strategies.integers(1, 2)),
+    dilation=strategies.tuples(strategies.integers(1, 3), strategies.integers(1, 2)),
+    kernel=strategies.tuples(strategies.integers(1, 4), strategies.integers(1, 3)),
+    batch=strategies.integers(1, 3),
+    extent=strategies.tuples(strategies.integers(1, 4), strategies.integers(1, 4)),
+    spare=strategies.tuples(strategies.integers(0, 2), strategies.integers(0, 2)),
+    seed=strategies.integers(0, 2**16),
+)
+def test_per_tap_scatter_matches_loops(stride, dilation, kernel, batch, extent, spare, seed):
+    rng = np.random.default_rng(seed)
+    (st, sf), (dt, df), (kt, kf) = stride, dilation, kernel
+    y = rng.standard_normal((batch, 3, *extent))
+    w = rng.standard_normal((3, 2, kt, kf))
+    shape = (batch, 2, (extent[0] - 1) * st + (kt - 1) * dt + 1 + spare[0],
+             (extent[1] - 1) * sf + (kf - 1) * df + 1 + spare[1])
+    want = scatter_loops(y, w, shape, stride, dilation)
+    got = _scatter(y, w, shape, stride, dilation)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestLinear:
     def test_identity(self):
         init = Initializer(0)
@@ -1057,6 +1221,47 @@ class TestGradients:
             return (out * direction).sum()
 
         self.check(fn, [x, norm.gamma, norm.beta])
+
+    @pytest.mark.parametrize("axes", [(3,), (1,)])
+    def test_axis_norm_prelu(self, axes):
+        rng = np.random.default_rng(185)
+        norm = AxisNorm(3, axes, Initializer(6))
+        act = PReLU(3, Initializer(6))
+        x = leaf(rng, 2, 3, 4, 5)
+        direction = Tensor(rng.standard_normal((2, 3, 4, 5)))
+
+        def fn():
+            out = axis_norm(x, norm.gamma, norm.beta, axes, alpha=act.alpha)
+            return (out * direction).sum()
+
+        self.check(fn, [x, norm.gamma, norm.beta, act.alpha])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_glu(self, seed):
+        rng = np.random.default_rng(186 + seed)
+        x = leaf(rng, 2, 6, 3, 4)
+
+        def fn():
+            out = split_glu(x)
+            return (out * out).sum()
+
+        self.check(fn, [x])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conv2d_padded(self, seed):
+        rng = np.random.default_rng(165 + seed)
+        stride = (1, int(rng.integers(1, 3)))
+        dilation = (int(rng.integers(1, 3)), 1)
+        padding = (int(rng.integers(0, 3)), int(rng.integers(0, 2)))
+        x = leaf(rng, 2, 2, 4, 5)
+        w = leaf(rng, 3, 2, 2, 3)
+        b = leaf(rng, 3)
+
+        def fn():
+            out = conv2d(x, w, b, stride, dilation, padding)
+            return (out * out).sum()
+
+        self.check(fn, [x, w, b])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lstm_step(self, seed):

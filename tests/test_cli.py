@@ -330,6 +330,21 @@ class TestConfigDecoding:
         assert f"configuration error: {field} entries must be >= 1" in err[0]
 
     @pytest.mark.parametrize(
+        "assignment,field",
+        [
+            ("model.glu_stride=[2,2]", "glu_stride"),
+            ("model.unet_stride=[2,1]", "unet_stride"),
+        ],
+    )
+    def test_time_stride_above_one_exits_2(self, tmp_path, capsys, assignment, field):
+        rc = main(["simulate", "--out", str(tmp_path / "o"),
+                   "--set", "simulate.count=0", "--set", assignment])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"configuration error: {field} time stride must be 1" in err[0]
+
+    @pytest.mark.parametrize(
         "raw", [default_config(), {"model": tiny_model_fields()}], ids=["default", "tiny"]
     )
     def test_round_trip(self, raw):

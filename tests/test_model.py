@@ -1,6 +1,7 @@
 """Tests for the neural beamformer: config, geometry, causality, heads."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from beamkit.autodiff import (
     save_checkpoint,
 )
 from beamkit.errors import ConfigError, ValidationError
+from beamkit.metrics import loss_tensors
 from beamkit.model import (
     FrequencyUnet,
     ModelConfig,
@@ -161,6 +163,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="compression_exponent"):
             ModelConfig(compression_exponent=0.0)
 
+    @pytest.mark.parametrize("field", ["glu_stride", "unet_stride"])
+    def test_time_stride_above_one_rejected(self, field):
+        # Every layer keeps the frame count; a time stride of 2 used to
+        # build and then fail inside a forward pass.
+        with pytest.raises(ConfigError, match=f"{field} time stride must be 1"):
+            ModelConfig(**{**tiny_config().to_dict(), field: (2, 2)})
+
     def test_dict_round_trip_through_json(self):
         cfg = tiny_config()
         restored = ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -292,8 +301,9 @@ class TestModelGeometry:
             model.enhance_spectrogram(random_spec(rng, chans=3))
 
     def test_full_forward_graph_size(self, monkeypatch):
-        # Counts every op node one no-grad forward creates; the causal
-        # crop runs once per gated decoder layer, not once per branch.
+        # Counts every op node one no-grad forward creates: norm + PReLU
+        # is one node, each gated layer runs one (de)conv and one GLU,
+        # and convolutions pad inside the op.
         model = build_model(ModelConfig(), seed=0)
         ops = []
         make = Tensor._result
@@ -305,7 +315,35 @@ class TestModelGeometry:
         monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
         with no_grad():
             model.forward(Tensor(np.zeros((1, 18, 4, 161))))
-        assert len(ops) <= 463
+        assert len(ops) <= 365
+
+    def test_training_step_memory(self):
+        # tracemalloc counts numpy's buffers, so both figures are exact
+        # and repeat: the arrays the graph holds at the loss, and the peak
+        # while backward consumes it.  They bound what each node keeps.
+        model = build_model(tiny_config(), seed=0)
+        rng = np.random.default_rng(0)
+        planes = Tensor(rng.standard_normal((2, 4, 201, 161)))
+        target = Tensor(rng.standard_normal((2, 2, 201, 161)))
+        tracemalloc.start()
+        try:
+            total, _, _ = loss_tensors(model.forward(planes), target)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 280 * 2**20
+        assert peak <= 300 * 2**20
+
+    def test_norm_act_is_one_node(self):
+        model = build_model(tiny_config(), seed=0)
+        post = model.encoder[0].post
+        x = Tensor(np.ones((1, 8, 2, 80)), requires_grad=True)
+        out = post(x)
+        assert out._op == "axis_norm"
+        assert out._parents == (x, post.norm.gamma, post.norm.beta, post.act.alpha)
 
     def test_zero_input_is_deterministic_bias_response(self):
         model = build_model(tiny_config(), seed=5)

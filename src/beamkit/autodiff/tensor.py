@@ -770,6 +770,25 @@ def _scatter(y: np.ndarray, weight: np.ndarray, shape, stride, dilation) -> np.n
     return out
 
 
+def _tap_products(a: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """``out[i, j, p, q] = sum_{b,t,f} a[b, i, t, f] * windows[b, j, t, f, p, q]``.
+
+    The weight gradient of both convolutions, shape ``(a_ch, b_ch, kt, kf)``.
+    Per tap, one BLAS matmul contracts ``a`` with a copy of that tap's
+    windows, so no array holds every tap at once (one contraction over
+    the strided view would first copy it into a full im2col array).
+    """
+    a_ch, b_ch = a.shape[1], windows.shape[1]
+    kt, kf = windows.shape[4:]
+    rows = a.transpose(1, 0, 2, 3).reshape(a_ch, -1)
+    out = np.empty((a_ch, b_ch, kt, kf), dtype=np.result_type(a, windows))
+    for p in range(kt):
+        for q in range(kf):
+            tap = windows[:, :, :, :, p, q].transpose(0, 2, 3, 1)
+            out[:, :, p, q] = rows @ tap.reshape(-1, b_ch)
+    return out
+
+
 def _pad_past(a: np.ndarray, padding) -> np.ndarray:
     """A copy of ``a`` ``(n, c, t, f)`` with ``padding = (frames, bins)``
     zeros before its first frame and below its lowest bin, or ``a``
@@ -800,8 +819,9 @@ def conv2d(
     contracts it with the weight in a single BLAS call; the input
     gradient is the matching scatter onto the padded shape, sliced back,
     and the weight gradient contracts the output gradient with the same
-    windows.  The padded copy is a temporary: the backward pass rebuilds
-    it only for the weight gradient, so the node keeps just ``x``.
+    windows one tap at a time (:func:`_tap_products`).  The padded copy
+    is a temporary: the backward pass rebuilds it only for the weight
+    gradient, so the node keeps just ``x``.
 
     Parameters
     ----------
@@ -838,7 +858,7 @@ def conv2d(
             x._accumulate(dx[:, :, pt:, pf:])
         if weight.requires_grad:
             windows = _windows(_pad_past(x.data, padding), (kt, kf), stride, dilation)
-            weight._accumulate(np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
+            weight._accumulate(_tap_products(g, windows))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -857,7 +877,8 @@ def deconv2d(
     The forward pass scatters: one BLAS contraction over input channels,
     then one strided add per tap.  The input gradient is the matching
     gather over windows of the output gradient, and the weight gradient
-    contracts the input with those windows.
+    contracts the input with those windows one tap at a time
+    (:func:`_tap_products`).
 
     Parameters
     ----------
@@ -890,7 +911,7 @@ def deconv2d(
         if x.requires_grad:
             x._accumulate(_gather(windows, weight.data))
         if weight.requires_grad:
-            weight._accumulate(np.tensordot(x.data, windows, axes=([0, 2, 3], [0, 2, 3])))
+            weight._accumulate(_tap_products(x.data, windows))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 

@@ -169,8 +169,7 @@ def loss_report(
 ) -> LossReport:
     """Spectral loss between two same-shaped complex spectrograms.
 
-    Estimate and target live in whatever domain the model works in (the
-    compressed domain when compression is enabled).  Accepts
+    Estimate and target live in the model's (compressed) domain.  Accepts
     ``ComplexSpectrogram`` or complex arrays of identical shape.
     """
     est = _as_complex(estimate, "estimate")

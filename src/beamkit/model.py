@@ -27,13 +27,12 @@ from .autodiff import (
     Linear,
     Module,
     ModuleList,
+    Parameter,
     PReLU,
     Tensor,
     axis_norm,
     causal_crop,
     concat,
-    conv2d,
-    deconv2d,
     downsampled_width,
     no_grad,
     relu,
@@ -73,6 +72,11 @@ class ModelConfig:
 
     ``multi_output=False`` restricts any head to the single-mask output;
     it is forced by ``bf_type="mask"`` and must agree with it.
+
+    A layer whose ``unet_block_depths_*`` entry is 0 has no frequency
+    U-Net refiner, so all-zero depths give the plain gated encoder and
+    decoder.  Input and target spectrograms are power-compressed by
+    ``compression_exponent``; 1.0 leaves magnitudes as they are.
     """
 
     mics: int = 9
@@ -93,9 +97,7 @@ class ModelConfig:
     bf_type: str = "recurrent"
     lstm_hidden: int = 64
     lstm_layers: int = 2
-    use_unet_blocks: bool = True
     multi_output: bool | None = None
-    compression: bool = True
     compression_exponent: float = 0.5
 
     def __post_init__(self):
@@ -176,18 +178,14 @@ class ModelConfig:
                     f"increase freq_bins"
                 )
             widths.append(nxt)
-            if self.use_unet_blocks:
-                depth = self.unet_block_depths_encoder[i]
-                inner = nxt
-                for j in range(depth):
-                    inner = downsampled_width(
-                        inner, self.unet_kernel[1], self.unet_stride[1]
+            inner = nxt
+            for j in range(self.unet_block_depths_encoder[i]):
+                inner = downsampled_width(inner, self.unet_kernel[1], self.unet_stride[1])
+                if inner < 2:
+                    raise ConfigError(
+                        f"encoder layer {i + 1} sub-unet stage {j + 1} "
+                        f"would reduce the frequency width to {inner}"
                     )
-                    if inner < 2:
-                        raise ConfigError(
-                            f"encoder layer {i + 1} sub-unet stage {j + 1} "
-                            f"would reduce the frequency width to {inner}"
-                        )
         return widths
 
     # -- serialization ------------------------------------------------------
@@ -225,22 +223,20 @@ class _NormAct(Module):
 
     Statistics are taken over the frequency axis independently at every
     (batch, channel, frame) — unlike whole-utterance instance
-    normalization this keeps the layer strictly causal.  The two run as
-    one :func:`~.autodiff.axis_norm` node with the PReLU slopes passed
-    as its ``alpha``; the ``norm`` and ``act`` submodules only hold the
-    parameters.
+    normalization this keeps the layer strictly causal.  Both run as one
+    :func:`~.autodiff.axis_norm` node: per channel, the affine scale
+    ``gamma`` (initially 1) and shift ``beta`` (0), then the PReLU slope
+    ``alpha`` (0.25).
     """
 
-    def __init__(self, channels: int, init: Initializer, axes: tuple[int, ...] = (3,)):
+    def __init__(self, channels: int, init: Initializer):
         super().__init__()
-        self.norm = AxisNorm(channels, axes, init)
-        self.act = PReLU(channels, init)
+        self.gamma = init.constant((channels,), 1.0)
+        self.beta = init.constant((channels,), 0.0)
+        self.alpha = init.constant((channels,), 0.25)
 
     def forward(self, x: Tensor) -> Tensor:
-        norm = self.norm
-        return axis_norm(
-            x, norm.gamma, norm.beta, norm.axes, norm.channel_axis, norm.eps, self.act.alpha
-        )
+        return axis_norm(x, self.gamma, self.beta, (3,), alpha=self.alpha)
 
 
 class _DownUnit(Module):
@@ -313,40 +309,43 @@ class FrequencyUnet(Module):
         return cur
 
 
-def _stacked(linear: Module, gate: Module, weight_axis: int) -> tuple[Tensor, Tensor]:
-    """Weight and bias of two same-shape (transposed) convs, stacked along
-    their output channels ``[linear; gate]``, so one op runs both."""
-    return (
-        concat([linear.weight, gate.weight], axis=weight_axis),
-        concat([linear.bias, gate.bias], axis=0),
+def _gated(linear: Module, gate: Module, weight_axis: int) -> Module:
+    """``linear`` widened to 2C outputs ``[linear; gate]``: ``gate``'s
+    weight (stacked along ``weight_axis``) and bias appended to its own.
+
+    The caller builds both same-shape branches first, so the initializer
+    draws linear weight, linear bias, gate weight, gate bias in turn.
+    """
+    linear.weight = Parameter(
+        np.concatenate([linear.weight.data, gate.weight.data], axis=weight_axis)
     )
+    linear.bias = Parameter(np.concatenate([linear.bias.data, gate.bias.data]))
+    return linear
 
 
 class GatedConvLayer(Module):
     """Encoder layer: gated conv halving frequency, then a residual refiner.
 
-    Both branches run as one conv with their weights stacked per call
-    (the parameters stay two layers), split by :func:`split_glu`.
+    ``conv`` is one causal conv with 2C outputs, the linear branch
+    followed by the gate, which :func:`split_glu` combines.
     """
 
     def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, out_width, init):
         super().__init__()
-        self.conv_linear = Conv2d(in_channels, channels, cfg.glu_kernel, init,
-                                  stride=cfg.glu_stride)
-        self.conv_gate = Conv2d(in_channels, channels, cfg.glu_kernel, init,
-                                stride=cfg.glu_stride)
+        self.conv = _gated(
+            Conv2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
+            Conv2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
+            weight_axis=0,
+        )
         self.post = _NormAct(channels, init)
         self.refiner = None
-        if cfg.use_unet_blocks and unet_depth > 0:
+        if unet_depth > 0:
             self.refiner = FrequencyUnet(
                 channels, unet_depth, out_width, cfg.unet_kernel, cfg.unet_stride, init
             )
 
     def forward(self, x: Tensor) -> Tensor:
-        lin = self.conv_linear
-        weight, bias = _stacked(lin, self.conv_gate, weight_axis=0)
-        y = split_glu(conv2d(x, weight, bias, lin.stride, lin.dilation, lin.padding))
-        y = self.post(y)
+        y = self.post(split_glu(self.conv(x)))
         if self.refiner is not None:
             y = self.refiner(y) + y
         return y
@@ -355,30 +354,30 @@ class GatedConvLayer(Module):
 class GatedDeconvLayer(Module):
     """Decoder layer: gated transposed conv doubling frequency + refiner.
 
-    Both branches run as one transposed conv with their weights stacked
-    per call, split by :func:`split_glu`.  The gated output is trimmed
-    by :func:`causal_crop`: trailing frames (which would depend on future
-    input) are dropped, keeping the layer causal, and the frequency axis
-    is fitted to the encoder's mirror width.
+    ``deconv`` is one transposed conv with 2C outputs, the linear branch
+    followed by the gate, which :func:`split_glu` combines.  The gated
+    output is trimmed by :func:`causal_crop`: trailing frames (which
+    would depend on future input) are dropped, keeping the layer causal,
+    and the frequency axis is fitted to the encoder's mirror width.
     """
 
     def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, target_width, init):
         super().__init__()
-        self.deconv_linear = ConvTranspose2d(in_channels, channels, cfg.glu_kernel,
-                                             init, stride=cfg.glu_stride)
-        self.deconv_gate = ConvTranspose2d(in_channels, channels, cfg.glu_kernel,
-                                           init, stride=cfg.glu_stride)
+        self.deconv = _gated(
+            ConvTranspose2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
+            ConvTranspose2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
+            weight_axis=1,
+        )
         self.post = _NormAct(channels, init)
         self.target_width = int(target_width)
         self.refiner = None
-        if cfg.use_unet_blocks and unet_depth > 0:
+        if unet_depth > 0:
             self.refiner = FrequencyUnet(
                 channels, unet_depth, target_width, cfg.unet_kernel, cfg.unet_stride, init
             )
 
     def forward(self, x: Tensor) -> Tensor:
-        weight, bias = _stacked(self.deconv_linear, self.deconv_gate, weight_axis=1)
-        y = split_glu(deconv2d(x, weight, bias, self.deconv_linear.stride))
+        y = split_glu(self.deconv(x))
         y = self.post(causal_crop(y, x.shape[2], self.target_width))
         if self.refiner is not None:
             y = self.refiner(y) + y
@@ -613,9 +612,8 @@ class NeuralBeamformer(Module):
     def enhance_spectrogram(self, spec: ComplexSpectrogram) -> ComplexSpectrogram:
         """Run the full pipeline on one multichannel spectrogram.
 
-        The output lives in the compressed domain when compression is
-        enabled (decompress before waveform synthesis), matching the
-        domain the loss is computed in.
+        The output lives in the compressed domain (decompress before
+        waveform synthesis), matching the domain the loss is computed in.
         """
         if spec.data.shape[2] != self.cfg.mics:
             raise ConfigError(
@@ -627,8 +625,7 @@ class NeuralBeamformer(Module):
                 f"spectrogram has {spec.data.shape[0]} frequency bins, "
                 f"model expects {self.cfg.freq_bins}"
             )
-        if self.cfg.compression:
-            spec = compress(spec, self.cfg.compression_exponent)
+        spec = compress(spec, self.cfg.compression_exponent)
         with no_grad():
             planes = self.forward(Tensor(ri_stack(spec)[None]))
         return ri_unstack(planes.data[0], spec)

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -397,7 +397,6 @@ def synthesize_mixture(
     scene: SceneSpec,
     max_order: int | None = None,
     fractional_delay: str = "round",
-    allow_silent_noise: bool = False,
 ) -> tuple[WaveBuffer, WaveBuffer, WaveBuffer]:
     """Reverberate both sources and mix them at the scene's target SNR.
 
@@ -413,9 +412,6 @@ def synthesize_mixture(
     scene : SceneSpec
     max_order, fractional_delay
         Forwarded to :func:`image_method_rir`.
-    allow_silent_noise : bool
-        If True, an all-zero noise source skips SNR scaling (the mixture
-        then equals the reverberant speech exactly) instead of raising.
 
     Returns
     -------
@@ -439,8 +435,7 @@ def synthesize_mixture(
 
     if not np.any(s):
         raise EmptySignalError("speech source has zero energy; cannot set SNR")
-    silent_noise = not np.any(n)
-    if silent_noise and not allow_silent_noise:
+    if not np.any(n):
         raise EmptySignalError("noise source has zero energy; cannot set SNR")
 
     kwargs = dict(max_order=max_order, sample_rate=fs, fractional_delay=fractional_delay)
@@ -450,16 +445,13 @@ def synthesize_mixture(
     speech_img = fftconvolve(s[np.newaxis, :], speech_rir.taps, axes=-1)[:, : len(s)]
     noise_img = fftconvolve(n[np.newaxis, :], noise_rir.taps, axes=-1)[:, : len(s)]
 
-    if silent_noise:
-        gain = 1.0
-    else:
-        e_speech = float(np.sum(speech_img[0] ** 2))
-        e_noise = float(np.sum(noise_img[0] ** 2))
-        if e_speech == 0.0:
-            raise EmptySignalError("reverberant speech has zero reference-channel energy")
-        if e_noise == 0.0:
-            raise EmptySignalError("reverberant noise has zero reference-channel energy")
-        gain = math.sqrt(e_speech / e_noise * 10.0 ** (-scene.snr_db / 10.0))
+    e_speech = float(np.sum(speech_img[0] ** 2))
+    e_noise = float(np.sum(noise_img[0] ** 2))
+    if e_speech == 0.0:
+        raise EmptySignalError("reverberant speech has zero reference-channel energy")
+    if e_noise == 0.0:
+        raise EmptySignalError("reverberant noise has zero reference-channel energy")
+    gain = math.sqrt(e_speech / e_noise * 10.0 ** (-scene.snr_db / 10.0))
     noise_img = gain * noise_img
 
     # The noise part is re-derived as mixture - speech so the decomposition
@@ -616,9 +608,6 @@ def sample_scene(
     )
 
 
-SourceProvider = Callable[[float, int, np.random.Generator], WaveBuffer]
-
-
 def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int, sr: int):
     return {
         "kind": "scene",
@@ -646,8 +635,6 @@ def build_corpus(
     sampling: SceneSampling = SceneSampling(),
     duration: float = 6.0,
     sample_rate: int = 16000,
-    speech_pool: Sequence[SourceProvider] = (speech_like,),
-    noise_pool: Sequence[SourceProvider] = (noise_like,),
     max_order: int | None = None,
 ) -> str:
     """Synthesize a corpus of mixture/target pairs plus a manifest.
@@ -671,9 +658,6 @@ def build_corpus(
     duration : float
         Source length per scene in seconds (~6 s chunks by default).
     sample_rate : int
-    speech_pool, noise_pool : sequences of callables
-        Each maps ``(duration, sample_rate, rng)`` to a mono WaveBuffer;
-        one provider per scene is chosen by the scene's RNG.
     max_order : int, optional
         Reflection-order override forwarded to the RIR generator.
 
@@ -684,8 +668,6 @@ def build_corpus(
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    if not speech_pool or not noise_pool:
-        raise ValidationError("speech and noise source pools must be non-empty")
 
     out_dir = os.fspath(out_dir)
     audio_dir = os.path.join(out_dir, "audio")
@@ -710,7 +692,7 @@ def build_corpus(
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             scene = sample_scene(rng, sampling, seed=seed)
             mixture, speech_img, _ = _synthesize_scene_audio(
-                scene, rng, duration, sample_rate, speech_pool, noise_pool, max_order
+                scene, rng, duration, sample_rate, max_order
             )
 
             scene_id = f"scene_{index:06d}"
@@ -736,14 +718,10 @@ def _synthesize_scene_audio(
     rng: np.random.Generator,
     duration: float,
     sample_rate: int,
-    speech_pool: Sequence[SourceProvider],
-    noise_pool: Sequence[SourceProvider],
     max_order: int | None,
 ):
-    speech_provider = speech_pool[int(rng.integers(len(speech_pool)))]
-    noise_provider = noise_pool[int(rng.integers(len(noise_pool)))]
-    speech = speech_provider(duration, sample_rate, rng)
-    noise = noise_provider(duration, sample_rate, rng)
+    speech = speech_like(duration, sample_rate, rng)
+    noise = noise_like(duration, sample_rate, rng)
     return synthesize_mixture(speech, noise, scene, max_order=max_order)
 
 
@@ -814,12 +792,7 @@ def _require(record, fields, where: str):
             raise ManifestSchemaError(f"{where} lacks field {name!r}")
 
 
-def rebuild_scene_audio(
-    record: dict,
-    header: dict,
-    speech_pool: Sequence[SourceProvider] = (speech_like,),
-    noise_pool: Sequence[SourceProvider] = (noise_like,),
-):
+def rebuild_scene_audio(record: dict, header: dict):
     """Regenerate one manifest scene's audio from its seed, bit-exactly.
 
     Returns
@@ -833,13 +806,7 @@ def rebuild_scene_audio(
     sampling = _sampling_from_header(header)
     scene = sample_scene(rng, sampling, seed=seed)
     mixture, speech_img, noise_img = _synthesize_scene_audio(
-        scene,
-        rng,
-        header["duration"],
-        header["sample_rate"],
-        speech_pool,
-        noise_pool,
-        header.get("max_order"),
+        scene, rng, header["duration"], header["sample_rate"], header.get("max_order")
     )
     return scene, mixture, speech_img, noise_img
 

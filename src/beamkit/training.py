@@ -318,9 +318,8 @@ def _load_examples(
 
         mix_spec = stft(mixture, stft_cfg)
         tgt_spec = stft(target, stft_cfg)
-        if model_cfg.compression:
-            mix_spec = compress(mix_spec, model_cfg.compression_exponent)
-            tgt_spec = compress(tgt_spec, model_cfg.compression_exponent)
+        mix_spec = compress(mix_spec, model_cfg.compression_exponent)
+        tgt_spec = compress(tgt_spec, model_cfg.compression_exponent)
         examples.append((ri_stack(mix_spec), ri_stack(tgt_spec)))
     return examples
 
@@ -683,9 +682,7 @@ def enhance_waveform(
     """Full waveform pipeline: transform, enhance, undo compression, invert."""
     _check_geometry(model, stft_cfg)
     enhanced = model.enhance_spectrogram(stft(mixture, stft_cfg))
-    if model.cfg.compression:
-        enhanced = decompress(enhanced, model.cfg.compression_exponent)
-    return istft(enhanced, stft_cfg)
+    return istft(decompress(enhanced, model.cfg.compression_exponent), stft_cfg)
 
 
 def _mvdr_waveform(mixture, speech_img, noise_img, stft_cfg) -> np.ndarray:

@@ -36,7 +36,7 @@ from beamkit.autodiff import (
     split_glu,
     tanh,
 )
-from beamkit.autodiff.tensor import _check_finite, _scatter
+from beamkit.autodiff.tensor import _check_finite, _scatter, _tap_products, _windows
 from beamkit.errors import NonFiniteError, ValidationError
 
 
@@ -1011,6 +1011,62 @@ def test_per_tap_scatter_matches_loops(stride, dilation, kernel, batch, extent, 
     want = scatter_loops(y, w, shape, stride, dilation)
     got = _scatter(y, w, shape, stride, dilation)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    stride=strategies.tuples(strategies.integers(1, 2), strategies.integers(1, 2)),
+    dilation=strategies.tuples(strategies.integers(1, 3), strategies.integers(1, 2)),
+    kernel=strategies.tuples(strategies.integers(1, 4), strategies.integers(1, 3)),
+    batch=strategies.integers(1, 3),
+    channels=strategies.tuples(strategies.integers(1, 5), strategies.integers(1, 5)),
+    extra=strategies.tuples(strategies.integers(0, 6), strategies.integers(0, 6)),
+    seed=strategies.integers(0, 2**16),
+)
+def test_per_tap_weight_gradient_matches_tensordot(
+    stride, dilation, kernel, batch, channels, extra, seed
+):
+    # The oracle is the single contraction over every tap's windows that
+    # the weight gradients of conv2d and deconv2d were before.
+    rng = np.random.default_rng(seed)
+    (dt, df), (kt, kf) = dilation, kernel
+    b = rng.standard_normal(
+        (batch, channels[1], (kt - 1) * dt + 1 + extra[0], (kf - 1) * df + 1 + extra[1])
+    )
+    windows = _windows(b, kernel, stride, dilation)
+    a = rng.standard_normal((batch, channels[0], *windows.shape[2:4]))
+    want = np.tensordot(a, windows, axes=([0, 2, 3], [0, 2, 3]))
+    got = _tap_products(a, windows)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_weight_gradient_copies_one_tap_at_a_time():
+    # With only the weight gradient asked for, the conv backward holds
+    # the rebuilt padded input (1x the input), the output gradient's
+    # rows and one tap's windows (about 1/2x each at frequency stride
+    # 2): 2.0x; the deconv backward holds the input's rows and one tap's
+    # windows (1x each): 2.0x.  A contraction over all six taps at once
+    # first copies every window: 4.5x and 7.0x.
+    rng = np.random.default_rng(41)
+
+    def backward_peak(node):
+        g = rng.standard_normal(node.shape)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            node._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - start
+
+    x = Tensor(rng.standard_normal((2, 16, 201, 161)))
+    w = Tensor(rng.standard_normal((16, 16, 2, 3)), requires_grad=True)
+    assert backward_peak(conv2d(x, w, stride=(1, 2), padding=(1, 1))) <= 2.5 * x.data.nbytes
+    y = Tensor(rng.standard_normal((2, 16, 201, 80)))
+    w = Tensor(rng.standard_normal((16, 16, 2, 3)), requires_grad=True)
+    assert backward_peak(deconv2d(y, w, stride=(1, 2))) <= 3.0 * y.data.nbytes
 
 
 class TestLinear:

@@ -243,8 +243,11 @@ class TestExitCodes:
         "meta,field",
         [({"stft": {}}, "model must be"),
          ({"model": 5, "stft": {}}, "model must be"),
-         ({"model": tiny_model_fields(), "stft": {"hop": 3}}, "unknown stft config fields")],
-        ids=["no-model", "model-not-object", "unknown-stft-key"],
+         ({"model": tiny_model_fields(), "stft": {"hop": 3}}, "unknown stft config fields"),
+         # a checkpoint written while ModelConfig still had these two fields
+         ({"model": {**tiny_model_fields(), "use_unet_blocks": True, "compression": True},
+           "stft": {}}, "unknown model config fields: ['compression', 'use_unet_blocks']")],
+        ids=["no-model", "model-not-object", "unknown-stft-key", "removed-model-switches"],
     )
     def test_malformed_checkpoint_metadata_exits_4(self, tmp_path, capsys, meta, field):
         from beamkit.autodiff import save_checkpoint
@@ -294,7 +297,7 @@ class TestConfigDecoding:
             # one per leaf field type of default_config()
             ("simulate.count=2.0", "simulate.count"),
             ("train.learning_rate=true", "train.learning_rate"),
-            ("model.use_unet_blocks=1", "model.use_unet_blocks"),
+            ("model.multi_output=1", "model.multi_output"),
             ("enhance.checkpoint=3", "enhance.checkpoint"),
             ('model.unet_stride=[1,"2"]', "model.unet_stride[1]"),
             ("model.stcm_dilations=[1,2,4,8,16,true]", "model.stcm_dilations[5]"),

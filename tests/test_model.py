@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 
 from beamkit.autodiff import (
+    Conv2d,
+    ConvTranspose2d,
     Initializer,
     Tensor,
+    glu,
     load_checkpoint,
     no_grad,
     save_checkpoint,
+    split_glu,
 )
 from beamkit.errors import ConfigError, ValidationError
 from beamkit.metrics import loss_tensors
 from beamkit.model import (
     FrequencyUnet,
+    GatedConvLayer,
+    GatedDeconvLayer,
     ModelConfig,
     NeuralBeamformer,
     PointwiseConvHead,
@@ -93,9 +99,8 @@ def expected_parameters(cfg: ModelConfig) -> int:
     widths = cfg.encoder_widths()
     total = glu_p(cfg.input_channels, c, kt, kf)
     total += (cfg.encoder_layers - 1) * glu_p(c, c, kt, kf)
-    if cfg.use_unet_blocks:
-        for depth in cfg.unet_block_depths_encoder:
-            total += unet_p(c, depth, cfg.unet_kernel[1])
+    for depth in cfg.unet_block_depths_encoder:
+        total += unet_p(c, depth, cfg.unet_kernel[1])
     wide = c * widths[-1]
     total += (
         cfg.stcn_groups
@@ -103,9 +108,8 @@ def expected_parameters(cfg: ModelConfig) -> int:
         * temporal_block_p(wide, cfg.stcm_squeeze_channels, cfg.stcm_kernel)
     )
     total += cfg.encoder_layers * glu_p(2 * c, c, kt, kf)
-    if cfg.use_unet_blocks:
-        for depth in cfg.unet_block_depths_decoder:
-            total += unet_p(c, depth, cfg.unet_kernel[1])
+    for depth in cfg.unet_block_depths_decoder:
+        total += unet_p(c, depth, cfg.unet_kernel[1])
     return total + head_p(cfg)
 
 
@@ -206,7 +210,7 @@ class TestParameterCount:
         [
             ModelConfig(bf_type="conv"),
             ModelConfig(bf_type="mask"),
-            ModelConfig(use_unet_blocks=False),
+            ModelConfig(unet_block_depths_encoder=(0,) * 5, unet_block_depths_decoder=(0,) * 5),
             ModelConfig(bf_type="recurrent", multi_output=False),
             tiny_config(),
         ],
@@ -302,8 +306,8 @@ class TestModelGeometry:
 
     def test_full_forward_graph_size(self, monkeypatch):
         # Counts every op node one no-grad forward creates: norm + PReLU
-        # is one node, each gated layer runs one (de)conv and one GLU,
-        # and convolutions pad inside the op.
+        # is one node, each gated layer runs one (de)conv over weights
+        # stored stacked and one GLU, and convolutions pad inside the op.
         model = build_model(ModelConfig(), seed=0)
         ops = []
         make = Tensor._result
@@ -315,7 +319,7 @@ class TestModelGeometry:
         monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
         with no_grad():
             model.forward(Tensor(np.zeros((1, 18, 4, 161))))
-        assert len(ops) <= 365
+        assert len(ops) <= 345
 
     def test_training_step_memory(self):
         # tracemalloc counts numpy's buffers, so both figures are exact
@@ -343,7 +347,46 @@ class TestModelGeometry:
         x = Tensor(np.ones((1, 8, 2, 80)), requires_grad=True)
         out = post(x)
         assert out._op == "axis_norm"
-        assert out._parents == (x, post.norm.gamma, post.norm.beta, post.act.alpha)
+        assert out._parents == (x, post.gamma, post.beta, post.alpha)
+
+    @pytest.mark.parametrize(
+        "layer_cls,attr,branch_cls,weight_axis,in_ch,width",
+        [
+            (GatedConvLayer, "conv", Conv2d, 0, 4, 80),
+            (GatedDeconvLayer, "deconv", ConvTranspose2d, 1, 16, 20),
+        ],
+        ids=["conv", "deconv"],
+    )
+    def test_stacked_gated_layer_equals_two_branches(
+        self, layer_cls, attr, branch_cls, weight_axis, in_ch, width
+    ):
+        # The layer draws linear weight, linear bias, gate weight, gate
+        # bias and then its refiner, so two branch layers and a refiner
+        # built in that order from the same seed hold the same numbers,
+        # and the GLU of the branches is the stacked layer's gated output.
+        cfg = tiny_config()
+        layer = layer_cls(in_ch, 8, cfg, 1, 40, Initializer(21))
+        init = Initializer(21)
+        linear, gate = (
+            branch_cls(in_ch, 8, cfg.glu_kernel, init, stride=cfg.glu_stride) for _ in range(2)
+        )
+        refiner = FrequencyUnet(8, 1, 40, cfg.unet_kernel, cfg.unet_stride, init)
+        stacked = getattr(layer, attr)
+        np.testing.assert_array_equal(
+            stacked.weight.data,
+            np.concatenate([linear.weight.data, gate.weight.data], axis=weight_axis),
+        )
+        np.testing.assert_array_equal(
+            stacked.bias.data, np.concatenate([linear.bias.data, gate.bias.data])
+        )
+        for (name, ours), (_, theirs) in zip(
+            layer.refiner.named_parameters(), refiner.named_parameters(), strict=True
+        ):
+            np.testing.assert_array_equal(ours.data, theirs.data, err_msg=name)
+        x = Tensor(np.random.default_rng(21).standard_normal((2, in_ch, 5, width)))
+        ours = split_glu(stacked(x)).data
+        theirs = glu(linear(x), gate(x)).data
+        assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
 
     def test_zero_input_is_deterministic_bias_response(self):
         model = build_model(tiny_config(), seed=5)

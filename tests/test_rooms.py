@@ -226,15 +226,6 @@ class TestSynthesizeMixture:
         measured = 10 * np.log10(np.sum(sp.data[0] ** 2) / np.sum(nz.data[0] ** 2))
         assert measured == pytest.approx(snr_db, abs=1e-6)
 
-    def test_silent_noise_with_flag_gives_pure_speech(self):
-        speech = speech_like(0.5, FS, self.rng)
-        silent = WaveBuffer(np.zeros(speech.num_samples), FS)
-        mix, sp, nz = synthesize_mixture(
-            speech, silent, self.scene, max_order=4, allow_silent_noise=True
-        )
-        np.testing.assert_array_equal(mix.data, sp.data)
-        np.testing.assert_array_equal(nz.data, 0.0)
-
     def test_silent_noise_without_flag_rejected(self):
         speech = speech_like(0.5, FS, self.rng)
         silent = WaveBuffer(np.zeros(speech.num_samples), FS)
@@ -355,7 +346,3 @@ class TestCorpus:
             fh.write(json.dumps(header) + "\n")
         with pytest.raises(ManifestSchemaError, match="999"):
             read_manifest(path)
-
-    def test_empty_pool_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            build_corpus(tmp_path / "g", count=1, master_seed=1, speech_pool=())

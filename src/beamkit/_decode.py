@@ -38,12 +38,14 @@ def decode(cls, raw, label: str):
         where = f"{label} " if label else ""
         raise ConfigError(f"unknown {where}config fields: {sorted(unknown)}")
     return cls(**{
-        name: _decode(hints[name], value, f"{label}.{name}" if label else name)
+        name: decode_value(hints[name], value, f"{label}.{name}" if label else name)
         for name, value in raw.items()
     })
 
 
-def _decode(tp, value, path: str):
+def decode_value(tp, value, path: str):
+    """``value`` checked against annotation ``tp`` (a dataclass, a tuple,
+    a scalar or ``X | None``); a ConfigError names ``path`` otherwise."""
     if is_dataclass(tp):
         return decode(tp, value, path)
     args = get_args(tp)
@@ -53,7 +55,9 @@ def _decode(tp, value, path: str):
             shape = "a list" if variadic else f"a list of {len(args)} entries"
             raise ConfigError(f"{path} must be {shape}, got {value!r}")
         types = args[:1] * len(value) if variadic else args
-        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+        return tuple(
+            decode_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value))
+        )
     options = args or (tp,)  # the members of ``X | None``, or one scalar type
     if any(_SCALARS[option][1](value) for option in options):
         return value

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.signal import fftconvolve
 
-from ._decode import decode
+from ._decode import decode, decode_value
 from .errors import (
     ConfigError,
     EmptySignalError,
@@ -67,6 +67,18 @@ MANIFEST_NAME = "manifest.jsonl"
 # informational and may be absent).
 _HEADER_FIELDS = ("duration", "sample_rate", "sampling")
 _SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
+# Numeric record fields: the annotation their value decodes as (the config
+# rules: no bools, no strings, integers where an integer is meant), the
+# range it must lie in, and that range as an error states it.
+_HEADER_NUMBERS = {
+    "duration": (float, lambda v: 0.0 < v < math.inf, "positive and finite"),
+    "sample_rate": (int, lambda v: v > 0, "positive"),
+    "max_order": (int | None, lambda v: v is None or v >= 0, "null or >= 0"),
+}
+_SCENE_NUMBERS = {
+    "seed": (tuple[int, ...], lambda v: all(x >= 0 for x in v), "a list of integers >= 0"),
+    "snr_db": (float, math.isfinite, "finite"),
+}
 # The SceneSampling fields a header records; the rest keep their defaults.
 _SAMPLING_FIELDS = (
     "room_length", "room_width", "room_height", "rt60_range", "num_mics",
@@ -283,6 +295,7 @@ def default_max_order(room: RoomSpec) -> int:
 def _image_lattice(room: RoomSpec, source: np.ndarray, max_order: int):
     """All image-source positions and reflection orders up to ``max_order``.
 
+    Positions come as a ``(3, images)`` array, one contiguous row per axis.
     Image coordinates along axis ``a`` are ``(1 - 2q) * s_a + 2 m L_a`` for
     parity ``q`` in {0, 1} and integer ``m``; the number of wall bounces the
     image encodes is ``sum_a |m_a - q_a| + |m_a|``.
@@ -309,7 +322,19 @@ def _image_lattice(room: RoomSpec, source: np.ndarray, max_order: int):
     px = np.broadcast_to(pos_axis[0][:, :, None, None, None, None], shape)[keep]
     py = np.broadcast_to(pos_axis[1][None, None, :, :, None, None], shape)[keep]
     pz = np.broadcast_to(pos_axis[2][None, None, None, None, :, :], shape)[keep]
-    return np.stack([px, py, pz], axis=1), orders
+    return np.stack([px, py, pz]), orders
+
+
+def _image_distances(images: np.ndarray, mic: np.ndarray) -> np.ndarray:
+    """Distance from each ``(3, images)`` column to ``mic``.
+
+    Summed as ``(dx² + dy²) + dz²`` over contiguous rows, the order
+    ``np.linalg.norm(..., axis=1)`` uses on ``(images, 3)`` rows, so the
+    result is bit-identical to it without striding over 3-element rows.
+    """
+    sq = images - mic[:, None]
+    np.square(sq, out=sq)
+    return np.sqrt((sq[0] + sq[1]) + sq[2])
 
 
 def image_method_rir(
@@ -372,7 +397,7 @@ def image_method_rir(
 
     taps = np.zeros((mics.shape[0], num_taps), dtype=np.float64)
     for p in range(mics.shape[0]):
-        dist = np.linalg.norm(images - mics[p], axis=1)
+        dist = _image_distances(images, mics[p])
         amp = gains / (4.0 * np.pi * dist)
         delay = dist * samples_per_meter
         if fractional_delay == "round":
@@ -738,8 +763,10 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
     ManifestSchemaError
         On a file that is not UTF-8, a line that is not a JSON object, a
         missing/invalid header, a schema version this code does not
-        understand, a header or scene record lacking a required field, or
-        a header ``sampling`` object with an ill-typed field.
+        understand, a header or scene record lacking a required field, an
+        ill-typed or out-of-range number (header ``duration``,
+        ``sample_rate``, ``max_order``; scene ``seed``, ``snr_db``), or a
+        header ``sampling`` object with an ill-typed field.
     """
     with open(os.fspath(manifest_path), "rb") as fh:
         raw = fh.read()
@@ -759,6 +786,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
             f"(this build reads version {MANIFEST_SCHEMA_VERSION})"
         )
     _require(header, _HEADER_FIELDS, f"{manifest_path}:1: manifest header")
+    _check_numbers(header, _HEADER_NUMBERS, f"{manifest_path}:1: manifest header")
     _sampling_from_header(header)  # an ill-typed sampling fails here, before any scene
     scenes = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -767,7 +795,9 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
         record = _parse_record(manifest_path, line_no, line)
         if record.get("kind") != "scene":
             raise ManifestSchemaError(f"{manifest_path}:{line_no}: unknown record kind")
-        _require(record, _SCENE_FIELDS, f"{manifest_path}:{line_no}: scene record")
+        where = f"{manifest_path}:{line_no}: scene record"
+        _require(record, _SCENE_FIELDS, where)
+        _check_numbers(record, _SCENE_NUMBERS, where)
         scenes.append(record)
     return header, scenes
 
@@ -790,6 +820,22 @@ def _require(record, fields, where: str):
     for name in fields:
         if name not in record:
             raise ManifestSchemaError(f"{where} lacks field {name!r}")
+
+
+def _check_numbers(record: dict, rules: dict, where: str):
+    """Raise ManifestSchemaError naming the first field of ``rules`` that
+    ``record`` holds with an ill-typed or out-of-range value."""
+    for name, (annotation, in_range, bound) in rules.items():
+        if name not in record:
+            continue
+        try:
+            value = decode_value(annotation, record[name], name)
+        except ConfigError as exc:
+            raise ManifestSchemaError(f"{where} field {exc}") from exc
+        if not in_range(value):
+            raise ManifestSchemaError(
+                f"{where} field {name} must be {bound}, got {record[name]!r}"
+            )
 
 
 def rebuild_scene_audio(record: dict, header: dict):

@@ -93,6 +93,23 @@ def _normalize_rms(x: np.ndarray, target: float) -> np.ndarray:
     return x * (target / level)
 
 
+def _harmonic_bank(phase: np.ndarray, amplitudes, offsets: np.ndarray) -> np.ndarray:
+    """``Σ_k a_k · sin(k·phase + θ_k)`` for ``k = 1..K``, evaluated as
+    ``Im(Σ_k c_k · z^k)`` with ``z = exp(i·phase)`` and
+    ``c_k = a_k · exp(i·θ_k)``: one complex ``exp``, then Horner's rule
+    (one in-place multiply and one add per harmonic) instead of one
+    ``sin`` over every sample per harmonic.
+    """
+    z = np.exp(1j * phase)
+    coeffs = np.asarray(amplitudes) * np.exp(1j * np.asarray(offsets))
+    acc = np.full(phase.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    acc *= z
+    return acc.imag
+
+
 def speech_like(
     duration: float,
     sample_rate: int,
@@ -106,6 +123,13 @@ def speech_like(
     (2-5 Hz) amplitude envelope, with a weak wideband component standing in
     for fricatives.  This is not speech, but it shares the coarse spectral
     and temporal structure that the enhancement pipeline cares about.
+
+    The harmonic sum ``Σ_k a_k · sin(k·φ + θ_k)`` is evaluated by Horner's
+    rule on ``z = exp(i·φ)`` (see :func:`_harmonic_bank`), one complex
+    multiply-add per harmonic and sample.  It agrees with the direct
+    ``np.sin`` sum within 1e-9 of the peak sample; the bound comes from
+    the float64 spacing at ``k·φ`` of about 4e5 rad, where the direct sum
+    itself is only that accurate.
 
     Parameters
     ----------
@@ -146,11 +170,11 @@ def speech_like(
 
     top = min(4000.0, 0.45 * sample_rate)
     num_harmonics = max(1, int(top / (f0 * 1.15)))
-    voiced = np.zeros(n)
-    for k in range(1, num_harmonics + 1):
-        freq_k = k * f0
-        envelope = np.sum(gains * np.exp(-0.5 * ((freq_k - centers) / widths) ** 2))
-        voiced += (envelope / k**0.5) * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+    amplitudes = [
+        np.sum(gains * np.exp(-0.5 * ((k * f0 - centers) / widths) ** 2)) / k**0.5
+        for k in range(1, num_harmonics + 1)
+    ]
+    voiced = _harmonic_bank(phase, amplitudes, rng.uniform(0, 2 * np.pi, num_harmonics))
 
     # Syllabic gating: smoothed positive modulation at a few Hz with pauses.
     syllable_rate = rng.uniform(2.0, 5.0)

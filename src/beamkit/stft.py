@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
 from .errors import ConfigError, ConfigMismatchError, EmptySignalError, ValidationError
@@ -194,6 +195,13 @@ class ComplexSpectrogram:
 def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
     """Short-time Fourier transform of every channel of a waveform.
 
+    Frames are a strided view of one zero-padded channel buffer, reused
+    for every channel; each channel in turn is windowed into one reused
+    frame buffer, transformed, and written into its column of the
+    output.  No copy of every channel's frames is made, so the peak
+    transient is about one channel's frames and bins on top of the
+    output.  The bins equal those of gathering all frames at once.
+
     Parameters
     ----------
     wave : WaveBuffer
@@ -205,7 +213,8 @@ def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
     Returns
     -------
     ComplexSpectrogram
-        Bins of shape ``(cfg.freq_bins, T, channels)``.
+        Bins as a C-contiguous ``(cfg.freq_bins, T, channels)`` array,
+        channels on the fastest axis.
     """
     x = np.asarray(wave.data, dtype=np.float64)
     if x.shape[1] == 0:
@@ -214,23 +223,26 @@ def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
         raise ValidationError("waveform contains non-finite samples")
 
     shift, length = cfg.frame_shift, cfg.frame_length
-    num_frames = -(-x.shape[1] // shift)  # ceil division
-    padded_len = (num_frames - 1) * shift + length
-    padded = np.zeros((x.shape[0], padded_len), dtype=np.float64)
-    padded[:, : x.shape[1]] = x
-
+    channels, num_samples = x.shape
+    num_frames = -(-num_samples // shift)  # ceil division
+    padded = np.zeros((num_frames - 1) * shift + length, dtype=np.float64)
+    frames = sliding_window_view(padded, length)[::shift]  # (T, length) view
+    windowed = np.empty((num_frames, length), dtype=np.float64)
     window = cfg.analysis_window()
-    starts = np.arange(num_frames) * shift
-    frames = padded[:, starts[:, None] + np.arange(length)]  # (ch, T, length)
-    spec = np.fft.rfft(frames * window, n=cfg.fft_size, axis=-1)  # (ch, T, F)
+
+    spec = np.empty((cfg.freq_bins, num_frames, channels), dtype=np.complex128)
+    for c in range(channels):
+        padded[:num_samples] = x[c]  # the zero tail is never written
+        np.multiply(frames, window, out=windowed)
+        spec[:, :, c] = np.fft.rfft(windowed, n=cfg.fft_size, axis=-1).T
 
     return ComplexSpectrogram(
-        spec.transpose(2, 1, 0),
+        spec,
         frame_shift=shift,
         frame_length=length,
         fft_size=cfg.fft_size,
         sample_rate=wave.sample_rate,
-        num_samples=x.shape[1],
+        num_samples=num_samples,
     )
 
 

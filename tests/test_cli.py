@@ -214,6 +214,37 @@ class TestExitCodes:
         assert len(err) == 1
         assert message in err[0]
 
+    @pytest.mark.parametrize(
+        "line_no,name,value,message",
+        [(1, "duration", "0.5", ":1: manifest header field duration must be a number, got '0.5'"),
+         (1, "duration", True, "header field duration must be a number, got True"),
+         (1, "sample_rate", "16000", "header field sample_rate must be an integer, got '16000'"),
+         (1, "sample_rate", 16000.5, "header field sample_rate must be an integer, got 16000.5"),
+         (1, "max_order", "3", "header field max_order must be an integer or null, got '3'"),
+         (2, "seed", "abc", ":2: scene record field seed must be a list, got 'abc'"),
+         (2, "seed", [-1, 0], "field seed must be a list of integers >= 0, got [-1, 0]"),
+         (2, "seed", [1.5, 0], "field seed[0] must be an integer, got 1.5"),
+         (3, "snr_db", "x", ":3: scene record field snr_db must be a number, got 'x'")],
+        ids=["duration-string", "duration-bool", "sample_rate-string", "sample_rate-fraction",
+             "max_order-string", "seed-string", "seed-negative", "seed-fraction",
+             "snr_db-string"],
+    )
+    def test_malformed_manifest_number_exits_3(
+        self, tmp_path, corpus_dir, capsys, line_no, name, value, message
+    ):
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(lines[line_no - 1])
+        record[name] = value
+        lines[line_no - 1] = json.dumps(record)
+        broken = tmp_path / "manifest.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--out", str(tmp_path / "o"), "--system", "identity",
+                   "--manifest", str(broken)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert message in err[0]
+
     def test_train_manifest_missing_scene_field_exits_3(self, tmp_path, corpus_dir, capsys):
         broken = self.drop_manifest_field(corpus_dir, tmp_path, 2, ("mixture_path",))
         rc = main(["train", "--out", str(tmp_path / "o"),

@@ -564,11 +564,12 @@ class TestApplyUtteranceBeamformer:
 
     def test_bit_exact_against_framewise_filter_and_sum(self):
         rng = np.random.default_rng(19)
-        x = spec_of(crandn(rng, 4, 6, 3))
-        w = crandn(rng, 4, 3)
-        out = apply_utterance_beamformer(w, x)
-        broadcast = np.broadcast_to(w[:, None, :], x.data.shape)
-        np.testing.assert_array_equal(out.data, filter_and_sum(broadcast, x).data)
+        for freq, frames, mics in [(4, 6, 3), (161, 40, 9)]:
+            x = spec_of(crandn(rng, freq, frames, mics))
+            w = crandn(rng, freq, mics)
+            out = apply_utterance_beamformer(w, x)
+            broadcast = np.broadcast_to(w[:, None, :], x.data.shape)
+            assert np.array_equal(out.data, filter_and_sum(broadcast, x).data)
 
     def test_weight_grid_mismatch_rejected(self):
         rng = np.random.default_rng(20)

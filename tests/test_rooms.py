@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from beamkit import rooms
 from beamkit.errors import (
     EmptySignalError,
     GenerationError,
@@ -180,6 +181,19 @@ class TestImageMethod:
         peak = int(np.argmax(np.abs(taps)))
         assert peak in (46, 47)
         assert np.sum(np.abs(taps[:40])) == 0.0
+
+    @pytest.mark.parametrize("fractional_delay", ["round", "sinc8"])
+    def test_taps_match_norm_distances(self, monkeypatch, fractional_delay):
+        # The column-wise distances must give the taps that
+        # np.linalg.norm over (images, 3) rows gives, bit for bit.
+        scene = sample_scene(np.random.default_rng(23))
+        fast = image_method_rir(scene, "speech", fractional_delay=fractional_delay)
+        monkeypatch.setattr(
+            rooms, "_image_distances",
+            lambda images, mic: np.linalg.norm(images.T - mic, axis=1),
+        )
+        slow = image_method_rir(scene, "speech", fractional_delay=fractional_delay)
+        assert np.array_equal(fast.taps, slow.taps)
 
     def test_source_on_wall_rejected(self):
         with pytest.raises(GeometryError):

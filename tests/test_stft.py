@@ -1,5 +1,7 @@
 """Tests for the STFT front end and power compression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,50 @@ class TestAnalysis:
         lhs = stft(WaveBuffer(a * x + b * y, 16000), CFG).data
         rhs = a * stft(WaveBuffer(x, 16000), CFG).data + b * stft(WaveBuffer(y, 16000), CFG).data
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.abs(rhs).max())
+
+
+def gather_stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """The framing stft used before the copy-free one: every frame of every
+    channel gathered by fancy indexing, windowed in a second copy, and all
+    transformed at once.  Returns ``(freq, frames, channels)`` bins."""
+    shift, length = cfg.frame_shift, cfg.frame_length
+    num_frames = -(-x.shape[1] // shift)
+    padded = np.zeros((x.shape[0], (num_frames - 1) * shift + length))
+    padded[:, : x.shape[1]] = x
+    starts = np.arange(num_frames) * shift
+    frames = padded[:, starts[:, None] + np.arange(length)]
+    spec = np.fft.rfft(frames * cfg.analysis_window(), n=cfg.fft_size, axis=-1)
+    return spec.transpose(2, 1, 0)
+
+
+class TestFraming:
+    @pytest.mark.parametrize("channels", [1, 9])
+    @pytest.mark.parametrize("num_samples", [1, 1000, 4801])
+    @pytest.mark.parametrize(
+        "cfg", [CFG, StftConfig(fft_size=512), StftConfig(480, 160, 480, "rect")],
+        ids=["default", "fft512", "rect480"],
+    )
+    def test_matches_gather_framing(self, channels, num_samples, cfg):
+        x = np.random.default_rng(num_samples).standard_normal((channels, num_samples))
+        spec = stft(WaveBuffer(x, 16000), cfg)
+        assert np.array_equal(spec.data, gather_stft(x, cfg))
+        assert spec.data.flags.c_contiguous
+
+    def test_peak_memory_within_half_the_output(self):
+        # The gather framing holds every frame twice plus the bins (about
+        # 3.3x the output for 9 channels); framing one channel at a time
+        # holds one channel's frames and bins on top of the output.
+        x = np.random.default_rng(3).standard_normal((9, 32000))
+        wave = WaveBuffer(x, 16000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            spec = stft(wave, CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.5 * spec.data.nbytes
 
 
 class TestSynthesis:

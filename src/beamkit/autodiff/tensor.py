@@ -1,11 +1,23 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-A :class:`Tensor` wraps an ndarray and remembers how it was produced;
-calling :meth:`Tensor.backward` on a scalar result walks the graph in
-reverse topological order, with each node's closure accumulating
-gradients into its parents.  Unless the graph is retained, the pass
-frees each intermediate node (its edges, closure and gradient) as soon
-as it has handed its gradient on, so the graph shrinks as backward runs.
+A :class:`Tensor` is a numpy array plus a graph node (:class:`_Node`):
+its shape, dtype, gradient, edges to its parents and backward closure,
+but no data.  A graph edge to an op result holds only that node, and an
+edge to a leaf holds the leaf itself (its data is the caller's anyway),
+so the graph keeps no op output alive: an intermediate array is freed
+as soon as the forward code drops its tensor.  Each backward closure captures exactly
+the arrays it reads: the other operand's data for :func:`mul` and
+:func:`matmul`, the input's for :func:`power`, :func:`prelu`,
+:func:`split_glu` and :func:`magnitude`, the input and weight for
+:func:`conv2d` and :func:`deconv2d` (each only when the other's
+gradient is wanted), its own saved state for the fused ops and the
+activations, and shapes alone for the arithmetic and shape ops.
+
+Calling :meth:`Tensor.backward` on a scalar result walks the nodes in
+reverse topological order, with each closure accumulating gradients
+into its parents' nodes.  Unless the graph is retained, the pass frees
+each intermediate node (its edges, closure and gradient) as soon as it
+has handed its gradient on, so the graph shrinks as backward runs.
 The operator set is exactly what the enhancement network needs:
 elementwise arithmetic, matmul, reductions, shape ops, 2-D (transposed)
 convolution with stride/dilation (:func:`conv2d` pads inside the op,
@@ -15,8 +27,7 @@ complex-magnitude op, and three fused ops with hand-written gradients:
 optional PReLU, one graph node that saves only the normalized map and
 the inverse deviation), :func:`split_glu` (a gated linear unit over the
 two channel halves of one input) and :func:`lstm_sequence` (a whole
-LSTM layer as one node, BPTT by hand).  Each node keeps only what its
-backward pass reads, beyond its inputs, which the graph holds anyway.
+LSTM layer as one node, BPTT by hand in blocks of time steps).
 
 Every operation asserts its outputs are finite (a cheap way to catch
 divergence at the op that produced it); disable with
@@ -95,8 +106,51 @@ def _check_finite(data: np.ndarray, op: str):
         raise NonFiniteError(f"non-finite values produced by op {op!r}")
 
 
+class _Node:
+    """A tensor as the gradient graph sees it: everything backward needs
+    of it and none of its data."""
+
+    __slots__ = ("shape", "dtype", "grad", "requires_grad", "_parents", "_backward_fn", "_op", "_freed")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
+        self.shape = shape
+        self.dtype = dtype
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        # Edges: leaf tensors themselves, op results by their nodes.
+        self._parents: tuple = ()
+        self._backward_fn = None
+        self._op = "leaf"
+        self._freed = False
+
+    def _accumulate(self, g: np.ndarray, copy: bool = False):
+        """Add ``g`` to this node's gradient.
+
+        The first gradient is stored as is, so a backward closure hands
+        over a temporary it made; ``copy`` must be set when ``g`` may be
+        shared: the child's own gradient, a view of it, or an array
+        handed to another parent too.
+        """
+        if self.grad is None:
+            self.grad = g.astype(self.dtype, copy=copy)
+        else:
+            self.grad += g
+
+
+def _on_node(name: str) -> property:
+    """A :class:`Tensor` attribute that lives on its graph node."""
+    return property(
+        lambda self: getattr(self._node, name),
+        lambda self, value: setattr(self._node, name, value),
+    )
+
+
 class Tensor:
-    """A numpy array plus the bookkeeping for reverse-mode gradients.
+    """A numpy array plus the graph node that records its gradient.
+
+    ``grad``, ``requires_grad`` and the graph fields ``_parents``,
+    ``_backward_fn`` and ``_op`` live on the node, so the graph can hold
+    a result's node after the tensor and its data are gone.
 
     Parameters
     ----------
@@ -106,18 +160,19 @@ class Tensor:
         Leaf flag; results of ops derive theirs from their parents.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op", "_freed")
+    __slots__ = ("data", "_node")
+
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _parents = _on_node("_parents")
+    _backward_fn = _on_node("_backward_fn")
+    _op = _on_node("_op")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise ValidationError("cannot wrap a Tensor in a Tensor")
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn = None
-        self._op = "leaf"
-        self._freed = False
+        self._node = _Node(self.data.shape, self.data.dtype, bool(requires_grad))
 
     # -- introspection -------------------------------------------------
     @property
@@ -154,24 +209,12 @@ class Tensor:
         _check_finite(data, op)
         out = Tensor(data)
         if _state["grad"] and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
-            out._op = op
+            node = out._node
+            node.requires_grad = True
+            node._parents = tuple(p if p._op == "leaf" else p._node for p in parents)
+            node._backward_fn = backward_fn
+            node._op = op
         return out
-
-    def _accumulate(self, g: np.ndarray, copy: bool = False):
-        """Add ``g`` to this tensor's gradient.
-
-        The first gradient is stored as is, so a backward closure hands
-        over a temporary it made; ``copy`` must be set when ``g`` may be
-        shared: the child's own gradient, a view of it, or an array
-        handed to another parent too.
-        """
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=copy)
-        else:
-            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -190,14 +233,15 @@ class Tensor:
             raise ValidationError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        if self._freed:
+        root = self._node
+        if root._freed:
             raise ValidationError(
                 "graph already freed by a previous backward; pass retain_graph=True "
                 "or rebuild the forward pass"
             )
-        topo: list[Tensor] = []
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[object, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -217,7 +261,7 @@ class Tensor:
         for node in topo:
             if node._backward_fn is not None:
                 node.grad = None
-        self._accumulate(np.ones_like(self.data))
+        root._accumulate(np.ones(root.shape))
         # Popping, not iterating, drops the list's reference: in reverse
         # topological order every consumer of a node has already run, so
         # once the node itself has run nothing in the pass needs it.
@@ -304,40 +348,50 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- elementwise arithmetic ------------------------------------------------
+#
+# Each op binds its inputs' nodes (``na``, ``nb``, ...) and the arrays its
+# backward reads before defining the closure, which then names no input
+# tensor: it cannot keep an input's data alive by accident.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape), copy=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape), copy=True)
+        if na.requires_grad:
+            na._accumulate(_unbroadcast(g, na.shape), copy=True)
+        if nb.requires_grad:
+            nb._accumulate(_unbroadcast(g, nb.shape), copy=True)
 
     return Tensor._result(data, (a, b), backward, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape), copy=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+        if na.requires_grad:
+            na._accumulate(_unbroadcast(g, na.shape), copy=True)
+        if nb.requires_grad:
+            nb._accumulate(_unbroadcast(-g, nb.shape))
 
     return Tensor._result(data, (a, b), backward, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    na, nb = a._node, b._node
+    # Each side's gradient reads the other side's data.
+    a_data = a.data if nb.requires_grad else None
+    b_data = b.data if na.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if na.requires_grad:
+            na._accumulate(_unbroadcast(g * b_data, na.shape))
+        if nb.requires_grad:
+            nb._accumulate(_unbroadcast(g * a_data, nb.shape))
 
     return Tensor._result(data, (a, b), backward, "mul")
 
@@ -346,10 +400,11 @@ def power(a: Tensor, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a real scalar exponent."""
     exponent = float(exponent)
     data = a.data**exponent
+    na, a_data = a._node, a.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
+        if na.requires_grad:
+            na._accumulate(g * exponent * a_data ** (exponent - 1.0))
 
     return Tensor._result(data, (a,), backward, "power")
 
@@ -359,19 +414,20 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    na = a._node
 
     def backward(g):
-        if not a.requires_grad:
+        if not na.requires_grad:
             return
         if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape), copy=True)
+            na._accumulate(np.broadcast_to(g, na.shape), copy=True)
             return
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         expanded = g
         if not keepdims:
-            for ax in sorted(ax % a.ndim for ax in axes):
+            for ax in sorted(ax % len(na.shape) for ax in axes):
                 expanded = np.expand_dims(expanded, ax)
-        a._accumulate(np.broadcast_to(expanded, a.shape), copy=True)
+        na._accumulate(np.broadcast_to(expanded, na.shape), copy=True)
 
     return Tensor._result(data, (a,), backward, "sum")
 
@@ -392,10 +448,11 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape), copy=True)
+        if na.requires_grad:
+            na._accumulate(g.reshape(na.shape), copy=True)
 
     return Tensor._result(data, (a,), backward, "reshape")
 
@@ -404,10 +461,11 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(a.data, axes)
     inverse = tuple(np.argsort(axes))
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.transpose(g, inverse), copy=True)
+        if na.requires_grad:
+            na._accumulate(np.transpose(g, inverse), copy=True)
 
     return Tensor._result(data, (a,), backward, "transpose")
 
@@ -424,12 +482,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         slice(start, start + length) if i == axis else slice(None) for i in range(a.ndim)
     )
     data = a.data[index]
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            full = np.zeros(a.shape, dtype=g.dtype)
+        if na.requires_grad:
+            full = np.zeros(na.shape, dtype=g.dtype)
             full[index] = g
-            a._accumulate(full)
+            na._accumulate(full)
 
     return Tensor._result(data, (a,), backward, "narrow")
 
@@ -443,10 +502,11 @@ def pad(a: Tensor, pad_spec) -> Tensor:
     index = tuple(
         slice(lo, lo + extent) for (lo, _), extent in zip(pad_spec, a.shape)
     )
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g[index], copy=True)
+        if na.requires_grad:
+            na._accumulate(g[index], copy=True)
 
     return Tensor._result(data, (a,), backward, "pad")
 
@@ -457,17 +517,18 @@ def concat(tensors, axis: int) -> Tensor:
         raise ValidationError("concat needs at least one tensor")
     axis = axis % tensors[0].ndim
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    extents = [t.shape[axis] for t in tensors]
+    nodes = [t._node for t in tensors]
 
     def backward(g):
         offset = 0
-        for t, extent in zip(tensors, extents):
-            if t.requires_grad:
+        for node in nodes:
+            extent = node.shape[axis]
+            if node.requires_grad:
                 index = tuple(
                     slice(offset, offset + extent) if i == axis else slice(None)
                     for i in range(g.ndim)
                 )
-                t._accumulate(g[index], copy=True)
+                node._accumulate(g[index], copy=True)
             offset += extent
 
     return Tensor._result(data, tensors, backward, "concat")
@@ -483,12 +544,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValidationError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    na, nb = a._node, b._node
+    a_data = a.data if nb.requires_grad else None
+    b_data = b.data if na.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        if na.requires_grad:
+            na._accumulate(g @ b_data.T)
+        if nb.requires_grad:
+            nb._accumulate(a_data.T @ g)
 
     return Tensor._result(data, (a, b), backward, "matmul")
 
@@ -499,10 +563,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     data = np.where(mask, a.data, 0.0)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        if na.requires_grad:
+            na._accumulate(g * mask)
 
     return Tensor._result(data, (a,), backward, "relu")
 
@@ -525,14 +590,15 @@ def prelu(a: Tensor, alpha: Tensor, channel_axis: int = 1) -> Tensor:
     # a zero, and avoids np.where's slow data-dependent select.
     data = np.maximum(a.data, 0.0)
     data += alpha_b * np.minimum(a.data, 0.0)
+    na, n_alpha, x = a._node, alpha._node, a.data
 
     def backward(g):
-        negative = a.data < 0
-        if a.requires_grad:
-            a._accumulate(np.where(negative, alpha_b * g, g))
-        if alpha.requires_grad:
-            reduce_axes = tuple(i for i in range(a.ndim) if i != axis)
-            alpha._accumulate(np.sum(g * a.data * negative, axis=reduce_axes))
+        negative = x < 0
+        if na.requires_grad:
+            na._accumulate(np.where(negative, alpha_b * g, g))
+        if n_alpha.requires_grad:
+            reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
+            n_alpha._accumulate(np.sum(g * x * negative, axis=reduce_axes))
 
     return Tensor._result(data, (a, alpha), backward, "prelu")
 
@@ -554,10 +620,11 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     data = _sigmoid(a.data)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data * (1.0 - data))
+        if na.requires_grad:
+            na._accumulate(g * data * (1.0 - data))
 
     return Tensor._result(data, (a,), backward, "sigmoid")
 
@@ -567,8 +634,8 @@ def split_glu(x: Tensor) -> Tensor:
     ``lin * sigmoid(gate)`` with ``[lin; gate] = x``, as one graph node.
 
     The forward values are the bits of ``layers.glu`` on the two halves.
-    Only the sigmoid is kept for the backward pass (``lin`` is a view of
-    ``x``, which the graph holds anyway): ``dlin = g * s`` and
+    The backward pass keeps the sigmoid and ``lin``, a view of ``x``'s
+    data: ``dlin = g * s`` and
     ``dgate = g * lin * s * (1 - s)``, in the order the elementary ops
     compute them.
     """
@@ -577,27 +644,29 @@ def split_glu(x: Tensor) -> Tensor:
     lin, gate = np.split(x.data, 2, axis=1)
     s = _sigmoid(gate)
     data = lin * s
+    nx = x._node
 
     def backward(g):
-        if not x.requires_grad:
+        if not nx.requires_grad:
             return
-        dx = np.empty(x.shape)
+        dx = np.empty(nx.shape)
         dlin, dgate = np.split(dx, 2, axis=1)
         np.multiply(g, s, out=dlin)
         np.multiply(g, lin, out=dgate)
         dgate *= s
         dgate *= 1.0 - s
-        x._accumulate(dx)
+        nx._accumulate(dx)
 
     return Tensor._result(data, (x,), backward, "split_glu")
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
+    na = a._node
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - data**2))
+        if na.requires_grad:
+            na._accumulate(g * (1.0 - data**2))
 
     return Tensor._result(data, (a,), backward, "tanh")
 
@@ -613,13 +682,17 @@ def magnitude(real: Tensor, imag: Tensor) -> Tensor:
         raise ValidationError(f"magnitude parts differ in shape: {real.shape} vs {imag.shape}")
     data = np.sqrt(real.data**2 + imag.data**2)
     safe = np.maximum(data, 1e-15)
+    n_re, n_im = real._node, imag._node
+    # Each part's gradient reads that part's own data.
+    re = real.data if n_re.requires_grad else None
+    im = imag.data if n_im.requires_grad else None
 
     def backward(g):
         scale = g / safe
-        if real.requires_grad:
-            real._accumulate(scale * real.data)
-        if imag.requires_grad:
-            imag._accumulate(scale * imag.data)
+        if n_re.requires_grad:
+            n_re._accumulate(scale * re)
+        if n_im.requires_grad:
+            n_im._accumulate(scale * im)
 
     return Tensor._result(data, (real, imag), backward, "magnitude")
 
@@ -697,26 +770,29 @@ def axis_norm(
         np.maximum(data, 0.0, out=data)
         data += negative_part
 
+    nx, n_gamma, n_beta = x._node, gamma._node, beta._node
+    n_alpha = None if alpha is None else alpha._node
+
     def backward(g):
         reduce_axes = tuple(i for i in range(ndim) if i != channel_axis)
-        if alpha is not None:
+        if n_alpha is not None:
             affine = normalized * gamma_b
             affine += beta_b
             negative = affine < 0
-            if alpha.requires_grad:
-                alpha._accumulate(np.sum(g * affine * negative, axis=reduce_axes))
+            if n_alpha.requires_grad:
+                n_alpha._accumulate(np.sum(g * affine * negative, axis=reduce_axes))
             del affine
             g = np.where(negative, alpha_b * g, g)
-        if gamma.requires_grad:
-            gamma._accumulate((g * normalized).sum(axis=reduce_axes))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=reduce_axes))
-        if x.requires_grad:
+        if n_gamma.requires_grad:
+            n_gamma._accumulate((g * normalized).sum(axis=reduce_axes))
+        if n_beta.requires_grad:
+            n_beta._accumulate(g.sum(axis=reduce_axes))
+        if nx.requires_grad:
             d = g * gamma_b
             d -= normalized * ((d * normalized).sum(axis=axes, keepdims=True) * scale)
             d *= inv
             d -= d.sum(axis=axes, keepdims=True) * scale
-            x._accumulate(d)
+            nx._accumulate(d)
 
     parents = (x, gamma, beta) if alpha is None else (x, gamma, beta, alpha)
     return Tensor._result(data, parents, backward, "axis_norm")
@@ -821,7 +897,8 @@ def conv2d(
     and the weight gradient contracts the output gradient with the same
     windows one tap at a time (:func:`_tap_products`).  The padded copy
     is a temporary: the backward pass rebuilds it only for the weight
-    gradient, so the node keeps just ``x``.
+    gradient, so the closure keeps just ``x``'s data, and only when the
+    weight gradient is wanted.
 
     Parameters
     ----------
@@ -851,16 +928,19 @@ def conv2d(
     data = _gather(_windows(_pad_past(x.data, padding), (kt, kf), stride, dilation), weight.data)
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1, 1)
+    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
+    x_data = x.data if nw.requires_grad else None
+    w_data = weight.data if nx.requires_grad else None
 
     def backward(g):
-        if x.requires_grad:
-            dx = _scatter(g, weight.data, padded_shape, stride, dilation)
-            x._accumulate(dx[:, :, pt:, pf:])
-        if weight.requires_grad:
-            windows = _windows(_pad_past(x.data, padding), (kt, kf), stride, dilation)
-            weight._accumulate(_tap_products(g, windows))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        if nx.requires_grad:
+            dx = _scatter(g, w_data, padded_shape, stride, dilation)
+            nx._accumulate(dx[:, :, pt:, pf:])
+        if nw.requires_grad:
+            windows = _windows(_pad_past(x_data, padding), (kt, kf), stride, dilation)
+            nw._accumulate(_tap_products(g, windows))
+        if nb is not None and nb.requires_grad:
+            nb._accumulate(g.sum(axis=(0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._result(data, parents, backward, "conv2d")
@@ -905,15 +985,18 @@ def deconv2d(
     data = _scatter(x.data, weight.data, shape, stride, (1, 1))
     if bias is not None:
         data += bias.data.reshape(1, c_out, 1, 1)
+    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
+    x_data = x.data if nw.requires_grad else None
+    w_data = weight.data if nx.requires_grad else None
 
     def backward(g):
         windows = _windows(g, (kt, kf), stride, (1, 1))
-        if x.requires_grad:
-            x._accumulate(_gather(windows, weight.data))
-        if weight.requires_grad:
-            weight._accumulate(_tap_products(x.data, windows))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        if nx.requires_grad:
+            nx._accumulate(_gather(windows, w_data))
+        if nw.requires_grad:
+            nw._accumulate(_tap_products(x_data, windows))
+        if nb is not None and nb.requires_grad:
+            nb._accumulate(g.sum(axis=(0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._result(data, parents, backward, "deconv2d")
@@ -921,9 +1004,9 @@ def deconv2d(
 
 # -- recurrence -----------------------------------------------------------------
 
-# Time steps per input-projection matmul: long enough to keep BLAS busy,
-# short enough that no whole-sequence (batch, time, 4*hidden) array is
-# live when no gradient is recorded.
+# Time steps per input-projection matmul, and per BPTT block: long enough
+# to keep BLAS busy, short enough that no whole-sequence (time, batch,
+# 4*hidden) array is live beyond the gate activations BPTT reads.
 _LSTM_BLOCK = 16
 
 
@@ -941,10 +1024,12 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor
     the input projection is one matmul per block of time steps.  Gate
     pre-activations are checked for non-finite values at every step,
     because the saturating gates would hide an overflow from the output.
-    The backward pass is hand-written BPTT: one reverse sweep fills a
-    ``(time, batch, 4*hidden)`` buffer of pre-activation gradients, from
-    which the gradients of ``x``, ``w_ih``, ``w_hh`` and ``bias`` are
-    each one contraction over all steps.
+    The backward pass is hand-written BPTT over the forward's blocks, last
+    block first: a reverse sweep over a block's steps fills one reused
+    ``(block, batch, 4*hidden)`` buffer of pre-activation gradients, from
+    which that block's share of the ``x``, ``w_ih``, ``w_hh`` and
+    ``bias`` gradients is one matmul each (``bias`` as a product with a
+    ones vector), accumulated over blocks.
 
     Parameters
     ----------
@@ -1010,41 +1095,62 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor
             out[:, t] = h
             c_prev = c
 
+    nx, n_ih, n_hh, n_bias = (p._node for p in parents)
+    x_data = x.data if n_ih.requires_grad else None
+    w_ih_data, w_hh_data = w_ih.data, w_hh.data
+
     def backward(g):
-        # One reverse sweep; per step, each gate's pre-activation gradient
-        # is dc (i, f, g) or dh (o), times the activation's derivative
-        # (s(1-s), or 1-g² for the cell candidate), times its partner in
-        # c' = f*c + i*g or h = o*tanh(c').  tanh(c') is recomputed from
-        # the kept cell state rather than stored: np.tanh gives the same bits.
-        dgates = np.empty((steps, batch, four_h))
+        # Per step, each gate's pre-activation gradient is dc (i, f, g) or
+        # dh (o), times the activation's derivative (s(1-s), or 1-g² for
+        # the cell candidate), times its partner in c' = f*c + i*g or
+        # h = o*tanh(c').  tanh(c') is recomputed from the kept cell state
+        # rather than stored: np.tanh gives the same bits.
+        block_buf = np.empty((min(steps, _LSTM_BLOCK), batch, four_h))
+        ones = np.ones(len(block_buf) * batch)
+        dx = np.empty((steps, batch, n_in)) if nx.requires_grad else None
+        d_ih = np.zeros((four_h, n_in)) if n_ih.requires_grad else None
+        d_hh = np.zeros((four_h, hidden)) if n_hh.requires_grad else None
+        d_bias = np.zeros(four_h) if n_bias.requires_grad else None
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
-        for t in range(steps - 1, -1, -1):
-            a = acts[t].reshape(batch, 4, hidden)
-            d = dgates[t].reshape(batch, 4, hidden)
-            tanh_c = np.tanh(cells[t])
-            dh += g[:, t]
-            dc += dh * a[:, 3] * (1.0 - tanh_c * tanh_c)
-            np.subtract(1.0, a, out=d)
-            d *= a
-            d[:, 2] = 1.0 - a[:, 2] ** 2
-            d[:, :3] *= dc[:, None]
-            d[:, 0] *= a[:, 2]
-            d[:, 1] *= cells[t - 1] if t else 0.0
-            d[:, 2] *= a[:, 0]
-            d[:, 3] *= dh * tanh_c
-            dc *= a[:, 1]
-            dh = dgates[t] @ w_hh.data
-        # Rows are (step, batch) pairs, so each gradient is one matmul.
-        dgates = dgates.reshape(-1, four_h)
-        if x.requires_grad:
-            dx = (dgates @ w_ih.data).reshape(steps, batch, n_in)
-            x._accumulate(dx.transpose(1, 0, 2))
-        if w_ih.requires_grad:
-            w_ih._accumulate(dgates.T @ _time_major(x.data))
-        if w_hh.requires_grad:
-            w_hh._accumulate(dgates[batch:].T @ _time_major(out[:, :-1]))
-        if bias.requires_grad:
-            bias._accumulate(dgates.sum(axis=0))
+        for start in reversed(range(0, steps, _LSTM_BLOCK)):
+            stop = min(start + _LSTM_BLOCK, steps)
+            dgates = block_buf[: stop - start]
+            for t in range(stop - 1, start - 1, -1):
+                a = acts[t].reshape(batch, 4, hidden)
+                d = dgates[t - start].reshape(batch, 4, hidden)
+                tanh_c = np.tanh(cells[t])
+                dh += g[:, t]
+                dc += dh * a[:, 3] * (1.0 - tanh_c * tanh_c)
+                np.subtract(1.0, a, out=d)
+                d *= a
+                d[:, 2] = 1.0 - a[:, 2] ** 2
+                d[:, :3] *= dc[:, None]
+                d[:, 0] *= a[:, 2]
+                d[:, 1] *= cells[t - 1] if t else 0.0
+                d[:, 2] *= a[:, 0]
+                d[:, 3] *= dh * tanh_c
+                dc *= a[:, 1]
+                dh = dgates[t - start] @ w_hh_data
+            # Rows are (step, batch) pairs, so each share is one matmul.
+            rows = dgates.reshape(-1, four_h)
+            if dx is not None:
+                np.matmul(rows, w_ih_data, out=dx[start:stop].reshape(-1, n_in))
+            if d_ih is not None:
+                d_ih += rows.T @ _time_major(x_data[:, start:stop])
+            if d_hh is not None:
+                # Step t reads h_{t-1}; step 0's is the zero state.
+                first = max(start, 1)
+                d_hh += rows[(first - start) * batch :].T @ _time_major(out[:, first - 1 : stop - 1])
+            if d_bias is not None:
+                d_bias += ones[: len(rows)] @ rows
+        if dx is not None:
+            nx._accumulate(dx.transpose(1, 0, 2))
+        if d_ih is not None:
+            n_ih._accumulate(d_ih)
+        if d_hh is not None:
+            n_hh._accumulate(d_hh)
+        if d_bias is not None:
+            n_bias._accumulate(d_bias)
 
     return Tensor._result(out, parents, backward, "lstm_sequence")

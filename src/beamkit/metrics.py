@@ -2,29 +2,22 @@
 
 Metrics operate on mono waveforms (``WaveBuffer`` or plain 1-D arrays)
 and saturate at ±60 dB so tables stay finite when an estimate is a
-perfect (or perfectly scaled) copy of the reference.  The loss combines
-a complex squared-error term with a magnitude squared-error term over
-time-frequency bins; :func:`loss_tensors` is the differentiable route
-used by training, and :func:`loss_report` is its plain-array reference
-(the tests hold :func:`loss_tensors` to it), computing identical
-arithmetic.
+perfect (or perfectly scaled) copy of the reference.  The training
+loss, :func:`loss_tensors`, combines a complex squared-error term with a
+magnitude squared-error term over time-frequency bins, differentiably
+on stacked real/imaginary planes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, magnitude
 from .errors import ValidationError
 from .signals import WaveBuffer
-from .stft import ComplexSpectrogram
 
 __all__ = [
     "SATURATION_DB",
-    "LossReport",
-    "loss_report",
     "loss_tensors",
     "si_snr_db",
     "snr_db",
@@ -114,77 +107,6 @@ def snr_db(estimate, reference) -> float:
 # spectral loss
 
 
-@dataclass(frozen=True)
-class LossReport:
-    """Weighted sum of complex and magnitude squared-error terms.
-
-    ``total = lambda_ri·ri_term + lambda_mag·mag_term``; every field is
-    non-negative.  ``ri_term`` is the mean over time-frequency bins of
-    the complex squared error ``|Ŝ − S|²`` and ``mag_term`` the mean of
-    ``(|Ŝ| − |S|)²``.
-    """
-
-    total: float
-    ri_term: float
-    mag_term: float
-    lambda_ri: float = 0.5
-    lambda_mag: float = 0.5
-
-    def __post_init__(self):
-        for name in ("total", "ri_term", "mag_term", "lambda_ri", "lambda_mag"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        expected = self.lambda_ri * self.ri_term + self.lambda_mag * self.mag_term
-        if abs(self.total - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValidationError(
-                f"total {self.total} does not equal "
-                f"{self.lambda_ri}*ri + {self.lambda_mag}*mag = {expected}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "ri_term": self.ri_term,
-            "mag_term": self.mag_term,
-            "lambda_ri": self.lambda_ri,
-            "lambda_mag": self.lambda_mag,
-        }
-
-
-def _as_complex(spec, name: str) -> np.ndarray:
-    if isinstance(spec, ComplexSpectrogram):
-        return spec.data
-    arr = np.asarray(spec)
-    if arr.size == 0:
-        raise ValidationError(f"{name} is empty")
-    return arr.astype(np.complex128)
-
-
-def loss_report(
-    estimate,
-    target,
-    lambda_ri: float = 0.5,
-    lambda_mag: float = 0.5,
-) -> LossReport:
-    """Spectral loss between two same-shaped complex spectrograms.
-
-    Estimate and target live in the model's (compressed) domain.  Accepts
-    ``ComplexSpectrogram`` or complex arrays of identical shape.
-    """
-    est = _as_complex(estimate, "estimate")
-    tgt = _as_complex(target, "target")
-    if est.shape != tgt.shape:
-        raise ValidationError(
-            f"estimate shape {est.shape} does not match target shape {tgt.shape}"
-        )
-    diff = est - tgt
-    ri = float(np.mean(diff.real**2 + diff.imag**2))
-    mag = float(np.mean((np.abs(est) - np.abs(tgt)) ** 2))
-    total = lambda_ri * ri + lambda_mag * mag
-    return LossReport(total, ri, mag, lambda_ri, lambda_mag)
-
-
 def loss_tensors(
     estimate: Tensor,
     target: Tensor,
@@ -195,9 +117,11 @@ def loss_tensors(
 
     Both tensors are ``(batch, 2, time, freq)`` with plane 0 real and
     plane 1 imaginary.  Returns ``(total, ri_term, mag_term)`` scalar
-    tensors whose values match :func:`loss_report` on the equivalent
-    complex arrays: the means divide by ``batch·time·freq`` so each
-    time-frequency bin's complex squared error counts once.
+    tensors with ``total = lambda_ri·ri_term + lambda_mag·mag_term``:
+    ``ri_term`` is the mean over time-frequency bins of the complex
+    squared error ``|Ŝ − S|²`` and ``mag_term`` the mean of
+    ``(|Ŝ| − |S|)²``.  The means divide by ``batch·time·freq`` so each
+    bin's complex squared error counts once.
     """
     if estimate.ndim != 4 or estimate.shape[1] != 2:
         raise ValidationError(

@@ -1,6 +1,7 @@
 """Tests for the reverse-mode tensor engine and layer library."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -224,6 +225,41 @@ class TestBackwardBasics:
             tracemalloc.stop()
         assert peak - start < 4 * x.data.nbytes
         np.testing.assert_allclose(x.grad, 1.0001**16, rtol=1e-14)
+
+    def test_graph_keeps_no_output_that_backward_does_not_read(self):
+        # axis_norm's backward reads only its own saved state, so the
+        # conv output feeding it dies with its tensor, while the loss,
+        # and with it the graph, is still alive.
+        rng = np.random.default_rng(8)
+        x, w = leaf(rng, 1, 2, 5, 6), leaf(rng, 3, 2, 2, 3)
+        gamma, beta = leaf(rng, 3), leaf(rng, 3)
+        conv_out = conv2d(x, w, padding=(1, 1))
+        conv_data = weakref.ref(conv_out.data)
+        loss = (axis_norm(conv_out, gamma, beta, (3,)) ** 2.0).sum()
+        del conv_out
+        assert conv_data() is None
+        loss.backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+    def test_input_that_backward_reads_lives_until_backward(self):
+        # conv2d's weight gradient reads its input, so an intermediate
+        # input stays alive until the conv's closure has run, and only
+        # while the weight gradient is wanted.
+        rng = np.random.default_rng(9)
+        x, w = leaf(rng, 1, 2, 5, 6), leaf(rng, 3, 2, 2, 3)
+        hidden = x * 2.0
+        hidden_data = weakref.ref(hidden.data)
+        loss = (conv2d(hidden, w) ** 2.0).sum()
+        del hidden
+        assert hidden_data() is not None
+        loss.backward()
+        assert hidden_data() is None
+
+        hidden = x * 2.0
+        hidden_data = weakref.ref(hidden.data)
+        loss = (conv2d(hidden, Tensor(w.data)) ** 2.0).sum()
+        del hidden
+        assert hidden_data() is None
 
     def test_gradients_never_share_memory(self):
         # First gradients are stored without a copy; the ones an op may
@@ -800,9 +836,10 @@ def assert_lstm_matches_unfused(arrays, upstream, tol=1e-10):
 
 class TestLSTMSequence:
     @pytest.mark.parametrize("batch", [1, 4])
-    @pytest.mark.parametrize("steps", [1, 17, 37])
+    @pytest.mark.parametrize("steps", [1, 16, 17, 32, 33, 37])
     def test_matches_unfused_graph(self, steps, batch):
-        # 17 and 37 cross the input projection's time-block boundaries.
+        # 16 and 32 fill whole 16-step blocks of the input projection and
+        # of BPTT; 17, 33 and 37 cross into a partial block.
         rng = np.random.default_rng(300 + steps + batch)
         assert_lstm_matches_unfused(*lstm_problem(rng, batch, steps, 3, 5))
 
@@ -863,6 +900,23 @@ class TestLSTMSequence:
         loss.backward(retain_graph=True)
         for leaf, single in zip(leaves, once):
             np.testing.assert_allclose(leaf.grad, 2.0 * single, rtol=1e-14, atol=0.0)
+
+    def test_backward_peak_is_below_one_gate_gradient_buffer(self):
+        # A tiny-config layer: BPTT runs in 16-step blocks over one reused
+        # buffer, so its peak stays below the whole-sequence (steps,
+        # batch, 4H) gate-gradient buffer a single sweep would fill.
+        batch, steps, inputs, hidden = 322, 201, 16, 16
+        rng = np.random.default_rng(313)
+        arrays, upstream = lstm_problem(rng, batch, steps, inputs, hidden)
+        out = lstm_sequence(*(Tensor(a, requires_grad=True) for a in arrays))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward_fn(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < steps * batch * 4 * hidden * 8
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,9 +7,9 @@ edge to a leaf holds the leaf itself (its data is the caller's anyway),
 so the graph keeps no op output alive: an intermediate array is freed
 as soon as the forward code drops its tensor.  Each backward closure captures exactly
 the arrays it reads: the other operand's data for :func:`mul` and
-:func:`matmul`, the input's for :func:`power`, :func:`prelu`,
-:func:`split_glu` and :func:`magnitude`, the input and weight for
-:func:`conv2d` and :func:`deconv2d` (each only when the other's
+:func:`matmul`, the input's for :func:`power`, :func:`prelu` and
+:func:`magnitude`, the output's for :func:`split_glu`, the input and
+weight for :func:`conv2d` and :func:`deconv2d` (each only when the other's
 gradient is wanted), its own saved state for the fused ops and the
 activations, and shapes alone for the arithmetic and shape ops.
 
@@ -29,10 +29,9 @@ the inverse deviation), :func:`split_glu` (a gated linear unit over the
 two channel halves of one input) and :func:`lstm_sequence` (a whole
 LSTM layer as one node, BPTT by hand in blocks of time steps).
 
-Every operation asserts its outputs are finite (a cheap way to catch
-divergence at the op that produced it); disable with
-:func:`finite_checks` for speed.  Gradient recording can likewise be
-paused with :func:`no_grad`.
+Every operation asserts its outputs are finite, a cheap way to catch
+divergence at the op that produced it.  Gradient recording can be paused
+with :func:`no_grad`.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "Tensor",
     "astensor",
     "no_grad",
-    "finite_checks",
     "is_grad_enabled",
     "concat",
     "matmul",
@@ -65,7 +63,7 @@ __all__ = [
     "lstm_sequence",
 ]
 
-_state = {"grad": True, "finite": True}
+_state = {"grad": True}
 
 
 def is_grad_enabled() -> bool:
@@ -83,23 +81,10 @@ def no_grad():
         _state["grad"] = prev
 
 
-@contextmanager
-def finite_checks(enabled: bool):
-    """Context manager: toggle the per-op non-finite assertion."""
-    prev = _state["finite"]
-    _state["finite"] = enabled
-    try:
-        yield
-    finally:
-        _state["finite"] = prev
-
-
 def _check_finite(data: np.ndarray, op: str):
     # A finite sum has only finite terms (an inf or NaN term makes the sum
     # inf or NaN), so one reduction decides the common case exactly; only
     # a sum that overflows needs the elementwise test.
-    if not _state["finite"]:
-        return
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.add.reduce(data, axis=None)
     if not np.isfinite(total) and not np.all(np.isfinite(data)):
@@ -634,10 +619,9 @@ def split_glu(x: Tensor) -> Tensor:
     ``lin * sigmoid(gate)`` with ``[lin; gate] = x``, as one graph node.
 
     The forward values are the bits of ``layers.glu`` on the two halves.
-    The backward pass keeps the sigmoid and ``lin``, a view of ``x``'s
-    data: ``dlin = g * s`` and
-    ``dgate = g * lin * s * (1 - s)``, in the order the elementary ops
-    compute them.
+    The backward pass keeps the sigmoid ``s`` and the output
+    ``out = lin * s``, never the input: ``dlin = g * s`` and
+    ``dgate = g * out * (1 - s)``.
     """
     if x.ndim < 2 or x.shape[1] % 2:
         raise ValidationError(f"split_glu needs an even number of channels, got {x.shape}")
@@ -652,8 +636,7 @@ def split_glu(x: Tensor) -> Tensor:
         dx = np.empty(nx.shape)
         dlin, dgate = np.split(dx, 2, axis=1)
         np.multiply(g, s, out=dlin)
-        np.multiply(g, lin, out=dgate)
-        dgate *= s
+        np.multiply(g, data, out=dgate)
         dgate *= 1.0 - s
         nx._accumulate(dx)
 

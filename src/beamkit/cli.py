@@ -43,7 +43,7 @@ from .errors import (
     WavFormatError,
 )
 from .model import build_model
-from .rooms import ArraySpec, RoomSpec, SceneSpec, build_corpus, image_method_rir
+from .rooms import ArraySpec, RoomSpec, build_corpus, image_method_rir
 from .training import (
     enhance_waveform,
     evaluate,
@@ -282,26 +282,17 @@ def cmd_evaluate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_rir(cfg: RunConfig, out_dir: str) -> int:
+    """Write the impulse responses from ``rir.source_position`` to each mic
+    of the configured array as one float32 WAV channel per mic."""
     section = cfg.rir
-    room = RoomSpec(dimensions=section.room_dimensions, rt60=section.rt60)
-    array = ArraySpec.uniform_linear(
-        section.array_center, num_mics=section.num_mics, spacing=section.mic_spacing
-    )
-    # Scene geometry needs a noise source; co-locating it with the traced
-    # source keeps this a pure one-source impulse-response dump.
-    scene = SceneSpec(
-        room=room,
-        array=array,
-        speech_position=section.source_position,
-        noise_position=section.source_position,
-        snr_db=0.0,
-    )
     rirs = image_method_rir(
-        scene,
-        source="speech",
+        RoomSpec(dimensions=section.room_dimensions, rt60=section.rt60),
+        ArraySpec.uniform_linear(
+            section.array_center, num_mics=section.num_mics, spacing=section.mic_spacing
+        ),
+        section.source_position,
         max_order=section.max_order,
         sample_rate=section.sample_rate,
-        fractional_delay=section.fractional_delay,
     )
     out_path = os.path.join(out_dir, "rir.wav")
     write_wav(

@@ -26,7 +26,7 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
                     "source_position": [2,3,1.5],
                     "array_center": [3,2.5,1.5], "num_mics": 9,
                     "mic_spacing": 0.04, "max_order": null,
-                    "sample_rate": 16000, "fractional_delay": "round" }
+                    "sample_rate": 16000 }
     }
 
 Type rules, checked by one decoder before any range check: a section is
@@ -67,7 +67,6 @@ __all__ = [
 MAX_SEED = 2**64 - 1
 
 EVALUATE_SYSTEMS = ("model", "identity", "oracle-mvdr")
-FRACTIONAL_DELAY_MODES = ("round", "sinc8")
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,8 @@ class EvaluateSection:
 
 @dataclass(frozen=True)
 class RirSection:
-    """One-shot impulse-response dump geometry."""
+    """One-shot impulse-response dump: one source traced to a uniform
+    linear array, with the nearest-sample taps every corpus scene uses."""
 
     room_dimensions: tuple[float, float, float] = (6.0, 5.0, 3.0)
     rt60: float = 0.3
@@ -136,7 +136,6 @@ class RirSection:
     mic_spacing: float = 0.04
     max_order: int | None = None
     sample_rate: int = 16000
-    fractional_delay: str = "round"
 
     def __post_init__(self):
         for name in ("room_dimensions", "source_position", "array_center"):
@@ -154,11 +153,6 @@ class RirSection:
             )
         if self.sample_rate < 1:
             raise ConfigError(f"rir.sample_rate must be >= 1, got {self.sample_rate}")
-        if self.fractional_delay not in FRACTIONAL_DELAY_MODES:
-            raise ConfigError(
-                f"rir.fractional_delay must be one of {FRACTIONAL_DELAY_MODES}, "
-                f"got {self.fractional_delay!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class ManifestSchemaError(BeamkitError, ValueError):
 
 
 class NonFiniteError(BeamkitError, FloatingPointError):
-    """A tensor operation produced NaN or Inf while finite checks were on."""
+    """A tensor operation produced NaN or Inf."""
 
 
 class DivergenceError(BeamkitError, RuntimeError):

@@ -490,11 +490,14 @@ def filter_and_sum_ri(weights: Tensor, mixture: Tensor) -> Tensor:
 def filter_and_sum(weights: np.ndarray, spec: ComplexSpectrogram) -> ComplexSpectrogram:
     """Conjugate filter-and-sum on complex arrays: ``Σ_p conj(M^p)·X^p``.
 
-    ``weights`` has the spectrogram's (freq, time, channel) shape; the
-    result is a single-channel spectrogram with the same geometry.
+    ``weights`` has the spectrogram's (freq, time, channel) shape, or
+    (freq, 1, channel) for one weight vector per frequency applied to
+    every frame; the result is a single-channel spectrogram with the same
+    geometry.
     """
     weights = np.asarray(weights, dtype=np.complex128)
-    if weights.shape != spec.data.shape:
+    freq, _, channels = spec.data.shape
+    if weights.shape not in (spec.data.shape, (freq, 1, channels)):
         raise ValidationError(
             f"weights shape {weights.shape} does not match spectrogram "
             f"shape {spec.data.shape}"

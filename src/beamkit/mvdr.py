@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSteeringError, SolverError, ValidationError
-from .model import REFERENCE_CHANNEL
+from .model import REFERENCE_CHANNEL, filter_and_sum
 from .stft import ComplexSpectrogram
 
 MASK_FLOOR = 1e-8
@@ -291,11 +291,7 @@ def apply_utterance_beamformer(
             f"(freq, channel) grid "
             f"{(mixture.data.shape[0], mixture.data.shape[2])}"
         )
-    # Conjugating the (freq, channel) weights before they broadcast over
-    # frames gives filter_and_sum's products without its (freq, frames,
-    # channel) conjugate temporary.
-    combined = np.sum(np.conj(weights)[:, None, :] * mixture.data, axis=2, keepdims=True)
-    return mixture.with_data(combined)
+    return filter_and_sum(weights[:, None, :], mixture)
 
 
 def oracle_mvdr_enhance(

@@ -9,12 +9,13 @@ walls (and their repetitions) contributes an attenuated, delayed impulse
     amplitude = beta ** reflection_order / (4 * pi * distance)
 
 with ``beta = sqrt(1 - alpha)`` the uniform wall reflection coefficient
-and the delay ``distance / c * fs`` placed by nearest-sample rounding
-(default) or an 8-tap windowed-sinc interpolator.
+and the delay ``distance / c * fs`` rounded to the nearest sample.
 
 Everything here is deterministic given a :class:`numpy.random.Generator`;
 corpus scenes derive their streams from ``(master_seed, scene_index)`` so
-regeneration is bit-exact and schedule-independent.
+regeneration is bit-exact and schedule-independent.  A corpus manifest's
+header records every :class:`SceneSampling` field, so the seed and the
+header together say which scene was built.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -45,7 +46,6 @@ __all__ = [
     "ArraySpec",
     "SceneSpec",
     "RirSet",
-    "Absorption",
     "SceneSampling",
     "absorption_from_rt60",
     "default_max_order",
@@ -60,7 +60,7 @@ __all__ = [
     "MANIFEST_NAME",
 ]
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 MANIFEST_NAME = "manifest.jsonl"
 
 # Fields every manifest record must carry (``max_order`` and ``count`` are
@@ -79,11 +79,6 @@ _SCENE_NUMBERS = {
     "seed": (tuple[int, ...], lambda v: all(x >= 0 for x in v), "a list of integers >= 0"),
     "snr_db": (float, math.isfinite, "finite"),
 }
-# The SceneSampling fields a header records; the rest keep their defaults.
-_SAMPLING_FIELDS = (
-    "room_length", "room_width", "room_height", "rt60_range", "num_mics",
-    "mic_spacing", "array_height", "source_distances", "min_doa_deg", "snr_grid_db",
-)
 
 
 @dataclass(frozen=True)
@@ -195,31 +190,29 @@ class SceneSpec:
     seed: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in ("speech_position", "noise_position"):
-            p = np.asarray(getattr(self, name), dtype=np.float64)
-            if p.shape != (3,):
-                raise GeometryError(f"{name} must be a 3-vector, got shape {p.shape}")
-            if not self.room.contains(p):
-                raise GeometryError(
-                    f"{name} {p.tolist()} is not strictly inside room "
-                    f"{self.room.dimensions}"
-                )
+        sources = {
+            name: np.asarray(getattr(self, name), dtype=np.float64)
+            for name in ("speech_position", "noise_position")
+        }
+        _check_inside(self.room, self.array, **sources)
+        for name, p in sources.items():
             p.setflags(write=False)
             object.__setattr__(self, name, p)
-        for mic in self.array.mic_positions:
-            if not self.room.contains(mic):
-                raise GeometryError(
-                    f"microphone at {mic.tolist()} is outside room {self.room.dimensions}"
-                )
         if self.seed is not None:
             object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
 
-    def source_position(self, source: str) -> np.ndarray:
-        if source == "speech":
-            return self.speech_position
-        if source == "noise":
-            return self.noise_position
-        raise ValidationError(f"source must be 'speech' or 'noise', got {source!r}")
+
+def _check_inside(room: RoomSpec, array: ArraySpec, **sources: np.ndarray):
+    """Raise GeometryError unless each named source is a 3-vector and it
+    and every microphone lie strictly inside ``room``."""
+    for name, p in sources.items():
+        if p.shape != (3,):
+            raise GeometryError(f"{name} must be a 3-vector, got shape {p.shape}")
+    for name, p in [*sources.items(), *(("microphone", m) for m in array.mic_positions)]:
+        if not room.contains(p):
+            raise GeometryError(
+                f"{name} {p.tolist()} is not strictly inside room {room.dimensions}"
+            )
 
 
 @dataclass(frozen=True)
@@ -255,29 +248,15 @@ class RirSet:
         return self.taps.shape[1]
 
 
-class Absorption(NamedTuple):
-    """Uniform wall absorption with the anechoic clamp made explicit."""
-
-    alpha: float
-    anechoic: bool
-
-
-def absorption_from_rt60(room: RoomSpec) -> Absorption:
+def absorption_from_rt60(room: RoomSpec) -> float:
     """Invert Sabine's formula for a uniform absorption coefficient.
 
     ``alpha = 0.161 * volume / (surface * rt60)``, clamped to ``(0, 1]``.
     A clamp at 1 means the requested reverberation time is shorter than
-    the room can produce; the scene is treated as anechoic.
-
-    Returns
-    -------
-    Absorption
-        ``(alpha, anechoic)`` with ``alpha`` in (0, 1].
+    the room can produce: the walls reflect nothing and only the direct
+    path remains.
     """
-    alpha = 0.161 * room.volume / (room.surface_area * room.rt60)
-    if alpha >= 1.0:
-        return Absorption(1.0, True)
-    return Absorption(alpha, False)
+    return min(0.161 * room.volume / (room.surface_area * room.rt60), 1.0)
 
 
 def default_max_order(room: RoomSpec) -> int:
@@ -338,27 +317,28 @@ def _image_distances(images: np.ndarray, mic: np.ndarray) -> np.ndarray:
 
 
 def image_method_rir(
-    scene: SceneSpec,
-    source: str = "speech",
+    room: RoomSpec,
+    array: ArraySpec,
+    source: Sequence[float],
     max_order: int | None = None,
     sample_rate: int = 16000,
-    fractional_delay: str = "round",
 ) -> RirSet:
-    """Image-method impulse responses from one scene source to every mic.
+    """Image-method impulse responses from one source position to every mic.
+
+    Each image lands on the sample nearest its delay.
 
     Parameters
     ----------
-    scene : SceneSpec
-    source : {"speech", "noise"}
-        Which source to trace.
+    room : RoomSpec
+    array : ArraySpec
+        All mics must be strictly inside the room.
+    source : array_like of 3 floats
+        Source position in meters, strictly inside the room.
     max_order : int, optional
         Highest total reflection order to include; 0 keeps only the direct
         path.  Defaults to :func:`default_max_order`.
     sample_rate : int
         Output sampling rate in Hz.
-    fractional_delay : {"round", "sinc8"}
-        ``"round"`` places each image on the nearest sample; ``"sinc8"``
-        spreads it over an 8-tap Hann-windowed sinc interpolator.
 
     Returns
     -------
@@ -366,24 +346,19 @@ def image_method_rir(
         ``ceil(rt60 * sample_rate)`` taps per mic (never fewer than the
         direct-path delay plus a small margin).
     """
-    src = scene.source_position(source)
+    src = np.asarray(source, dtype=np.float64)
+    _check_inside(room, array, source=src)
     if max_order is None:
-        max_order = default_max_order(scene.room)
+        max_order = default_max_order(room)
     if max_order < 0:
         raise ValidationError(f"max_order must be >= 0, got {max_order}")
-    if fractional_delay not in ("round", "sinc8"):
-        raise ValidationError(
-            f"fractional_delay must be 'round' or 'sinc8', got {fractional_delay!r}"
-        )
 
-    mics = scene.array.mic_positions
+    mics = array.mic_positions
     direct = np.linalg.norm(mics - src, axis=1)
     if np.any(direct < 1e-3):
         raise GeometryError("source coincides with a microphone")
 
-    room = scene.room
-    alpha, _ = absorption_from_rt60(room)
-    beta = math.sqrt(1.0 - alpha)
+    beta = math.sqrt(1.0 - absorption_from_rt60(room))
 
     fs = sample_rate
     samples_per_meter = fs / room.speed_of_sound
@@ -399,20 +374,9 @@ def image_method_rir(
     for p in range(mics.shape[0]):
         dist = _image_distances(images, mics[p])
         amp = gains / (4.0 * np.pi * dist)
-        delay = dist * samples_per_meter
-        if fractional_delay == "round":
-            idx = np.round(delay).astype(np.int64)
-            ok = idx < num_taps
-            np.add.at(taps[p], idx[ok], amp[ok])
-        else:
-            base = np.floor(delay).astype(np.int64)
-            frac = delay - base
-            for j in range(-3, 5):
-                x = j - frac
-                weight = np.sinc(x) * 0.5 * (1.0 + np.cos(np.pi * x / 4.0))
-                idx = base + j
-                ok = (idx >= 0) & (idx < num_taps)
-                np.add.at(taps[p], idx[ok], amp[ok] * weight[ok])
+        idx = np.round(dist * samples_per_meter).astype(np.int64)
+        ok = idx < num_taps
+        np.add.at(taps[p], idx[ok], amp[ok])
     return RirSet(taps, fs)
 
 
@@ -421,7 +385,6 @@ def synthesize_mixture(
     noise: WaveBuffer,
     scene: SceneSpec,
     max_order: int | None = None,
-    fractional_delay: str = "round",
 ) -> tuple[WaveBuffer, WaveBuffer, WaveBuffer]:
     """Reverberate both sources and mix them at the scene's target SNR.
 
@@ -435,7 +398,7 @@ def synthesize_mixture(
     speech, noise : WaveBuffer
         Mono sources at the same sample rate.
     scene : SceneSpec
-    max_order, fractional_delay
+    max_order : int, optional
         Forwarded to :func:`image_method_rir`.
 
     Returns
@@ -463,9 +426,9 @@ def synthesize_mixture(
     if not np.any(n):
         raise EmptySignalError("noise source has zero energy; cannot set SNR")
 
-    kwargs = dict(max_order=max_order, sample_rate=fs, fractional_delay=fractional_delay)
-    speech_rir = image_method_rir(scene, "speech", **kwargs)
-    noise_rir = image_method_rir(scene, "noise", **kwargs)
+    room, array = scene.room, scene.array
+    speech_rir = image_method_rir(room, array, scene.speech_position, max_order, fs)
+    noise_rir = image_method_rir(room, array, scene.noise_position, max_order, fs)
 
     speech_img = fftconvolve(s[np.newaxis, :], speech_rir.taps, axes=-1)[:, : len(s)]
     noise_img = fftconvolve(n[np.newaxis, :], noise_rir.taps, axes=-1)[:, : len(s)]
@@ -491,20 +454,11 @@ def synthesize_mixture(
     )
 
 
-def doa_separation_deg(scene_or_center, speech_pos=None, noise_pos=None) -> float:
-    """Angle in degrees between the two source directions seen from the array.
-
-    Accepts either a :class:`SceneSpec` or an explicit
-    ``(array_center, speech_position, noise_position)`` triple.
-    """
-    if isinstance(scene_or_center, SceneSpec):
-        center = scene_or_center.array.center
-        speech_pos = scene_or_center.speech_position
-        noise_pos = scene_or_center.noise_position
-    else:
-        center = np.asarray(scene_or_center, dtype=np.float64)
-    u = np.asarray(speech_pos) - center
-    v = np.asarray(noise_pos) - center
+def doa_separation_deg(center, a, b) -> float:
+    """Angle in degrees between the directions of points ``a`` and ``b``
+    seen from ``center``."""
+    u = np.asarray(a) - center
+    v = np.asarray(b) - center
     cosine = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
     return float(np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0))))
 
@@ -667,9 +621,10 @@ def build_corpus(
     Every scene derives its RNG stream from ``(master_seed, scene_index)``,
     so a rebuild with the same arguments is byte-identical file for file
     and scenes are independent of generation order.  The manifest is
-    line-delimited JSON: a header record (schema version plus the knobs
-    that affect the audio) followed by one record per scene holding every
-    scene field, the seed pair, and the relative audio paths.
+    line-delimited JSON: a header record (schema version, every
+    :class:`SceneSampling` field and the other knobs that affect the audio)
+    followed by one record per scene holding every scene field, the seed
+    pair, and the relative audio paths.
 
     Parameters
     ----------
@@ -706,7 +661,7 @@ def build_corpus(
         "duration": duration,
         "sample_rate": sample_rate,
         "max_order": max_order,
-        "sampling": {name: getattr(sampling, name) for name in _SAMPLING_FIELDS},
+        "sampling": asdict(sampling),
     }
 
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
@@ -766,7 +721,10 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
         understand, a header or scene record lacking a required field, an
         ill-typed or out-of-range number (header ``duration``,
         ``sample_rate``, ``max_order``; scene ``seed``, ``snr_db``), or a
-        header ``sampling`` object with an ill-typed field.
+        header ``sampling`` object that lacks a :class:`SceneSampling`
+        field or holds an unknown or ill-typed one.  A version 1 manifest
+        recorded only part of the sampler, so it cannot say which scenes it
+        holds and is refused.
     """
     with open(os.fspath(manifest_path), "rb") as fh:
         raw = fh.read()
@@ -859,10 +817,10 @@ def rebuild_scene_audio(record: dict, header: dict):
 
 def _sampling_from_header(header: dict) -> SceneSampling:
     sampling = header["sampling"]
-    _require(sampling, _SAMPLING_FIELDS, "manifest header field 'sampling'")
+    _require(
+        sampling, [f.name for f in fields(SceneSampling)], "manifest header field 'sampling'"
+    )
     try:
-        return decode(
-            SceneSampling, {name: sampling[name] for name in _SAMPLING_FIELDS}, "sampling"
-        )
+        return decode(SceneSampling, sampling, "sampling")
     except ConfigError as exc:
         raise ManifestSchemaError(f"manifest header field {exc}") from exc

@@ -1,8 +1,10 @@
 """Waveform container and deterministic synthetic test signals.
 
-The synthesis routines here stand in for recorded corpora at desk scale.
-They are fully deterministic given a :class:`numpy.random.Generator`, so
-any scene built from them can be regenerated bit for bit from its seed.
+The synthesis routines here stand in for recorded corpora at desk scale:
+one speech-shaped source and one pink-noise source, each at an RMS of
+``SOURCE_RMS``.  They are fully deterministic given a
+:class:`numpy.random.Generator`, so any scene built from them can be
+regenerated bit for bit from its seed.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ __all__ = [
     "speech_like",
     "noise_like",
 ]
+
+# RMS level of every synthesized source.
+SOURCE_RMS = 0.1
 
 
 @dataclass
@@ -114,9 +119,8 @@ def speech_like(
     duration: float,
     sample_rate: int,
     rng: np.random.Generator,
-    level: float = 0.1,
 ) -> WaveBuffer:
-    """Synthesize a speech-shaped test signal.
+    """Synthesize a speech-shaped test signal at an RMS of ``SOURCE_RMS``.
 
     A harmonic source with a drifting pitch contour is filtered through a
     randomized three-resonance spectral envelope and gated by a syllabic
@@ -139,8 +143,6 @@ def speech_like(
         Sampling rate in Hz.
     rng : numpy.random.Generator
         Source of all randomness; equal states give bit-identical output.
-    level : float
-        Target RMS of the returned signal.
 
     Returns
     -------
@@ -209,17 +211,15 @@ def speech_like(
 
     out = gate * (voiced + 0.05 * hiss * rms(voiced)) + burst_env * frication
 
-    return WaveBuffer(_normalize_rms(out, level), sample_rate)
+    return WaveBuffer(_normalize_rms(out, SOURCE_RMS), sample_rate)
 
 
-def noise_like(
-    duration: float,
-    sample_rate: int,
-    rng: np.random.Generator,
-    level: float = 0.1,
-    color: str = "pink",
-) -> WaveBuffer:
-    """Synthesize a stationary noise test signal.
+def noise_like(duration: float, sample_rate: int, rng: np.random.Generator) -> WaveBuffer:
+    """Synthesize stationary pink noise at an RMS of ``SOURCE_RMS``.
+
+    White Gaussian noise gets a 1/sqrt(f) magnitude slope that flattens
+    below a 50 Hz corner, as hardware pinking filters do; without the
+    corner nearly all energy would sit in the first few analysis bins.
 
     Parameters
     ----------
@@ -229,14 +229,6 @@ def noise_like(
         Sampling rate in Hz.
     rng : numpy.random.Generator
         Source of all randomness.
-    level : float
-        Target RMS.
-    color : {"pink", "white", "lowpass"}
-        Spectral shape.  ``"pink"`` applies a 1/sqrt(f) magnitude slope
-        that flattens below a 50 Hz corner (as hardware pinking filters
-        do — without the corner nearly all energy would sit in the first
-        few analysis bins), ``"lowpass"`` a gentle first-order roll-off;
-        ``"white"`` is flat.
 
     Returns
     -------
@@ -249,21 +241,9 @@ def noise_like(
     if n == 0:
         raise EmptySignalError("requested duration rounds to zero samples")
 
-    white = rng.standard_normal(n)
-    if color == "white":
-        out = white
-    elif color in ("pink", "lowpass"):
-        spectrum = np.fft.rfft(white)
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-        freqs[0] = freqs[1] if n > 1 else 1.0
-        if color == "pink":
-            shaping = 1.0 / np.sqrt(np.maximum(freqs, 50.0))
-        else:
-            corner = 400.0
-            shaping = 1.0 / np.sqrt(1.0 + (freqs / corner) ** 2)
-        out = np.fft.irfft(spectrum * shaping, n=n)
-    else:
-        raise ValidationError(f"unknown noise color: {color!r}")
-
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    freqs[0] = freqs[1] if n > 1 else 1.0
+    out = np.fft.irfft(spectrum * (1.0 / np.sqrt(np.maximum(freqs, 50.0))), n=n)
     out = out - np.mean(out)
-    return WaveBuffer(_normalize_rms(out, level), sample_rate)
+    return WaveBuffer(_normalize_rms(out, SOURCE_RMS), sample_rate)

@@ -163,6 +163,22 @@ class TestExitCodes:
         assert rc == 3
         assert "validation error" in capsys.readouterr().err
 
+    def test_version_1_manifest_exits_3(self, tmp_path, corpus_dir, capsys):
+        # A version 1 header recorded ten of the sampler's fields.
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schema_version"] = 1
+        for name in ("array_wall_margin", "source_wall_margin", "rejection_budget"):
+            del header["sampling"][name]
+        old = tmp_path / "manifest.jsonl"
+        old.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        rc = main(["evaluate", "--out", str(tmp_path / "o"), "--system", "identity",
+                   "--manifest", str(old)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "schema version 1 unsupported" in err[0]
+
 
     @pytest.mark.parametrize(
         "line_no,text,message",
@@ -430,6 +446,26 @@ class TestSimulate:
 
 
 class TestRir:
+    def test_fractional_delay_is_an_unknown_field(self, tmp_path, capsys):
+        rc = main(["rir", "--out", str(tmp_path / "o"), "--set", "rir.fractional_delay=sinc8"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "unknown rir config fields: ['fractional_delay']" in err[0]
+
+    @pytest.mark.parametrize(
+        "assignment,name",
+        [("rir.source_position=[0.0,3.0,1.5]", "source"),
+         ("rir.array_center=[3.0,2.5,3.0]", "microphone")],
+    )
+    def test_source_or_mic_on_a_wall_exits_3(self, tmp_path, capsys, assignment, name):
+        rc = main(["rir", "--out", str(tmp_path / "o"), "--set", assignment])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"validation error: {name} " in err[0]
+        assert "is not strictly inside room" in err[0]
+
     def test_channel_count_and_determinism(self, tmp_path):
         args = ["--set", "rir.num_mics=3", "--set", "rir.rt60=0.15"]
         assert main(["rir", "--out", str(tmp_path / "a")] + args) == 0

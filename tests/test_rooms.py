@@ -1,6 +1,7 @@
 """Tests for image-method RIRs and scene synthesis."""
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from beamkit.errors import (
     ValidationError,
 )
 from beamkit.rooms import (
-    Absorption,
     ArraySpec,
     RoomSpec,
     SceneSampling,
@@ -54,26 +54,27 @@ def make_scene(
     )
 
 
+def speech_rir(scene, max_order=None):
+    return image_method_rir(scene.room, scene.array, scene.speech_position, max_order)
+
+
 class TestAbsorption:
     def test_sabine_hand_value(self):
         # V = 5*4*3 = 60, S = 2*(20 + 15 + 12) = 94:
         # alpha = 0.161 * 60 / (94 * 0.5) = 9.66 / 47.
         room = RoomSpec((5.0, 4.0, 3.0), rt60=0.5)
-        alpha, anechoic = absorption_from_rt60(room)
+        alpha = absorption_from_rt60(room)
         assert alpha == pytest.approx(9.66 / 47.0, rel=1e-14)
         assert alpha == pytest.approx(0.2055, abs=5e-5)
-        assert not anechoic
 
     def test_long_rt60_limit(self):
         room = RoomSpec((5.0, 4.0, 3.0), rt60=1e9)
-        alpha, anechoic = absorption_from_rt60(room)
-        assert 0 < alpha < 1e-8
-        assert not anechoic
+        assert 0 < absorption_from_rt60(room) < 1e-8
 
     def test_short_rt60_clamps_to_anechoic(self):
         # alpha would be 9.66 / (94 * 0.01) ~ 10.3 > 1.
         room = RoomSpec((5.0, 4.0, 3.0), rt60=0.01)
-        assert absorption_from_rt60(room) == Absorption(1.0, True)
+        assert absorption_from_rt60(room) == 1.0
 
     def test_invalid_room_rejected(self):
         with pytest.raises(GeometryError):
@@ -88,8 +89,8 @@ class TestImageMethod:
         # Source exactly 1 m from the single mic: one tap at
         # round(16000 / 343) = 47 with amplitude 1 / (4 pi).
         scene = make_scene(rt60=0.05)
-        assert absorption_from_rt60(scene.room).anechoic
-        rir = image_method_rir(scene, "speech")
+        assert absorption_from_rt60(scene.room) == 1.0
+        rir = speech_rir(scene)
         taps = rir.taps[0]
         assert taps[47] == pytest.approx(1.0 / (4.0 * np.pi), rel=1e-12)
         other = np.sum(np.abs(taps)) - np.abs(taps[47])
@@ -97,7 +98,7 @@ class TestImageMethod:
 
     def test_max_order_zero_is_direct_path_regardless_of_alpha(self):
         scene = make_scene(rt60=0.5, num_mics=3)
-        rir = image_method_rir(scene, "speech", max_order=0)
+        rir = speech_rir(scene, max_order=0)
         for p in range(3):
             d = np.linalg.norm(scene.array.mic_positions[p] - scene.speech_position)
             idx = int(round(d / C * FS))
@@ -115,7 +116,7 @@ class TestImageMethod:
             noise_position=np.array([1.0, 1.0, 1.0]),
             snr_db=0.0,
         )
-        rir = image_method_rir(scene, "speech", max_order=6)
+        rir = speech_rir(scene, max_order=6)
         np.testing.assert_allclose(rir.taps[0], rir.taps[8], atol=1e-12, rtol=0)
         np.testing.assert_allclose(rir.taps[1], rir.taps[7], atol=1e-12, rtol=0)
 
@@ -129,15 +130,17 @@ class TestImageMethod:
         base = dict(room=room, array=array, noise_position=np.array([3.0, 3.0, 2.0]), snr_db=0.0)
         scene = SceneSpec(speech_position=np.array([2.2, 2.9, 1.8]), **base)
         mirrored = SceneSpec(speech_position=np.array([3.8, 2.9, 1.8]), **base)
-        rir = image_method_rir(scene, "speech", max_order=8)
-        rir_m = image_method_rir(mirrored, "speech", max_order=8)
+        rir = speech_rir(scene, max_order=8)
+        rir_m = speech_rir(mirrored, max_order=8)
         np.testing.assert_allclose(rir_m.taps, rir.taps[::-1], atol=1e-10, rtol=0)
 
     def test_leading_tap_is_direct_path(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             scene = sample_scene(rng)
-            rir = image_method_rir(scene, "noise", max_order=8)
+            rir = image_method_rir(
+                scene.room, scene.array, scene.noise_position, max_order=8
+            )
             d = np.linalg.norm(
                 scene.array.mic_positions - scene.noise_position, axis=1
             )
@@ -147,7 +150,7 @@ class TestImageMethod:
 
     def test_rir_length_follows_rt60(self):
         scene = make_scene(rt60=0.25)
-        rir = image_method_rir(scene, "speech")
+        rir = speech_rir(scene)
         assert rir.num_taps == int(np.ceil(0.25 * FS))
 
     def test_energy_decay_on_average(self):
@@ -160,8 +163,8 @@ class TestImageMethod:
         profiles = []
         for _ in range(20):
             scene = sample_scene(rng, cfg)
-            assert not absorption_from_rt60(scene.room).anechoic
-            taps = image_method_rir(scene, "speech", max_order=10).taps[0]
+            assert absorption_from_rt60(scene.room) < 1.0
+            taps = speech_rir(scene, max_order=10).taps[0]
             start = int(np.flatnonzero(taps)[0])
             windows = [
                 np.sum(taps[start + w * width : start + (w + 1) * width] ** 2)
@@ -171,28 +174,16 @@ class TestImageMethod:
         avg = np.mean(profiles, axis=0)
         assert np.all(np.diff(avg) <= 1e-12)
 
-    def test_sinc_interpolation_conserves_pulse(self):
-        scene = make_scene(rt60=0.05)  # anechoic, single mic 1 m away
-        rir = image_method_rir(scene, "speech", fractional_delay="sinc8")
-        taps = rir.taps[0]
-        # The windowed sinc spreads the tap but keeps its mass near 1/(4 pi)
-        # and its center of energy at the true fractional delay.
-        assert np.sum(taps) == pytest.approx(1.0 / (4 * np.pi), rel=1e-2)
-        peak = int(np.argmax(np.abs(taps)))
-        assert peak in (46, 47)
-        assert np.sum(np.abs(taps[:40])) == 0.0
-
-    @pytest.mark.parametrize("fractional_delay", ["round", "sinc8"])
-    def test_taps_match_norm_distances(self, monkeypatch, fractional_delay):
+    def test_taps_match_norm_distances(self, monkeypatch):
         # The column-wise distances must give the taps that
         # np.linalg.norm over (images, 3) rows gives, bit for bit.
         scene = sample_scene(np.random.default_rng(23))
-        fast = image_method_rir(scene, "speech", fractional_delay=fractional_delay)
+        fast = speech_rir(scene)
         monkeypatch.setattr(
             rooms, "_image_distances",
             lambda images, mic: np.linalg.norm(images.T - mic, axis=1),
         )
-        slow = image_method_rir(scene, "speech", fractional_delay=fractional_delay)
+        slow = speech_rir(scene)
         assert np.array_equal(fast.taps, slow.taps)
 
     def test_source_on_wall_rejected(self):
@@ -203,14 +194,26 @@ class TestImageMethod:
         with pytest.raises(GeometryError):
             make_scene(noise=(6.0, 2.0, 1.5))
 
+    @pytest.mark.parametrize("source", [(0.0, 2.0, 1.5), (6.0, 2.0, 1.5), (3.0, 2.0)])
+    def test_traced_source_must_be_inside(self, source):
+        scene = make_scene()
+        with pytest.raises(GeometryError):
+            image_method_rir(scene.room, scene.array, source)
+
+    def test_traced_mic_must_be_inside(self):
+        scene = make_scene()
+        outside = ArraySpec.uniform_linear((2.0, 2.0, 3.0), num_mics=1)
+        with pytest.raises(GeometryError, match="microphone"):
+            image_method_rir(scene.room, outside, scene.speech_position)
+
     def test_negative_max_order_rejected(self):
         with pytest.raises(ValidationError):
-            image_method_rir(make_scene(), "speech", max_order=-1)
+            speech_rir(make_scene(), max_order=-1)
 
     def test_source_on_mic_rejected(self):
         scene = make_scene(speech=(2.0, 2.0, 1.5))
         with pytest.raises(GeometryError):
-            image_method_rir(scene, "speech")
+            speech_rir(scene)
 
     def test_default_max_order_bounded(self):
         assert default_max_order(RoomSpec((3.0, 3.0, 2.5), rt60=0.7)) == 30
@@ -290,7 +293,8 @@ class TestSampleScene:
                 assert np.all(pos > 0.1 - 1e-12) and np.all(pos < dims - (0.1 - 1e-12))
                 dist = np.linalg.norm(pos - center)
                 assert np.min(np.abs(grid - dist)) < 1e-9
-            assert doa_separation_deg(s) >= 5.0 - 1e-9
+            separation = doa_separation_deg(center, s.speech_position, s.noise_position)
+            assert separation >= 5.0 - 1e-9
             assert s.snr_db in cfg.snr_grid_db
 
     def test_snr_histogram_covers_grid(self):
@@ -350,6 +354,34 @@ class TestCorpus:
         assert np.max(np.abs(on_disk.data - mixture.data.astype(np.float32))) == 0.0
         target = read_wav(out / rec["target_path"])
         assert np.max(np.abs(target.data[0] - speech_img.data[0].astype(np.float32))) == 0.0
+
+    def test_rebuild_honours_every_sampling_field(self, tmp_path):
+        # Both wall margins are off their defaults; the header must carry
+        # them, or the rebuild draws other array and source positions.
+        cfg = SceneSampling(
+            rt60_range=(0.15, 0.3), array_wall_margin=1.2, source_wall_margin=0.4
+        )
+        out = tmp_path / "m"
+        path = build_corpus(out, count=2, master_seed=5, sampling=cfg, duration=0.5)
+        header, scenes = read_manifest(path)
+        assert header["sampling"] == json.loads(json.dumps(asdict(cfg)))
+        for rec in scenes:
+            scene, mixture, speech_img, _ = rebuild_scene_audio(rec, header)
+            assert scene.array.mic_positions.tolist() == rec["array"]["mic_positions"]
+            on_disk = read_wav(out / rec["mixture_path"]).data
+            assert np.array_equal(on_disk, mixture.data.astype(np.float32))
+            target = read_wav(out / rec["target_path"]).data[0]
+            assert np.array_equal(target, speech_img.data[0].astype(np.float32))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SceneSampling)])
+    def test_header_lacking_a_sampling_field_rejected(self, tmp_path, name):
+        path = build_corpus(tmp_path / "g", count=0, master_seed=1, sampling=self.CFG)
+        header = json.loads(open(path).read())
+        del header["sampling"][name]
+        with open(path, "w") as fh:
+            fh.write(json.dumps(header) + "\n")
+        with pytest.raises(ManifestSchemaError, match=f"lacks field '{name}'"):
+            read_manifest(path)
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         path = build_corpus(tmp_path / "f", count=0, master_seed=1, sampling=self.CFG)

@@ -133,7 +133,7 @@ class ArraySpec:
     mic_positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.mic_positions, dtype=np.float64)
+        pos = np.array(self.mic_positions, dtype=np.float64)  # a copy: the caller's stays writable
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise GeometryError(
                 f"mic_positions must have shape (num_mics, 3), got {pos.shape}"
@@ -191,7 +191,7 @@ class SceneSpec:
 
     def __post_init__(self):
         sources = {
-            name: np.asarray(getattr(self, name), dtype=np.float64)
+            name: np.array(getattr(self, name), dtype=np.float64)  # copies, frozen below
             for name in ("speech_position", "noise_position")
         }
         _check_inside(self.room, self.array, **sources)
@@ -231,7 +231,7 @@ class RirSet:
     sample_rate: int
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.float64)
+        taps = np.array(self.taps, dtype=np.float64)  # a copy: the caller's stays writable
         if taps.ndim != 2:
             raise ValidationError(f"taps must be (num_mics, num_taps), got {taps.shape}")
         if not np.all(np.isfinite(taps)):

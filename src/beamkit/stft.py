@@ -135,6 +135,9 @@ class ComplexSpectrogram:
         Sampling rate of the originating waveform in Hz.
     num_samples : int or None
         Original waveform length, kept so synthesis can trim exactly.
+    window : str
+        Analysis window the bins were produced with; synthesis must use
+        the same one.
     """
 
     data: np.ndarray
@@ -143,6 +146,7 @@ class ComplexSpectrogram:
     fft_size: int = 320
     sample_rate: int = 16000
     num_samples: int | None = None
+    window: str = "hann"
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
@@ -189,6 +193,7 @@ class ComplexSpectrogram:
             fft_size=self.fft_size,
             sample_rate=self.sample_rate,
             num_samples=self.num_samples,
+            window=self.window,
         )
 
 
@@ -243,6 +248,7 @@ def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
         fft_size=cfg.fft_size,
         sample_rate=wave.sample_rate,
         num_samples=num_samples,
+        window=cfg.window,
     )
 
 
@@ -254,7 +260,7 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig) -> WaveBuffer:
     spec : ComplexSpectrogram
         Bins produced with a geometry compatible with ``cfg``.
     cfg : StftConfig
-        Must match the geometry recorded on ``spec``.
+        Must match the geometry and window recorded on ``spec``.
 
     Returns
     -------
@@ -270,7 +276,7 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig) -> WaveBuffer:
         region are unaffected (their normalizer is ≥ 0.5), so round-trip
         reconstruction on the interior is unchanged.
     """
-    for name in ("frame_shift", "frame_length", "fft_size"):
+    for name in ("frame_shift", "frame_length", "fft_size", "window"):
         if getattr(spec, name) != getattr(cfg, name):
             raise ConfigMismatchError(
                 f"spectrogram {name}={getattr(spec, name)} does not match "

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._decode import decode
-from .autodiff import Tensor, load_checkpoint, no_grad, save_checkpoint
+from .autodiff import Tensor, is_grad_enabled, load_checkpoint, no_grad, save_checkpoint
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -74,11 +74,13 @@ CHECKPOINT_META_KIND = "model_checkpoint"
 class TrainConfig:
     """Hyperparameters for the desk-scale trainer.
 
-    ``learning_rate=0`` is allowed as a diagnostic mode that freezes the
-    parameters while exercising the full loop.  ``grad_accumulation``
-    splits each batch into that many sequentially-processed chunks whose
-    gradients are summed in a fixed order before the optimizer step, so
-    results remain deterministic.
+    Each batch is one forward pass and one backward pass of the mean
+    spectral loss (weights ``lambda_ri``/``lambda_mag``), followed by one
+    Adam step with ``beta1``/``beta2``/``epsilon``.  The learning rate
+    starts at ``learning_rate`` and halves after ``plateau_patience``
+    epochs without a better validation loss.  ``learning_rate=0`` is
+    allowed as a diagnostic mode that freezes the parameters while
+    exercising the full loop.
     """
 
     epochs: int = 20
@@ -92,7 +94,6 @@ class TrainConfig:
     lambda_ri: float = 0.5
     lambda_mag: float = 0.5
     seed: int = 0
-    grad_accumulation: int = 1
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -117,10 +118,6 @@ class TrainConfig:
             )
         if self.lambda_ri < 0.0 or self.lambda_mag < 0.0:
             raise ConfigError("loss term weights must be >= 0")
-        if self.grad_accumulation < 1:
-            raise ConfigError(
-                f"grad_accumulation must be >= 1, got {self.grad_accumulation}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,20 +134,18 @@ class TrainConfig:
 
 @dataclass
 class OptimState:
-    """Adam accumulators plus the plateau-halving schedule state.
+    """What changes as a run trains: the Adam moments and step count, and
+    the plateau-halving schedule state.  ``cfg`` holds everything fixed.
 
-    The learning rate never increases: it starts at the configured value
-    and is halved by :func:`lr_schedule` whenever validation loss fails
-    to improve for ``patience`` consecutive epochs.  A zero learning
-    rate is the diagnostic freeze mode; otherwise it stays positive
-    (halving cannot reach zero).
+    The learning rate starts at ``cfg.learning_rate`` and never
+    increases: :func:`lr_schedule` halves it whenever validation loss
+    fails to improve for ``cfg.plateau_patience`` consecutive epochs.  A
+    zero learning rate is the diagnostic freeze mode; otherwise it stays
+    positive (halving cannot reach zero).
     """
 
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    patience: int = 2
+    cfg: TrainConfig
+    learning_rate: float = field(init=False)
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -159,32 +154,26 @@ class OptimState:
     halvings: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ConfigError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
-            )
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        self.learning_rate = self.cfg.learning_rate
 
 
-def adam_step(params: dict, grads: dict, state: OptimState) -> OptimState:
+def adam_step(params: dict, state: OptimState) -> OptimState:
     """One Adam update (bias-corrected) applied to ``params`` in place.
 
-    ``params`` maps names to leaf tensors and ``grads`` maps the same
-    names to gradient arrays (missing or ``None`` entries count as zero
-    gradients).  Parameters are visited in sorted-name order so the
-    update sequence is deterministic.  Returns ``state`` for chaining.
+    ``params`` maps names to leaf tensors; each update reads the tensor's
+    ``.grad`` (``None`` counts as a zero gradient) and the coefficients
+    ``beta1``/``beta2``/``epsilon`` of ``state.cfg``.  Parameters are
+    visited in sorted-name order so the update sequence is deterministic.
+    Returns ``state`` for chaining.
     """
+    cfg = state.cfg
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - cfg.beta1**t
+    bias2 = 1.0 - cfg.beta2**t
     for name in sorted(params):
         param = params[name]
-        grad = grads.get(name)
-        if grad is None:
-            grad = np.zeros_like(param.data)
-        grad = np.asarray(grad)
+        grad = np.zeros_like(param.data) if param.grad is None else param.grad
         if grad.shape != param.data.shape:
             raise ValidationError(
                 f"gradient for {name!r} has shape {grad.shape}, parameter "
@@ -195,22 +184,23 @@ def adam_step(params: dict, grads: dict, state: OptimState) -> OptimState:
             state.second_moment[name] = np.zeros_like(param.data)
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad**2
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad**2
         m_hat = m / bias1
         v_hat = v / bias2
-        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     return state
 
 
 def lr_schedule(state: OptimState, validation_loss: float) -> OptimState:
-    """Plateau rule: halve the learning rate after ``patience`` stalls.
+    """Plateau rule: halve the learning rate after
+    ``state.cfg.plateau_patience`` stalls.
 
     An epoch improves only if its validation loss is strictly below the
     best seen so far (no minimum delta).  Improvement resets the stall
-    counter; once the counter reaches ``patience`` the learning rate is
+    counter; once the counter reaches the patience the learning rate is
     halved and the counter resets.
     """
     if not math.isfinite(validation_loss):
@@ -222,7 +212,7 @@ def lr_schedule(state: OptimState, validation_loss: float) -> OptimState:
         state.plateau_count = 0
     else:
         state.plateau_count += 1
-        if state.plateau_count >= state.patience:
+        if state.plateau_count >= state.cfg.plateau_patience:
             state.learning_rate *= 0.5
             state.halvings += 1
             state.plateau_count = 0
@@ -279,9 +269,9 @@ def _load_examples(
     """Manifest → list of (input_planes, target_planes) training pairs.
 
     Each utterance is cropped to its leading ``segment_seconds`` (the
-    full utterance if shorter), transformed, compressed when the model
-    compresses, and stacked into real/imaginary planes.  All utterances
-    must share a length so batches stack.
+    full utterance if shorter), transformed, compressed with the model's
+    ``compression_exponent``, and stacked into real/imaginary planes.
+    All utterances must share a length so batches stack.
     """
     header, scenes = read_manifest(manifest_path)
     if not scenes:
@@ -350,23 +340,35 @@ class TrainResult:
     summary_path: str | None = None
 
 
-def _batch_loss(model, inputs, targets, cfg, backward_scale: float | None):
-    """Forward (and optionally backward) on one stacked batch.
+def _batch_loss(model, examples, indices, cfg) -> tuple[float, float, float]:
+    """Loss of the batch of ``examples`` at ``indices``, stacked in that
+    order; ``total`` is backpropagated when gradients are enabled.
 
-    Returns the ``(total, ri, mag)`` per-bin mean loss values.  With
-    ``backward_scale`` set, ``scale·total`` is backpropagated so chunked
-    gradient accumulation sums to the full-batch-mean gradient: a chunk
-    holding ``n_c`` of ``N`` batch items contributes ``n_c/N`` of it.
+    Returns the ``(total, ri, mag)`` per-bin mean loss values.
     """
+    inputs = np.stack([examples[i][0] for i in indices])
+    targets = np.stack([examples[i][1] for i in indices])
     total, ri, mag = loss_tensors(
         model.forward(Tensor(inputs)),
         Tensor(targets),
         cfg.lambda_ri,
         cfg.lambda_mag,
     )
-    if backward_scale is not None:
-        (total * backward_scale).backward()
+    if is_grad_enabled():
+        total.backward()
     return float(total.data), float(ri.data), float(mag.data)
+
+
+def _batches(indices, size: int) -> list:
+    """``indices`` cut into consecutive batches of ``size`` (the last may
+    be shorter)."""
+    return [indices[start : start + size] for start in range(0, len(indices), size)]
+
+
+def _size_weighted_means(rows: list[tuple]) -> list[float]:
+    """Per-example means of per-batch ``(size, value, ...)`` rows."""
+    count = sum(row[0] for row in rows)
+    return [sum(row[k] * row[0] for row in rows) / count for k in range(1, len(rows[0]))]
 
 
 def train(
@@ -402,13 +404,7 @@ def train(
         val_examples = examples
 
     params = dict(model.named_parameters())
-    state = OptimState(
-        learning_rate=cfg.learning_rate,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        epsilon=cfg.epsilon,
-        patience=cfg.plateau_patience,
-    )
+    state = OptimState(cfg)
     rng = np.random.default_rng(np.random.SeedSequence((int(cfg.seed), 0x7261494E)))
 
     out_dir = os.fspath(out_dir) if out_dir is not None else None
@@ -421,62 +417,32 @@ def train(
     best_path = os.path.join(out_dir, "checkpoint_best.bkt") if out_dir else None
     final_path = os.path.join(out_dir, "checkpoint_final.bkt") if out_dir else None
 
-    def run_validation() -> float:
-        losses = []
-        with no_grad():
-            for start in range(0, len(val_examples), cfg.batch_size):
-                chunk = val_examples[start : start + cfg.batch_size]
-                inputs = np.stack([ex[0] for ex in chunk])
-                targets = np.stack([ex[1] for ex in chunk])
-                total, _, _ = _batch_loss(
-                    model, inputs, targets, cfg, backward_scale=None
-                )
-                losses.append((total, len(chunk)))
-        weight = sum(n for _, n in losses)
-        return sum(v * n for v, n in losses) / weight
-
+    val_batches = _batches(range(len(val_examples)), cfg.batch_size)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(examples))
         epoch_lr = state.learning_rate
-        batch_totals: list[tuple[float, float, float, int]] = []
-        for batch_index, start in enumerate(range(0, len(order), cfg.batch_size), 1):
+        batch_losses: list[tuple[int, float, float, float]] = []
+        for batch_index, batch in enumerate(_batches(order, cfg.batch_size), 1):
             # The shuffle chooses each batch's composition; stacking in
             # sorted index order makes equal-composition batches
             # bit-identical regardless of the draw order.
-            picked = np.sort(order[start : start + cfg.batch_size])
+            picked = np.sort(batch)
             model.zero_grad()
             try:
-                chunk_size = max(
-                    1, math.ceil(len(picked) / cfg.grad_accumulation)
-                )
-                batch_total = batch_ri = batch_mag = 0.0
-                for chunk_start in range(0, len(picked), chunk_size):
-                    chunk = picked[chunk_start : chunk_start + chunk_size]
-                    inputs = np.stack([examples[i][0] for i in chunk])
-                    targets = np.stack([examples[i][1] for i in chunk])
-                    share = len(chunk) / len(picked)
-                    total, ri, mag = _batch_loss(
-                        model, inputs, targets, cfg, backward_scale=share
-                    )
-                    batch_total += total * share
-                    batch_ri += ri * share
-                    batch_mag += mag * share
-                if not math.isfinite(batch_total):
+                losses = _batch_loss(model, examples, picked, cfg)
+                if not math.isfinite(losses[0]):
                     raise DivergenceError(epoch, batch_index)
-                grads = {
-                    name: None if p.grad is None else p.grad for name, p in params.items()
-                }
-                adam_step(params, grads, state)
+                adam_step(params, state)
             except NonFiniteError as exc:
                 raise DivergenceError(epoch, batch_index, str(exc)) from exc
-            batch_totals.append((batch_total, batch_ri, batch_mag, len(picked)))
+            batch_losses.append((len(picked), *losses))
         model.zero_grad()
 
-        count = sum(n for _, _, _, n in batch_totals)
-        train_loss = sum(v * n for v, _, _, n in batch_totals) / count
-        train_ri = sum(v * n for _, v, _, n in batch_totals) / count
-        train_mag = sum(v * n for _, _, v, n in batch_totals) / count
-        val_loss = run_validation()
+        train_loss, train_ri, train_mag = _size_weighted_means(batch_losses)
+        with no_grad():
+            val_loss = _size_weighted_means(
+                [(len(b), *_batch_loss(model, val_examples, b, cfg)) for b in val_batches]
+            )[0]
         if not math.isfinite(val_loss):
             raise DivergenceError(epoch, 0, "validation loss is not finite")
 
@@ -485,9 +451,7 @@ def train(
             best_epoch = epoch
             best_state = model.state_dict()
             if best_path is not None:
-                _save_model_checkpoint(
-                    best_path, best_state, model.cfg, stft_cfg, cfg, epoch, val_loss
-                )
+                save_model_checkpoint(best_path, model, stft_cfg, cfg, epoch, val_loss)
         lr_schedule(state, val_loss)
 
         records.append(
@@ -506,27 +470,13 @@ def train(
 
     curve_path = summary_path = None
     if out_dir is not None:
-        _save_model_checkpoint(
-            final_path,
-            model.state_dict(),
-            model.cfg,
-            stft_cfg,
-            cfg,
-            cfg.epochs,
-            records[-1]["val_loss"],
+        save_model_checkpoint(
+            final_path, model, stft_cfg, cfg, cfg.epochs, records[-1]["val_loss"]
         )
         curve_path = write_jsonl(os.path.join(out_dir, "loss_curve.jsonl"), records)
         summary_path = os.path.join(out_dir, "training_summary.txt")
-        columns = [
-            "epoch",
-            "train_loss",
-            "val_loss",
-            "train_ri",
-            "train_mag",
-            "learning_rate",
-            "halvings",
-            "improved",
-        ]
+        columns = ["epoch", "train_loss", "val_loss", "train_ri", "train_mag",
+                   "learning_rate", "halvings", "improved"]
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write(format_aligned(records, columns))
 
@@ -542,36 +492,26 @@ def train(
     )
 
 
-def _save_model_checkpoint(path, state, model_cfg, stft_cfg, train_cfg, epoch, val_loss):
+def save_model_checkpoint(
+    path: str | os.PathLike,
+    model: NeuralBeamformer,
+    stft_cfg: StftConfig = StftConfig(),
+    train_cfg: TrainConfig = TrainConfig(),
+    epoch: int = 0,
+    val_loss: float = 0.0,
+) -> str:
+    """Save the model's current parameters with enough metadata for
+    :func:`load_trained_model`; ``train_cfg``, ``epoch`` and ``val_loss``
+    are recorded as provenance, which loading does not decode."""
     meta = {
         "kind": CHECKPOINT_META_KIND,
-        "model": model_cfg.to_dict(),
+        "model": model.cfg.to_dict(),
         "stft": asdict(stft_cfg),
         "train": train_cfg.to_dict(),
         "epoch": int(epoch),
         "val_loss": float(val_loss),
     }
-    save_checkpoint(path, state, meta)
-
-
-def save_model_checkpoint(
-    path: str | os.PathLike,
-    model: NeuralBeamformer,
-    stft_cfg: StftConfig = StftConfig(),
-    train_cfg: TrainConfig | None = None,
-    epoch: int = 0,
-    val_loss: float = 0.0,
-) -> str:
-    """Save a model with enough metadata for :func:`load_trained_model`."""
-    _save_model_checkpoint(
-        path,
-        model.state_dict(),
-        model.cfg,
-        stft_cfg,
-        train_cfg if train_cfg is not None else TrainConfig(),
-        epoch,
-        val_loss,
-    )
+    save_checkpoint(path, model.state_dict(), meta)
     return os.fspath(path)
 
 
@@ -624,6 +564,14 @@ class MetricsRow:
         "snr_enhanced_db",
         "snr_mvdr_db",
     )
+    # Derived columns: each a property below, written and averaged with
+    # the metric fields.
+    GAIN_FIELDS = (
+        "si_snr_gain_db",
+        "snr_gain_db",
+        "mvdr_si_snr_gain_db",
+        "mvdr_snr_gain_db",
+    )
 
     def __post_init__(self):
         for name in self.METRIC_FIELDS:
@@ -650,22 +598,10 @@ class MetricsRow:
         return self.snr_mvdr_db - self.snr_noisy_db
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "scene_metrics",
-            "scene_id": self.scene_id,
-            "snr_db": self.snr_db,
-            "si_snr_noisy_db": self.si_snr_noisy_db,
-            "si_snr_enhanced_db": self.si_snr_enhanced_db,
-            "si_snr_mvdr_db": self.si_snr_mvdr_db,
-            "snr_noisy_db": self.snr_noisy_db,
-            "snr_enhanced_db": self.snr_enhanced_db,
-            "snr_mvdr_db": self.snr_mvdr_db,
-            "si_snr_gain_db": self.si_snr_gain_db,
-            "snr_gain_db": self.snr_gain_db,
-            "mvdr_si_snr_gain_db": self.mvdr_si_snr_gain_db,
-            "mvdr_snr_gain_db": self.mvdr_snr_gain_db,
-            "saturated": list(self.saturated),
-        }
+        record = {"kind": "scene_metrics", **asdict(self)}
+        record.update((name, getattr(self, name)) for name in self.GAIN_FIELDS)
+        record["saturated"] = list(self.saturated)
+        return record
 
 
 @dataclass
@@ -824,12 +760,7 @@ def evaluate(
         columns = [
             "bucket",
             "count",
-            "si_snr_noisy_db",
-            "si_snr_enhanced_db",
-            "si_snr_mvdr_db",
-            "snr_noisy_db",
-            "snr_enhanced_db",
-            "snr_mvdr_db",
+            *MetricsRow.METRIC_FIELDS,
             "si_snr_gain_db",
             "mvdr_si_snr_gain_db",
         ]
@@ -844,16 +775,8 @@ def _aggregate(rows: list) -> list[dict]:
 
     def mean_record(bucket, subset) -> dict:
         record = {"kind": "aggregate", "bucket": bucket, "count": len(subset)}
-        for name in MetricsRow.METRIC_FIELDS:
+        for name in MetricsRow.METRIC_FIELDS + MetricsRow.GAIN_FIELDS:
             record[name] = float(np.mean([getattr(r, name) for r in subset]))
-        record["si_snr_gain_db"] = float(np.mean([r.si_snr_gain_db for r in subset]))
-        record["snr_gain_db"] = float(np.mean([r.snr_gain_db for r in subset]))
-        record["mvdr_si_snr_gain_db"] = float(
-            np.mean([r.mvdr_si_snr_gain_db for r in subset])
-        )
-        record["mvdr_snr_gain_db"] = float(
-            np.mean([r.mvdr_snr_gain_db for r in subset])
-        )
         return record
 
     buckets = sorted({row.snr_db for row in rows})

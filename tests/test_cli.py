@@ -394,6 +394,54 @@ class TestConfigDecoding:
         assert len(err) == 1
         assert f"configuration error: {field} time stride must be 1" in err[0]
 
+    def test_leaf_fields_are_pinned(self):
+        # Each settable value is one more configuration to test; a new one
+        # has to be added here on purpose.
+        def leaves(node, prefix=""):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert sorted(leaves(default_config())) == [
+            "enhance.checkpoint", "enhance.input_wav",
+            "evaluate.checkpoint", "evaluate.dump_audio", "evaluate.manifest",
+            "evaluate.max_scenes", "evaluate.system",
+            "model.bf_type", "model.compression_exponent", "model.embedding_channels",
+            "model.encoder_layers", "model.freq_bins", "model.glu_kernel", "model.glu_stride",
+            "model.lstm_hidden", "model.lstm_layers", "model.mics", "model.multi_output",
+            "model.stcm_dilations", "model.stcm_kernel", "model.stcm_per_group",
+            "model.stcm_squeeze_channels", "model.stcn_groups",
+            "model.unet_block_depths_decoder", "model.unet_block_depths_encoder",
+            "model.unet_kernel", "model.unet_stride",
+            "rir.array_center", "rir.max_order", "rir.mic_spacing", "rir.num_mics",
+            "rir.room_dimensions", "rir.rt60", "rir.sample_rate", "rir.source_position",
+            "seed",
+            "simulate.count", "simulate.duration_seconds", "simulate.max_order",
+            "simulate.sample_rate",
+            "simulate.sampling.array_height", "simulate.sampling.array_wall_margin",
+            "simulate.sampling.mic_spacing", "simulate.sampling.min_doa_deg",
+            "simulate.sampling.num_mics", "simulate.sampling.rejection_budget",
+            "simulate.sampling.room_height", "simulate.sampling.room_length",
+            "simulate.sampling.room_width", "simulate.sampling.rt60_range",
+            "simulate.sampling.snr_grid_db", "simulate.sampling.source_distances",
+            "simulate.sampling.source_wall_margin",
+            "stft.fft_size", "stft.frame_length", "stft.frame_shift", "stft.window",
+            "train.batch_size", "train.beta1", "train.beta2", "train.epochs", "train.epsilon",
+            "train.lambda_mag", "train.lambda_ri", "train.learning_rate", "train.manifest",
+            "train.plateau_patience", "train.seed", "train.segment_seconds",
+            "train.val_manifest",
+        ]
+
+    def test_grad_accumulation_is_an_unknown_field(self, tmp_path, capsys):
+        rc = main(["simulate", "--out", str(tmp_path / "o"),
+                   "--set", "simulate.count=0", "--set", "train.grad_accumulation=2"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "unknown train config fields: ['grad_accumulation']" in err[0]
+
     @pytest.mark.parametrize(
         "raw", [default_config(), {"model": tiny_model_fields()}], ids=["default", "tiny"]
     )
@@ -558,6 +606,25 @@ class TestEnhance:
         assert enhanced.sample_rate == 16000
         rel = np.linalg.norm(enhanced.data[0] - reference) / np.linalg.norm(reference)
         assert rel <= 1e-6
+
+    def test_checkpoint_carrying_grad_accumulation_still_enhances(
+        self, passthrough_checkpoint, quiet_start_wav, tmp_path
+    ):
+        # Checkpoints written while TrainConfig had grad_accumulation carry
+        # it in meta["train"], which loading never decodes.
+        from beamkit.autodiff import load_checkpoint, save_checkpoint
+
+        tensors, meta = load_checkpoint(passthrough_checkpoint)
+        meta["train"]["grad_accumulation"] = 1
+        older = tmp_path / "older.bkt"
+        save_checkpoint(older, tensors, meta)
+        outputs = []
+        for checkpoint in (passthrough_checkpoint, older):
+            out = tmp_path / checkpoint.stem
+            assert main(["enhance", "--out", str(out), "--checkpoint", str(checkpoint),
+                         "--input", str(quiet_start_wav)]) == 0
+            outputs.append((out / "enhanced.wav").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_wrong_sample_rate_exits_4(self, passthrough_checkpoint, tmp_path, capsys):
         slow = tmp_path / "slow.wav"

@@ -16,6 +16,7 @@ from beamkit.errors import (
 )
 from beamkit.rooms import (
     ArraySpec,
+    RirSet,
     RoomSpec,
     SceneSampling,
     SceneSpec,
@@ -56,6 +57,24 @@ def make_scene(
 
 def speech_rir(scene, max_order=None):
     return image_method_rir(scene.room, scene.array, scene.speech_position, max_order)
+
+
+class TestSpecArrays:
+    def test_specs_freeze_copies_not_the_callers_arrays(self):
+        mics = np.array([[2.0, 2.0, 1.5], [2.1, 2.0, 1.5]])
+        speech = np.array([3.0, 2.0, 1.5])
+        noise = np.array([1.0, 1.0, 1.0])
+        taps = np.zeros((2, 8))
+        scene = SceneSpec(RoomSpec((5.0, 4.0, 3.0), rt60=0.5), ArraySpec(mics), speech, noise, 0.0)
+        rir = RirSet(taps, FS)
+        # Each write raised "assignment destination is read-only" when the
+        # specs froze the caller's own float64 arrays.
+        mics[0, 0] = speech[0] = noise[0] = taps[0, 0] = 0.5
+        assert scene.array.mic_positions[0, 0] == 2.0
+        assert scene.speech_position[0] == 3.0 and scene.noise_position[0] == 1.0
+        assert rir.taps[0, 0] == 0.0
+        for held in (scene.array.mic_positions, scene.speech_position, rir.taps):
+            assert not held.flags.writeable
 
 
 class TestAbsorption:

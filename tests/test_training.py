@@ -220,13 +220,20 @@ class TestSnr:
 # optimizer
 
 
+def step_with(params: dict, grads: dict, state: OptimState) -> OptimState:
+    """One :func:`adam_step` after setting each named parameter's ``.grad``."""
+    for name, grad in grads.items():
+        params[name].grad = grad
+    return adam_step(params, state)
+
+
 class TestAdamStep:
     def test_zero_gradients_leave_parameters_unchanged(self):
         p = Tensor(np.array([0.3, -1.2, 4.0]), requires_grad=True)
         before = p.data.copy()
-        state = OptimState(learning_rate=0.01)
-        adam_step({"p": p}, {"p": np.zeros(3)}, state)
-        adam_step({"p": p}, {"p": None}, state)
+        state = OptimState(TrainConfig(learning_rate=0.01))
+        step_with({"p": p}, {"p": np.zeros(3)}, state)
+        step_with({"p": p}, {"p": None}, state)
         np.testing.assert_array_equal(p.data, before)
         assert state.step_count == 2
 
@@ -234,8 +241,8 @@ class TestAdamStep:
         # Independent scalar oracle: the textbook update computed with
         # plain floats for p=0.7, g=0.2, lr=0.01 at t=1.
         p = Tensor(np.array(0.7), requires_grad=True)
-        state = OptimState(learning_rate=0.01)
-        adam_step({"p": p}, {"p": np.array(0.2)}, state)
+        state = OptimState(TrainConfig(learning_rate=0.01))
+        step_with({"p": p}, {"p": np.array(0.2)}, state)
         m = (1 - 0.9) * 0.2
         v = (1 - 0.999) * 0.2**2
         m_hat = m / (1 - 0.9)
@@ -244,17 +251,24 @@ class TestAdamStep:
         assert abs(float(p.data) - expected) <= 1e-12
 
     def test_two_steps_match_scalar_hand_computation(self):
+        self.check_two_steps(beta1=0.9, beta2=0.999, epsilon=1e-8)
+
+    def test_coefficients_come_from_the_train_config(self):
+        self.check_two_steps(beta1=0.5, beta2=0.9, epsilon=0.1)
+
+    def check_two_steps(self, beta1, beta2, epsilon):
         p = Tensor(np.array(-0.4), requires_grad=True)
-        state = OptimState(learning_rate=0.05)
-        adam_step({"p": p}, {"p": np.array(0.3)}, state)
-        adam_step({"p": p}, {"p": np.array(-0.1)}, state)
+        cfg = TrainConfig(learning_rate=0.05, beta1=beta1, beta2=beta2, epsilon=epsilon)
+        state = OptimState(cfg)
+        step_with({"p": p}, {"p": np.array(0.3)}, state)
+        step_with({"p": p}, {"p": np.array(-0.1)}, state)
 
         # scalar replay
         value, m, v = -0.4, 0.0, 0.0
         for t, g in ((1, 0.3), (2, -0.1)):
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g * g
-            value -= 0.05 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            value -= 0.05 * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + epsilon)
         assert abs(float(p.data) - value) <= 1e-12
 
     def test_constant_gradient_update_approaches_lr_times_sign(self):
@@ -262,46 +276,46 @@ class TestAdamStep:
         # magnitude tends to lr·|g|/(|g|+ε) ≈ lr in the direction −sign(g).
         for g in (0.3, -0.7):
             p = Tensor(np.array(0.0), requires_grad=True)
-            state = OptimState(learning_rate=1e-3)
+            state = OptimState(TrainConfig(learning_rate=1e-3))
             previous = float(p.data)
             for _ in range(50):
-                adam_step({"p": p}, {"p": np.array(g)}, state)
+                step_with({"p": p}, {"p": np.array(g)}, state)
                 update = float(p.data) - previous
                 previous = float(p.data)
             assert update == pytest.approx(-math.copysign(1e-3, g), rel=1e-6)
 
     def test_gradient_shape_mismatch_rejected(self):
         p = Tensor(np.zeros((2, 3)), requires_grad=True)
-        state = OptimState(learning_rate=0.01)
+        state = OptimState(TrainConfig(learning_rate=0.01))
         with pytest.raises(ValidationError, match="shape"):
-            adam_step({"p": p}, {"p": np.zeros((3, 2))}, state)
+            step_with({"p": p}, {"p": np.zeros((3, 2))}, state)
 
     def test_multiple_parameters_update_independently(self):
         a = Tensor(np.array(1.0), requires_grad=True)
         b = Tensor(np.array(1.0), requires_grad=True)
-        state = OptimState(learning_rate=0.01)
-        adam_step({"a": a, "b": b}, {"a": np.array(0.5), "b": np.array(-0.5)}, state)
+        state = OptimState(TrainConfig(learning_rate=0.01))
+        step_with({"a": a, "b": b}, {"a": np.array(0.5), "b": np.array(-0.5)}, state)
         assert float(a.data) < 1.0 < float(b.data)
         assert abs((1.0 - float(a.data)) - (float(b.data) - 1.0)) < 1e-15
 
     def test_halved_learning_rate_halves_steady_state_update(self):
         p = Tensor(np.array(0.0), requires_grad=True)
-        state = OptimState(learning_rate=2e-3)
+        state = OptimState(TrainConfig(learning_rate=2e-3))
         for _ in range(60):
-            adam_step({"p": p}, {"p": np.array(1.0)}, state)
+            step_with({"p": p}, {"p": np.array(1.0)}, state)
         before = float(p.data)
-        adam_step({"p": p}, {"p": np.array(1.0)}, state)
+        step_with({"p": p}, {"p": np.array(1.0)}, state)
         full_step = float(p.data) - before
         state.learning_rate *= 0.5
         before = float(p.data)
-        adam_step({"p": p}, {"p": np.array(1.0)}, state)
+        step_with({"p": p}, {"p": np.array(1.0)}, state)
         half_step = float(p.data) - before
         assert half_step == pytest.approx(0.5 * full_step, rel=1e-9)
 
 
 class TestLrSchedule:
-    def run_trace(self, losses, lr=1.0):
-        state = OptimState(learning_rate=lr)
+    def run_trace(self, losses, lr=1.0, patience=2):
+        state = OptimState(TrainConfig(learning_rate=lr, plateau_patience=patience))
         rates = []
         for value in losses:
             lr_schedule(state, value)
@@ -336,9 +350,15 @@ class TestLrSchedule:
         assert rates == [1.0, 1.0, 0.5, 0.5, 0.25]
         assert state.halvings == 2
 
+    def test_patience_comes_from_the_train_config(self):
+        state, rates = self.run_trace([1.0, 1.1, 1.2, 1.3, 1.4], patience=1)
+        assert rates == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        state, rates = self.run_trace([1.0, 1.1, 1.2, 1.3, 1.4], patience=3)
+        assert rates == [1.0, 1.0, 1.0, 0.5, 0.5]
+
     def test_learning_rate_never_increases(self):
         rng = np.random.default_rng(0)
-        state = OptimState(learning_rate=1.0)
+        state = OptimState(TrainConfig(learning_rate=1.0))
         last = state.learning_rate
         for value in rng.uniform(0.5, 1.5, size=40):
             lr_schedule(state, float(value))
@@ -348,7 +368,7 @@ class TestLrSchedule:
 
     def test_nonfinite_validation_loss_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
-            lr_schedule(OptimState(learning_rate=1.0), float("nan"))
+            lr_schedule(OptimState(TrainConfig(learning_rate=1.0)), float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +428,6 @@ class TestTrain:
             TrainConfig(plateau_patience=0)
         with pytest.raises(ConfigError, match="segment_seconds"):
             TrainConfig(segment_seconds=0.0)
-        with pytest.raises(ConfigError, match="grad_accumulation"):
-            TrainConfig(grad_accumulation=0)
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"momentum": 0.9})
 
@@ -494,26 +512,6 @@ class TestTrain:
         widened = ModelConfig(**{**cfg.to_dict(), "mics": 3})
         with pytest.raises(ConfigMismatchError, match="channels"):
             train(build_model(widened, seed=0), corpus, TrainConfig(epochs=1))
-
-    def test_gradient_accumulation_tracks_plain_run(self, corpus):
-        cfg_plain = TrainConfig(epochs=1, batch_size=4, segment_seconds=0.4, seed=4)
-        cfg_accum = TrainConfig(
-            epochs=1, batch_size=4, segment_seconds=0.4, seed=4, grad_accumulation=2
-        )
-        model_a = fresh_model(seed=13)
-        model_b = fresh_model(seed=13)
-        res_a = train(model_a, corpus, cfg_plain)
-        res_b = train(model_b, corpus, cfg_accum)
-        assert res_a.records[0]["train_loss"] == pytest.approx(
-            res_b.records[0]["train_loss"], rel=1e-12
-        )
-        for (name, pa), (_, pb) in zip(
-            model_a.named_parameters(), model_b.named_parameters()
-        ):
-            np.testing.assert_allclose(
-                pa.data, pb.data, rtol=1e-8, atol=1e-12,
-                err_msg=f"{name} diverged under gradient accumulation",
-            )
 
     def test_separate_validation_manifest(self, corpus, tmp_path_factory):
         val_root = tmp_path_factory.mktemp("valcorpus")

@@ -11,7 +11,9 @@ the arrays it reads: the other operand's data for :func:`mul` and
 :func:`magnitude`, the output's for :func:`split_glu`, the input and
 weight for :func:`conv2d` and :func:`deconv2d` (each only when the other's
 gradient is wanted), its own saved state for the fused ops and the
-activations, and shapes alone for the arithmetic and shape ops.
+activations (for :func:`lstm_sequence`: its input, hidden and cell
+states and weights, from which BPTT rebuilds the gate activations), and
+shapes alone for the arithmetic and shape ops.
 
 Calling :meth:`Tensor.backward` on a scalar result walks the nodes in
 reverse topological order, with each closure accumulating gradients
@@ -27,7 +29,8 @@ complex-magnitude op, and three fused ops with hand-written gradients:
 optional PReLU, one graph node that saves only the normalized map and
 the inverse deviation), :func:`split_glu` (a gated linear unit over the
 two channel halves of one input) and :func:`lstm_sequence` (a whole
-LSTM layer as one node, BPTT by hand in blocks of time steps).
+LSTM layer as one node, BPTT by hand in blocks of time steps, each
+step's gates rebuilt from the kept hidden state).
 
 Every operation asserts its outputs are finite, a cheap way to catch
 divergence at the op that produced it.  Gradient recording can be paused
@@ -989,8 +992,14 @@ def deconv2d(
 
 # Time steps per input-projection matmul, and per BPTT block: long enough
 # to keep BLAS busy, short enough that no whole-sequence (time, batch,
-# 4*hidden) array is live beyond the gate activations BPTT reads.
+# 4*hidden) array is ever live.
 _LSTM_BLOCK = 16
+
+# The elementwise work of a step runs on contiguous (4, batch, hidden)
+# gate planes in the order [input, forget, output, cell], so the three
+# sigmoid gates are one block; entry k is the parameter layout's
+# ([input, forget, cell, output]) gate for plane k.
+_PLANE_GATES = [0, 1, 3, 2]
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -998,21 +1007,71 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(-1, a.shape[2])
 
 
+def _plane_weights(w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray, batch: int):
+    """The weights as gate planes: ``(4, input, hidden)`` and ``(4,
+    hidden, hidden)`` matmul operands (each plane the transposed rows of
+    one gate) and the bias broadcast to ``(4, batch, hidden)``, all
+    contiguous, in plane order."""
+    hidden = w_hh.shape[1]
+    w_ih_planes, w_hh_planes = (
+        np.ascontiguousarray(w.reshape(4, hidden, -1)[_PLANE_GATES].transpose(0, 2, 1))
+        for w in (w_ih, w_hh)
+    )
+    bias_planes = np.broadcast_to(bias.reshape(4, 1, hidden)[_PLANE_GATES], (4, batch, hidden))
+    return w_ih_planes, w_hh_planes, np.ascontiguousarray(bias_planes)
+
+
+def _project(x_rows: np.ndarray, batch: int, weights, buf: np.ndarray) -> np.ndarray:
+    """The input projection of a block of steps, ``x_rows`` ``(steps *
+    batch, input)`` in time-major order: one batched matmul into ``buf``,
+    viewed as ``(4, steps, batch, hidden)``."""
+    rows = len(x_rows)
+    np.matmul(x_rows, weights[0], out=buf[:, :rows])
+    return buf[:, :rows].reshape(4, rows // batch, batch, -1)
+
+
+def _activate(h_prev: np.ndarray, x_proj: np.ndarray, weights, act: np.ndarray, check: bool):
+    """One step's gate activations into the planes ``act``, from the
+    pre-activation ``(h Wₕᵀ + x Wᵢᵀ) + b`` summed in that order."""
+    np.matmul(h_prev, weights[1], out=act)
+    act += x_proj
+    act += weights[2]
+    if check:
+        # The cell state needs no check of its own: with finite gates,
+        # |c_t| <= t.
+        _check_finite(act, "lstm_sequence")
+    _sigmoid(act[:3], out=act[:3])
+    np.tanh(act[3], out=act[3])
+
+
 def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     """A whole LSTM layer over time, from a zero state, as one graph node.
 
     Computes exactly the recurrence of ``layers.lstm_step`` (gate layout
     [input, forget, cell, output], pre-activations summed as
-    ``(x Wᵢᵀ + h Wₕᵀ) + b``), but only the recurrence runs step by step:
-    the input projection is one matmul per block of time steps.  Gate
-    pre-activations are checked for non-finite values at every step,
-    because the saturating gates would hide an overflow from the output.
-    The backward pass is hand-written BPTT over the forward's blocks, last
-    block first: a reverse sweep over a block's steps fills one reused
-    ``(block, batch, 4*hidden)`` buffer of pre-activation gradients, from
-    which that block's share of the ``x``, ``w_ih``, ``w_hh`` and
-    ``bias`` gradients is one matmul each (``bias`` as a product with a
-    ones vector), accumulated over blocks.
+    ``(h Wₕᵀ + x Wᵢᵀ) + b``), but only the recurrence runs step by step:
+    the input projection is one matmul per block of time steps.  The
+    elementwise work of a step runs on contiguous ``(4, batch, hidden)``
+    gate planes ordered [input, forget, output, cell], so one sigmoid
+    covers the first three planes and one tanh the last; each matmul
+    writes those planes directly, one ``(rows, k) @ (k, hidden)`` product
+    per gate.  Gate pre-activations are checked for non-finite values at
+    every step, because the saturating gates would hide an overflow from
+    the output.
+
+    The node keeps only ``x``, the hidden states (its output), the cell
+    states and the weights.  The backward pass is hand-written BPTT over
+    the forward's blocks, last block first.  Per block it redoes the
+    input projection, and in the reverse sweep it rebuilds step t's gate
+    activations from the kept ``h_{t-1}`` just before using them.  The
+    rebuild is exact: it runs the forward's matmuls on the same shapes and
+    operands and its elementwise operations in the same order, so each
+    activation is the bit the forward produced.  Each step's
+    pre-activation gradients are written, in the parameter layout, into
+    one reused ``(block, batch, 4*hidden)`` buffer, from which that
+    block's share of the ``x``, ``w_ih``, ``w_hh`` and ``bias`` gradients
+    is one matmul each (``bias`` as a product with a ones vector),
+    accumulated over blocks.
 
     Parameters
     ----------
@@ -1041,46 +1100,40 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor
     batch, steps, n_in = x.shape
     parents = (x, w_ih, w_hh, bias)
     record = _state["grad"] and any(p.requires_grad for p in parents)
-    w_ih_t, w_hh_t = w_ih.data.T, w_hh.data.T
-    cell = slice(2 * hidden, 3 * hidden)
+    x_data, w_ih_data, w_hh_data, bias_data = (p.data for p in parents)
+    weights = _plane_weights(w_ih_data, w_hh_data, bias_data, batch)
 
-    # Without a gradient to record, one step's state is kept and
+    # Without a gradient to record, one step's cell state is kept and
     # overwritten in place; with one, every step's is kept for BPTT.
-    kept = steps if record else 1
-    acts = np.empty((kept, batch, four_h))
-    cells = np.empty((kept, batch, hidden))
+    cells = np.empty((steps if record else 1, batch, hidden))
+    proj_buf = np.empty((4, min(steps, _LSTM_BLOCK) * batch, hidden))
+    # A block's hidden states, time-major: each step writes and the next
+    # reads one contiguous row, and one copy moves the block into ``out``.
+    h_block = np.empty((min(steps, _LSTM_BLOCK), batch, hidden))
+    act = np.empty((4, batch, hidden))
     tanh_c = np.empty((batch, hidden))
     out = np.empty((batch, steps, hidden))
-    gates = np.empty((batch, four_h))
     h = np.zeros((batch, hidden))
     c_prev = np.zeros((batch, hidden))
-    proj_buf = np.empty((min(steps, _LSTM_BLOCK), batch, four_h))
-    for start in range(0, steps, _LSTM_BLOCK):
-        block = x.data[:, start : start + _LSTM_BLOCK].transpose(1, 0, 2)
-        proj = proj_buf[: len(block)]
-        np.matmul(block.reshape(-1, n_in), w_ih_t, out=proj.reshape(-1, four_h))
-        for k, x_proj in enumerate(proj):
-            t = start + k
-            s = t if record else 0
-            act, c = acts[s], cells[s]
-            np.matmul(h, w_hh_t, out=gates)
-            gates += x_proj
-            gates += bias.data
-            # The cell state needs no check of its own: with finite gates,
-            # |c_t| <= t.
-            _check_finite(gates, "lstm_sequence")
-            _sigmoid(gates, out=act)
-            np.tanh(gates[:, cell], out=act[:, cell])
-            np.multiply(act[:, hidden : 2 * hidden], c_prev, out=c)
-            c += act[:, :hidden] * act[:, cell]
-            np.tanh(c, out=tanh_c)
-            np.multiply(act[:, 3 * hidden :], tanh_c, out=h)
-            out[:, t] = h
-            c_prev = c
+    # On a non-finite input a batched matmul can raise the invalid flag
+    # (inf·0 in its padding lanes); the per-step check reports it instead.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, steps, _LSTM_BLOCK):
+            x_rows = _time_major(x_data[:, start : start + _LSTM_BLOCK])
+            proj = _project(x_rows, batch, weights, proj_buf)
+            span = proj.shape[1]
+            for k in range(span):
+                c = cells[start + k if record else 0]
+                _activate(h, proj[:, k], weights, act, check=True)
+                np.multiply(act[1], c_prev, out=c)
+                c += act[0] * act[3]
+                np.tanh(c, out=tanh_c)
+                h = h_block[k]
+                np.multiply(act[2], tanh_c, out=h)
+                c_prev = c
+            out[:, start : start + span] = h_block[:span].transpose(1, 0, 2)
 
     nx, n_ih, n_hh, n_bias = (p._node for p in parents)
-    x_data = x.data if n_ih.requires_grad else None
-    w_ih_data, w_hh_data = w_ih.data, w_hh.data
 
     def backward(g):
         # Per step, each gate's pre-activation gradient is dc (i, f, g) or
@@ -1094,37 +1147,52 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor
         d_ih = np.zeros((four_h, n_in)) if n_ih.requires_grad else None
         d_hh = np.zeros((four_h, hidden)) if n_hh.requires_grad else None
         d_bias = np.zeros(four_h) if n_bias.requires_grad else None
+        # A step's rebuilt gate activations and their derivatives, as
+        # planes in the forward's order.
+        a = np.empty((4, batch, hidden))
+        d = np.empty((4, batch, hidden))
+        tanh_c = np.empty((batch, hidden))
+        zeros = np.zeros((batch, hidden))
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
+        weights = _plane_weights(w_ih_data, w_hh_data, bias_data, batch)
+        proj_buf = np.empty((4, len(block_buf) * batch, hidden))
         for start in reversed(range(0, steps, _LSTM_BLOCK)):
             stop = min(start + _LSTM_BLOCK, steps)
+            x_rows = _time_major(x_data[:, start:stop])
+            proj = _project(x_rows, batch, weights, proj_buf)
+            # Step t reads h_{t-1}; step 0's is the zero state.
+            first = max(start, 1)
+            h_rows = _time_major(out[:, first - 1 : stop - 1])
+            h_prev = h_rows.reshape(-1, batch, hidden)
             dgates = block_buf[: stop - start]
             for t in range(stop - 1, start - 1, -1):
-                a = acts[t].reshape(batch, 4, hidden)
-                d = dgates[t - start].reshape(batch, 4, hidden)
-                tanh_c = np.tanh(cells[t])
+                _activate(h_prev[t - first] if t else zeros, proj[:, t - start], weights, a, check=False)
+                # The step's row of the buffer, as gate planes in parameter order.
+                row = dgates[t - start].reshape(batch, 4, hidden).transpose(1, 0, 2)
+                np.tanh(cells[t], out=tanh_c)
                 dh += g[:, t]
-                dc += dh * a[:, 3] * (1.0 - tanh_c * tanh_c)
-                np.subtract(1.0, a, out=d)
-                d *= a
-                d[:, 2] = 1.0 - a[:, 2] ** 2
-                d[:, :3] *= dc[:, None]
-                d[:, 0] *= a[:, 2]
-                d[:, 1] *= cells[t - 1] if t else 0.0
-                d[:, 2] *= a[:, 0]
-                d[:, 3] *= dh * tanh_c
-                dc *= a[:, 1]
+                dc += dh * a[2] * (1.0 - tanh_c * tanh_c)
+                np.subtract(1.0, a[:3], out=d[:3])
+                d[:3] *= a[:3]
+                np.square(a[3], out=d[3])
+                np.subtract(1.0, d[3], out=d[3])
+                d[:2] *= dc
+                d[3] *= dc
+                np.multiply(d[0], a[3], out=row[0])
+                np.multiply(d[1], cells[t - 1] if t else 0.0, out=row[1])
+                np.multiply(d[3], a[0], out=row[2])
+                np.multiply(d[2], dh * tanh_c, out=row[3])
+                dc *= a[1]
                 dh = dgates[t - start] @ w_hh_data
             # Rows are (step, batch) pairs, so each share is one matmul.
             rows = dgates.reshape(-1, four_h)
             if dx is not None:
                 np.matmul(rows, w_ih_data, out=dx[start:stop].reshape(-1, n_in))
             if d_ih is not None:
-                d_ih += rows.T @ _time_major(x_data[:, start:stop])
+                d_ih += rows.T @ x_rows
             if d_hh is not None:
-                # Step t reads h_{t-1}; step 0's is the zero state.
-                first = max(start, 1)
-                d_hh += rows[(first - start) * batch :].T @ _time_major(out[:, first - 1 : stop - 1])
+                d_hh += rows[(first - start) * batch :].T @ h_rows
             if d_bias is not None:
                 d_bias += ones[: len(rows)] @ rows
         if dx is not None:

@@ -164,7 +164,12 @@ class ComplexSpectrogram:
             )
         if arr.shape[1] < 1:
             raise ValidationError("spectrogram must contain at least one frame")
-        if not np.isfinite(arr).all():
+        # A finite sum has only finite terms, so one reduction decides the
+        # common case exactly; only a sum that overflows needs the
+        # elementwise test (the rule of the autodiff engine's finite check).
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(arr, axis=None)
+        if not np.isfinite(total) and not np.isfinite(arr).all():
             raise ValidationError("spectrogram contains non-finite values")
         self.data = arr
 

@@ -106,18 +106,20 @@ class TrainConfig:
             )
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.plateau_patience < 1:
             raise ConfigError(
                 f"plateau_patience must be >= 1, got {self.plateau_patience}"
             )
-        if self.segment_seconds <= 0.0:
+        if not (math.isfinite(self.segment_seconds) and self.segment_seconds > 0.0):
             raise ConfigError(
-                f"segment_seconds must be > 0, got {self.segment_seconds}"
+                f"segment_seconds must be finite and > 0, got {self.segment_seconds}"
             )
-        if self.lambda_ri < 0.0 or self.lambda_mag < 0.0:
-            raise ConfigError("loss term weights must be >= 0")
+        for name in ("lambda_ri", "lambda_mag"):
+            weight = getattr(self, name)
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {weight}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -924,6 +924,26 @@ class TestLSTMSequence:
             tracemalloc.stop()
         assert peak - start < steps * batch * 4 * hidden * 8
 
+    def test_backward_keeps_only_input_states_and_weights(self):
+        # Closure census of a tiny-config layer: BPTT rebuilds each step's
+        # gate activations from the kept hidden state, so the node holds
+        # x, the hidden states, the cell states and the weights, and no
+        # whole-sequence array of gates.
+        batch, steps, inputs, hidden = 322, 201, 16, 16
+        rng = np.random.default_rng(314)
+        arrays, _ = lstm_problem(rng, batch, steps, inputs, hidden)
+        out = lstm_sequence(*(Tensor(a, requires_grad=True) for a in arrays))
+        captured = {}
+        for cell in out._backward_fn.__closure__:
+            contents = cell.cell_contents
+            if isinstance(contents, np.ndarray):
+                captured[id(contents)] = contents
+        states = 2 * batch * steps * hidden * 8  # hidden and cell states
+        allowed = arrays[0].nbytes + states + sum(a.nbytes for a in arrays[1:])
+        assert sum(a.nbytes for a in captured.values()) <= allowed
+        for a in captured.values():
+            assert not (a.shape[-1] == 4 * hidden and a.size >= steps * batch * 4 * hidden), a.shape
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             lstm_sequence(

@@ -361,6 +361,19 @@ class TestConfigDecoding:
         assert len(err) == 1
         assert f"configuration error: {field} must be" in err[0]
 
+    @pytest.mark.parametrize("field", ["epsilon", "segment_seconds", "lambda_ri", "lambda_mag"])
+    @pytest.mark.parametrize("value", ["1e400", "NaN"])
+    def test_non_finite_train_number_exits_2(self, tmp_path, capsys, corpus_dir, field, value):
+        # 1e400 parses as inf; both used to pass the range checks, and an
+        # infinite segment length ended in an OverflowError traceback.
+        rc = main(["train", "--out", str(tmp_path / "o"),
+                   "--manifest", str(corpus_dir / "manifest.jsonl"),
+                   "--set", f"train.{field}={value}"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"configuration error: {field} must be finite" in err[0]
+
     @pytest.mark.parametrize(
         "assignment,field",
         [

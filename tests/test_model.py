@@ -338,8 +338,8 @@ class TestModelGeometry:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert held <= 190 * 2**20
-        assert peak <= 197 * 2**20
+        assert held <= 126 * 2**20
+        assert peak <= 139 * 2**20
 
     def test_no_backward_closure_holds_a_tensor(self):
         # Closures capture graph nodes and the arrays they read, never an

@@ -141,6 +141,22 @@ class TestAnalysis:
         with pytest.raises(ValidationError, match="non-finite"):
             ComplexSpectrogram(data)
 
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("index", [(0, 0, 0), (80, 2, 1), (160, 4, 2)], ids=["first", "middle", "last"])
+    def test_one_non_finite_bin_rejected(self, part, value, index):
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((161, 5, 3)) + 1j * rng.standard_normal((161, 5, 3))
+        getattr(data, part)[index] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            ComplexSpectrogram(data)
+
+    def test_finite_bins_whose_sum_overflows_accepted(self):
+        # The sum of these bins overflows in both parts; every bin is finite.
+        data = np.full((161, 4, 2), 1e308 - 1e308j)
+        spec = ComplexSpectrogram(data)
+        np.testing.assert_array_equal(spec.data, data)
+
     def test_linearity(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(2000)

@@ -431,6 +431,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"momentum": 0.9})
 
+    @pytest.mark.parametrize("field", ["epsilon", "segment_seconds", "lambda_ri", "lambda_mag"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_loss_decreases_on_smoke_run(self, corpus, tmp_path):
         result = train(
             fresh_model(),

@@ -201,7 +201,6 @@ class Conv2d(Module):
         (k_time, k_freq).
     init : Initializer
     stride, dilation : (int, int)
-    bias : bool
     """
 
     def __init__(
@@ -212,7 +211,6 @@ class Conv2d(Module):
         init: Initializer,
         stride: tuple[int, int] = (1, 1),
         dilation: tuple[int, int] = (1, 1),
-        bias: bool = True,
     ):
         super().__init__()
         self.stride = tuple(stride)
@@ -221,7 +219,7 @@ class Conv2d(Module):
         self.padding = ((kt - 1) * self.dilation[0], (kf - 1) // 2)
         fan_in = in_channels * kt * kf
         self.weight = init.kaiming_uniform((out_channels, in_channels, kt, kf), fan_in)
-        self.bias = init.uniform((out_channels,), 1.0 / math.sqrt(fan_in)) if bias else None
+        self.bias = init.uniform((out_channels,), 1.0 / math.sqrt(fan_in))
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding)
@@ -237,14 +235,13 @@ class ConvTranspose2d(Module):
         kernel: tuple[int, int],
         init: Initializer,
         stride: tuple[int, int] = (1, 1),
-        bias: bool = True,
     ):
         super().__init__()
         self.stride = tuple(stride)
         kt, kf = kernel
         fan_in = in_channels * kt * kf
         self.weight = init.kaiming_uniform((in_channels, out_channels, kt, kf), fan_in)
-        self.bias = init.uniform((out_channels,), 1.0 / math.sqrt(fan_in)) if bias else None
+        self.bias = init.uniform((out_channels,), 1.0 / math.sqrt(fan_in))
 
     def forward(self, x: Tensor) -> Tensor:
         return deconv2d(x, self.weight, self.bias, stride=self.stride)
@@ -270,12 +267,12 @@ def causal_crop(y: Tensor, frames: int, width: int) -> Tensor:
 class Linear(Module):
     """Affine map on the last axis: ``y = x @ W.T + b``."""
 
-    def __init__(self, in_features: int, out_features: int, init: Initializer, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, init: Initializer):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = init.kaiming_uniform((out_features, in_features), in_features)
-        self.bias = init.uniform((out_features,), 1.0 / math.sqrt(in_features)) if bias else None
+        self.bias = init.uniform((out_features,), 1.0 / math.sqrt(in_features))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -284,9 +281,7 @@ class Linear(Module):
             )
         lead = x.shape[:-1]
         flat = x.reshape((-1, self.in_features)) if x.ndim != 2 else x
-        out = matmul(flat, transpose(self.weight, (1, 0)))
-        if self.bias is not None:
-            out = out + self.bias
+        out = matmul(flat, transpose(self.weight, (1, 0))) + self.bias
         if x.ndim != 2:
             out = out.reshape(lead + (self.out_features,))
         return out
@@ -295,13 +290,12 @@ class Linear(Module):
 class PReLU(Module):
     """Per-channel parametric ReLU, slope initialized to 0.25."""
 
-    def __init__(self, channels: int, init: Initializer, channel_axis: int = 1):
+    def __init__(self, channels: int, init: Initializer):
         super().__init__()
-        self.channel_axis = channel_axis
         self.alpha = init.constant((channels,), 0.25)
 
     def forward(self, x: Tensor) -> Tensor:
-        return prelu(x, self.alpha, channel_axis=self.channel_axis)
+        return prelu(x, self.alpha)
 
 
 class AxisNorm(Module):
@@ -311,28 +305,17 @@ class AxisNorm(Module):
     instance normalization; ``axes=(3,)`` normalizes each frame's frequency
     slice independently (causal — no statistics cross time); ``axes=(1,)``
     is layer normalization over the channel axis.  The learned scale and
-    shift are always one pair per channel.
+    shift are always one pair per channel (axis 1).
     """
 
-    def __init__(
-        self,
-        channels: int,
-        axes: tuple[int, ...],
-        init: Initializer,
-        channel_axis: int = 1,
-        eps: float = 1e-5,
-    ):
+    def __init__(self, channels: int, axes: tuple[int, ...], init: Initializer):
         super().__init__()
-        if eps <= 0:
-            raise ValidationError(f"eps must be positive, got {eps}")
         self.axes = tuple(axes)
-        self.eps = float(eps)
-        self.channel_axis = channel_axis
         self.gamma = init.constant((channels,), 1.0)
         self.beta = init.constant((channels,), 0.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        return axis_norm(x, self.gamma, self.beta, self.axes, self.channel_axis, self.eps)
+        return axis_norm(x, self.gamma, self.beta, self.axes)
 
 
 def glu(linear_branch: Tensor, gate_branch: Tensor) -> Tensor:

@@ -17,9 +17,9 @@ shapes alone for the arithmetic and shape ops.
 
 Calling :meth:`Tensor.backward` on a scalar result walks the nodes in
 reverse topological order, with each closure accumulating gradients
-into its parents' nodes.  Unless the graph is retained, the pass frees
-each intermediate node (its edges, closure and gradient) as soon as it
-has handed its gradient on, so the graph shrinks as backward runs.
+into its parents' nodes.  The pass frees each intermediate node (its
+edges, closure and gradient) as soon as it has handed its gradient on,
+so the graph shrinks as backward runs.
 The operator set is exactly what the enhancement network needs:
 elementwise arithmetic, matmul, reductions, shape ops, 2-D (transposed)
 convolution with stride/dilation (:func:`conv2d` pads inside the op,
@@ -155,6 +155,7 @@ class Tensor:
     _parents = _on_node("_parents")
     _backward_fn = _on_node("_backward_fn")
     _op = _on_node("_op")
+    _freed = _on_node("_freed")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -185,9 +186,6 @@ class Tensor:
         """The underlying array (no copy); treat as read-only."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
@@ -207,26 +205,23 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self, retain_graph: bool = False):
+    def backward(self):
         """Reverse-mode gradients of this scalar w.r.t. the whole graph.
 
-        Unless ``retain_graph`` is set, each intermediate node is freed as
-        soon as its closure has run: its edges, closure and gradient are
-        dropped (``.grad`` reads ``None`` afterwards), so the arrays only
-        it kept alive are released during the pass, and a second backward
-        pass needs a fresh forward pass.  Leaf gradients are kept either
-        way.
+        Each intermediate node is freed as soon as its closure has run:
+        its edges, closure and gradient are dropped (``.grad`` reads
+        ``None`` afterwards), so the arrays only it kept alive are
+        released during the pass, and a second backward pass needs a
+        fresh forward pass: one that reaches a freed node, through this
+        scalar or a part of the graph another scalar's pass has freed,
+        raises before any gradient moves.  Leaf gradients are kept and
+        accumulate over passes.
         """
         if self.data.size != 1:
             raise ValidationError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
         root = self._node
-        if root._freed:
-            raise ValidationError(
-                "graph already freed by a previous backward; pass retain_graph=True "
-                "or rebuild the forward pass"
-            )
         topo: list = []
         seen: set[int] = set()
         stack: list[tuple[object, bool]] = [(root, False)]
@@ -237,18 +232,16 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._freed:
+                raise ValidationError(
+                    "graph already freed by a previous backward; rebuild the forward pass"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        # Intermediate (non-leaf) gradients are scratch space for this pass;
-        # stale values from an earlier retain_graph pass must not leak in.
-        # Leaf gradients deliberately persist so repeated passes accumulate.
-        for node in topo:
-            if node._backward_fn is not None:
-                node.grad = None
         root._accumulate(np.ones(root.shape))
         # Popping, not iterating, drops the list's reference: in reverse
         # topological order every consumer of a node has already run, so
@@ -259,11 +252,10 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward_fn(node.grad)
-            if not retain_graph:
-                node.grad = None
-                node._backward_fn = None
-                node._parents = ()
-                node._freed = True
+            node.grad = None
+            node._backward_fn = None
+            node._parents = ()
+            node._freed = True
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):

@@ -35,9 +35,11 @@ not ``true``, ``1.0`` or ``"1"``; a number field takes an integer or a
 float and keeps it as given; a boolean field takes only ``true``/``false``;
 a string field takes only a string; a field whose default is ``null`` also
 takes ``null``; a list field takes a JSON list (stored as a tuple) whose
-entries follow these rules, with two entries for ranges and kernel/stride
-pairs and three for ``rir`` positions.  A violation is a ``ConfigError``
-naming the dotted field, e.g. ``model.glu_kernel[1] must be an integer``.
+entries follow these rules, with two entries for ranges and three for
+``rir`` positions.  A violation is a ``ConfigError`` naming the dotted
+field, e.g. ``model.unet_block_depths_encoder[1] must be an integer``.
+The model's kernels, strides, LSTM depth and spectral compression are
+constants, not fields (see :mod:`beamkit.model`).
 """
 
 from __future__ import annotations
@@ -229,7 +231,7 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     """Apply ``dotted.path=value`` assignments onto a raw config dict.
 
     Values parse as JSON when possible (numbers, booleans, null, lists)
-    and fall back to plain strings, so ``model.bf_type=conv`` and
+    and fall back to plain strings, so ``model.bf_type=mask`` and
     ``train.learning_rate=1e-3`` both do what they look like.  Returns a
     new dict; the input is not modified.
     """

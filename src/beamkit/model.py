@@ -56,49 +56,56 @@ __all__ = [
 
 REFERENCE_CHANNEL = 0
 
-BF_TYPES = ("conv", "recurrent", "mask")
+BF_TYPES = ("recurrent", "mask")
+
+# The paper's fixed geometry.  Kernels and strides are (time, freq) pairs:
+# the gated encoder/decoder kernel, the frequency U-Net kernel, and the
+# stride both use (every frame kept, frequency halved).  Then the temporal
+# conv's kernel (frames) and the number of stacked LSTMs in the weight head.
+GLU_KERNEL = (2, 3)
+UNET_KERNEL = (1, 3)
+FREQ_STRIDE = (1, 2)
+STCM_KERNEL = 5
+LSTM_LAYERS = 2
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every architectural knob of the beamformer, with defaults at full scale.
+    """The beamformer's sizes, with defaults at full scale.
 
-    ``bf_type`` selects the weight head: ``"conv"`` is a pointwise
-    convolution from the embedding channels to ``2·mics`` filter planes;
-    ``"recurrent"`` is channel layer-norm, two frequency-shared
-    unidirectional LSTMs, and a two-layer fully-connected head;
-    ``"mask"`` is the recurrent head emitting a single complex mask that
-    is applied to the reference channel only (no beamforming).
+    The kernels, strides and LSTM depth are the module constants
+    :data:`GLU_KERNEL`, :data:`UNET_KERNEL`, :data:`FREQ_STRIDE`,
+    :data:`STCM_KERNEL` and :data:`LSTM_LAYERS`.
 
-    ``multi_output=False`` restricts any head to the single-mask output;
-    it is forced by ``bf_type="mask"`` and must agree with it.
+    ``bf_type`` selects the weight head; both are channel layer-norm,
+    ``LSTM_LAYERS`` frequency-shared unidirectional LSTMs and a two-layer
+    fully-connected head.  ``"recurrent"`` emits ``2·mics`` filter planes;
+    ``"mask"`` emits a single complex mask that is applied to the
+    reference channel only (no beamforming).
+
+    ``multi_output=False`` restricts the recurrent head to the
+    single-mask output; it is forced by ``bf_type="mask"`` and must agree
+    with it.
 
     A layer whose ``unet_block_depths_*`` entry is 0 has no frequency
     U-Net refiner, so all-zero depths give the plain gated encoder and
     decoder.  Input and target spectrograms are power-compressed by
-    ``compression_exponent``; 1.0 leaves magnitudes as they are.
+    :func:`~.stft.compress` at its default exponent.
     """
 
     mics: int = 9
     freq_bins: int = 161
     embedding_channels: int = 64
     encoder_layers: int = 5
-    glu_kernel: tuple[int, int] = (2, 3)
-    glu_stride: tuple[int, int] = (1, 2)
     unet_block_depths_encoder: tuple[int, ...] = (4, 3, 2, 1, 0)
     unet_block_depths_decoder: tuple[int, ...] = (1, 2, 3, 4, 0)
-    unet_kernel: tuple[int, int] = (1, 3)
-    unet_stride: tuple[int, int] = (1, 2)
     stcn_groups: int = 3
     stcm_per_group: int = 6
-    stcm_kernel: int = 5
     stcm_dilations: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
     stcm_squeeze_channels: int = 64
     bf_type: str = "recurrent"
     lstm_hidden: int = 64
-    lstm_layers: int = 2
     multi_output: bool | None = None
-    compression_exponent: float = 0.5
 
     def __post_init__(self):
         if self.multi_output is None:
@@ -133,28 +140,14 @@ class ModelConfig:
             )
         if self.stcn_groups < 0 or self.stcm_per_group < 1:
             raise ConfigError("temporal stack sizes must be positive")
-        if self.stcm_kernel < 1 or any(d < 1 for d in self.stcm_dilations):
-            raise ConfigError("temporal kernel and dilations must be >= 1")
-        for name in ("glu_kernel", "glu_stride", "unet_kernel", "unet_stride"):
-            pair = getattr(self, name)
-            if any(v < 1 for v in pair):
-                raise ConfigError(f"{name} entries must be >= 1, got {pair}")
-        for name in ("glu_stride", "unet_stride"):
-            pair = getattr(self, name)
-            if pair[0] != 1:
-                raise ConfigError(
-                    f"{name} time stride must be 1 (layers keep every frame), got {pair}"
-                )
+        if any(d < 1 for d in self.stcm_dilations):
+            raise ConfigError("temporal dilations must be >= 1")
         if self.bf_type not in BF_TYPES:
             raise ConfigError(f"bf_type must be one of {BF_TYPES}, got {self.bf_type!r}")
         if self.bf_type == "mask" and self.multi_output:
             raise ConfigError("bf_type 'mask' emits a single mask; multi_output must be False")
-        if self.lstm_hidden < 1 or self.lstm_layers < 1:
-            raise ConfigError("lstm_hidden and lstm_layers must be >= 1")
-        if not 0.0 < self.compression_exponent <= 1.0:
-            raise ConfigError(
-                f"compression_exponent must be in (0, 1], got {self.compression_exponent}"
-            )
+        if self.lstm_hidden < 1:
+            raise ConfigError("lstm_hidden must be >= 1")
         self.encoder_widths()  # raises on an inconsistent width chain
 
     # -- derived geometry --------------------------------------------------
@@ -170,7 +163,7 @@ class ModelConfig:
         """Frequency widths [input, after layer 1, ..., after layer n]."""
         widths = [self.freq_bins]
         for i in range(self.encoder_layers):
-            nxt = downsampled_width(widths[-1], self.glu_kernel[1], self.glu_stride[1])
+            nxt = downsampled_width(widths[-1], GLU_KERNEL[1], FREQ_STRIDE[1])
             if nxt < 2:
                 raise ConfigError(
                     f"encoder layer {i + 1} would reduce the frequency width "
@@ -180,7 +173,7 @@ class ModelConfig:
             widths.append(nxt)
             inner = nxt
             for j in range(self.unet_block_depths_encoder[i]):
-                inner = downsampled_width(inner, self.unet_kernel[1], self.unet_stride[1])
+                inner = downsampled_width(inner, UNET_KERNEL[1], FREQ_STRIDE[1])
                 if inner < 2:
                     raise ConfigError(
                         f"encoder layer {i + 1} sub-unet stage {j + 1} "
@@ -242,9 +235,9 @@ class _NormAct(Module):
 class _DownUnit(Module):
     """Stride-2 frequency halving causal conv + norm + PReLU."""
 
-    def __init__(self, channels: int, kernel: tuple[int, int], stride: tuple[int, int], init):
+    def __init__(self, channels: int, init: Initializer):
         super().__init__()
-        self.conv = Conv2d(channels, channels, kernel, init, stride=stride)
+        self.conv = Conv2d(channels, channels, UNET_KERNEL, init, stride=FREQ_STRIDE)
         self.post = _NormAct(channels, init)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -258,9 +251,11 @@ class _UpUnit(Module):
     the mirror target width.
     """
 
-    def __init__(self, in_channels, out_channels, kernel, stride, target_width, init):
+    def __init__(self, in_channels, out_channels, target_width, init):
         super().__init__()
-        self.deconv = ConvTranspose2d(in_channels, out_channels, kernel, init, stride=stride)
+        self.deconv = ConvTranspose2d(
+            in_channels, out_channels, UNET_KERNEL, init, stride=FREQ_STRIDE
+        )
         self.post = _NormAct(out_channels, init)
         self.target_width = int(target_width)
 
@@ -273,29 +268,26 @@ class FrequencyUnet(Module):
 
     ``depth`` halving stages compress the frequency axis, mirrored
     upsampling stages restore it; inner skip connections are channel
-    concatenations.  Every stage is causal along time (per-frame with
-    the default time kernel of 1).  The caller adds the block's output
+    concatenations.  Every stage is per-frame (:data:`UNET_KERNEL` spans
+    one frame), so causal along time.  The caller adds the block's output
     to its input.
     """
 
-    def __init__(self, channels, depth, width, kernel, stride, init):
+    def __init__(self, channels, depth, width, init):
         super().__init__()
         if depth < 1:
-            raise ConfigError("FrequencyUnet depth must be >= 1; use None to skip")
+            raise ConfigError(
+                "FrequencyUnet depth must be >= 1; a layer with depth 0 has no refiner"
+            )
         self.depth = depth
         widths = [width]
         for _ in range(depth):
-            widths.append(downsampled_width(widths[-1], kernel[1], stride[1]))
-        self.downs = ModuleList(
-            _DownUnit(channels, kernel, stride, init) for _ in range(depth)
+            widths.append(downsampled_width(widths[-1], UNET_KERNEL[1], FREQ_STRIDE[1]))
+        self.downs = ModuleList(_DownUnit(channels, init) for _ in range(depth))
+        self.ups = ModuleList(
+            _UpUnit(channels if j == 0 else 2 * channels, channels, widths[depth - 1 - j], init)
+            for j in range(depth)
         )
-        ups = []
-        for j in range(depth):
-            in_ch = channels if j == 0 else 2 * channels
-            ups.append(
-                _UpUnit(in_ch, channels, kernel, stride, widths[depth - 1 - j], init)
-            )
-        self.ups = ModuleList(ups)
 
     def forward(self, x: Tensor) -> Tensor:
         skips = []
@@ -330,19 +322,17 @@ class GatedConvLayer(Module):
     followed by the gate, which :func:`split_glu` combines.
     """
 
-    def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, out_width, init):
+    def __init__(self, in_channels, channels, unet_depth, out_width, init):
         super().__init__()
         self.conv = _gated(
-            Conv2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
-            Conv2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
+            Conv2d(in_channels, channels, GLU_KERNEL, init, stride=FREQ_STRIDE),
+            Conv2d(in_channels, channels, GLU_KERNEL, init, stride=FREQ_STRIDE),
             weight_axis=0,
         )
         self.post = _NormAct(channels, init)
         self.refiner = None
         if unet_depth > 0:
-            self.refiner = FrequencyUnet(
-                channels, unet_depth, out_width, cfg.unet_kernel, cfg.unet_stride, init
-            )
+            self.refiner = FrequencyUnet(channels, unet_depth, out_width, init)
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.post(split_glu(self.conv(x)))
@@ -361,20 +351,18 @@ class GatedDeconvLayer(Module):
     and the frequency axis is fitted to the encoder's mirror width.
     """
 
-    def __init__(self, in_channels, channels, cfg: ModelConfig, unet_depth, target_width, init):
+    def __init__(self, in_channels, channels, unet_depth, target_width, init):
         super().__init__()
         self.deconv = _gated(
-            ConvTranspose2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
-            ConvTranspose2d(in_channels, channels, cfg.glu_kernel, init, stride=cfg.glu_stride),
+            ConvTranspose2d(in_channels, channels, GLU_KERNEL, init, stride=FREQ_STRIDE),
+            ConvTranspose2d(in_channels, channels, GLU_KERNEL, init, stride=FREQ_STRIDE),
             weight_axis=1,
         )
         self.post = _NormAct(channels, init)
         self.target_width = int(target_width)
         self.refiner = None
         if unet_depth > 0:
-            self.refiner = FrequencyUnet(
-                channels, unet_depth, target_width, cfg.unet_kernel, cfg.unet_stride, init
-            )
+            self.refiner = FrequencyUnet(channels, unet_depth, target_width, init)
 
     def forward(self, x: Tensor) -> Tensor:
         y = split_glu(self.deconv(x))
@@ -393,11 +381,11 @@ class SqueezedTemporalBlock(Module):
     Normalization is over the channel axis per frame (causal).
     """
 
-    def __init__(self, wide, squeeze, kernel, dilation, init):
+    def __init__(self, wide, squeeze, dilation, init):
         super().__init__()
         self.squeeze = Conv2d(wide, squeeze, (1, 1), init)
         self.pre = _ChannelNormAct(squeeze, init)
-        self.dilated = Conv2d(squeeze, squeeze, (kernel, 1), init, dilation=(dilation, 1))
+        self.dilated = Conv2d(squeeze, squeeze, (STCM_KERNEL, 1), init, dilation=(dilation, 1))
         self.mid = _ChannelNormAct(squeeze, init)
         self.expand = Conv2d(squeeze, wide, (1, 1), init)
 
@@ -419,17 +407,6 @@ class _ChannelNormAct(Module):
         return self.norm(self.act(x))
 
 
-class PointwiseConvHead(Module):
-    """Weight head: 1×1 conv from embedding channels to output planes."""
-
-    def __init__(self, channels: int, out_channels: int, init: Initializer):
-        super().__init__()
-        self.proj = Conv2d(channels, out_channels, (1, 1), init)
-
-    def forward(self, emb: Tensor) -> Tensor:
-        return self.proj(emb)
-
-
 class RecurrentSubbandHead(Module):
     """Weight head: channel LN → stacked LSTMs per subband → 2 FC layers.
 
@@ -438,12 +415,12 @@ class RecurrentSubbandHead(Module):
     treat subbands independently.
     """
 
-    def __init__(self, channels, hidden, layers, out_channels, init):
+    def __init__(self, channels, hidden, out_channels, init):
         super().__init__()
         self.norm = AxisNorm(channels, (1,), init)
-        sizes = [channels] + [hidden] * layers
+        sizes = [channels] + [hidden] * LSTM_LAYERS
         self.lstms = ModuleList(
-            LSTM(sizes[i], sizes[i + 1], init) for i in range(layers)
+            LSTM(sizes[i], sizes[i + 1], init) for i in range(LSTM_LAYERS)
         )
         self.fc_hidden = Linear(hidden, hidden, init)
         self.fc_out = Linear(hidden, out_channels, init)
@@ -537,9 +514,7 @@ class NeuralBeamformer(Module):
         for i in range(cfg.encoder_layers):
             in_ch = cfg.input_channels if i == 0 else c
             encoder.append(
-                GatedConvLayer(
-                    in_ch, c, cfg, cfg.unet_block_depths_encoder[i], widths[i + 1], init
-                )
+                GatedConvLayer(in_ch, c, cfg.unet_block_depths_encoder[i], widths[i + 1], init)
             )
         self.encoder = ModuleList(encoder)
 
@@ -548,9 +523,7 @@ class NeuralBeamformer(Module):
         for _ in range(cfg.stcn_groups):
             for dilation in cfg.stcm_dilations:
                 blocks.append(
-                    SqueezedTemporalBlock(
-                        wide, cfg.stcm_squeeze_channels, cfg.stcm_kernel, dilation, init
-                    )
+                    SqueezedTemporalBlock(wide, cfg.stcm_squeeze_channels, dilation, init)
                 )
         self.temporal = ModuleList(blocks)
 
@@ -558,19 +531,11 @@ class NeuralBeamformer(Module):
         for i in range(cfg.encoder_layers):
             target = widths[cfg.encoder_layers - 1 - i]
             decoder.append(
-                GatedDeconvLayer(
-                    2 * c, c, cfg, cfg.unet_block_depths_decoder[i], target, init
-                )
+                GatedDeconvLayer(2 * c, c, cfg.unet_block_depths_decoder[i], target, init)
             )
         self.decoder = ModuleList(decoder)
 
-        out_ch = cfg.head_output_channels
-        if cfg.bf_type == "conv":
-            self.head = PointwiseConvHead(c, out_ch, init)
-        else:  # "recurrent" and "mask" share the recurrent structure
-            self.head = RecurrentSubbandHead(
-                c, cfg.lstm_hidden, cfg.lstm_layers, out_ch, init
-            )
+        self.head = RecurrentSubbandHead(c, cfg.lstm_hidden, cfg.head_output_channels, init)
 
     # -- stages ----------------------------------------------------------
     def embed(self, x: Tensor) -> Tensor:
@@ -628,7 +593,7 @@ class NeuralBeamformer(Module):
                 f"spectrogram has {spec.data.shape[0]} frequency bins, "
                 f"model expects {self.cfg.freq_bins}"
             )
-        spec = compress(spec, self.cfg.compression_exponent)
+        spec = compress(spec)
         with no_grad():
             planes = self.forward(Tensor(ri_stack(spec)[None]))
         return ri_unstack(planes.data[0], spec)

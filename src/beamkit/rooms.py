@@ -67,17 +67,26 @@ MANIFEST_NAME = "manifest.jsonl"
 # informational and may be absent).
 _HEADER_FIELDS = ("duration", "sample_rate", "sampling")
 _SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
-# Numeric record fields: the annotation their value decodes as (the config
-# rules: no bools, no strings, integers where an integer is meant), the
-# range it must lie in, and that range as an error states it.
+# Typed record fields: the annotation their value decodes as (the config
+# rules: no bools, no strings for numbers, integers where an integer is
+# meant, only strings for text), the range it must lie in (None: any
+# value of the type), and that range as an error states it.
 _HEADER_NUMBERS = {
     "duration": (float, lambda v: 0.0 < v < math.inf, "positive and finite"),
     "sample_rate": (int, lambda v: v > 0, "positive"),
     "max_order": (int | None, lambda v: v is None or v >= 0, "null or >= 0"),
 }
-_SCENE_NUMBERS = {
+_SCENE_VALUES = {
+    # The id names the audio ``evaluate --dump-audio`` writes.
+    "id": (
+        str,
+        lambda v: v not in ("", ".", "..") and os.path.basename(v) == v,
+        "a file name without a directory",
+    ),
     "seed": (tuple[int, ...], lambda v: all(x >= 0 for x in v), "a list of integers >= 0"),
     "snr_db": (float, math.isfinite, "finite"),
+    "mixture_path": (str, None, None),
+    "target_path": (str, None, None),
 }
 
 
@@ -720,11 +729,12 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
         missing/invalid header, a schema version this code does not
         understand, a header or scene record lacking a required field, an
         ill-typed or out-of-range number (header ``duration``,
-        ``sample_rate``, ``max_order``; scene ``seed``, ``snr_db``), or a
-        header ``sampling`` object that lacks a :class:`SceneSampling`
-        field or holds an unknown or ill-typed one.  A version 1 manifest
-        recorded only part of the sampler, so it cannot say which scenes it
-        holds and is refused.
+        ``sample_rate``, ``max_order``; scene ``seed``, ``snr_db``), a
+        scene ``id``, ``mixture_path`` or ``target_path`` that is not a
+        string, an ``id`` that is not a plain file name, or a header ``sampling`` object that lacks a
+        :class:`SceneSampling` field or holds an unknown or ill-typed one.
+        A version 1 manifest recorded only part of the sampler, so it
+        cannot say which scenes it holds and is refused.
     """
     with open(os.fspath(manifest_path), "rb") as fh:
         raw = fh.read()
@@ -744,7 +754,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
             f"(this build reads version {MANIFEST_SCHEMA_VERSION})"
         )
     _require(header, _HEADER_FIELDS, f"{manifest_path}:1: manifest header")
-    _check_numbers(header, _HEADER_NUMBERS, f"{manifest_path}:1: manifest header")
+    _check_values(header, _HEADER_NUMBERS, f"{manifest_path}:1: manifest header")
     _sampling_from_header(header)  # an ill-typed sampling fails here, before any scene
     scenes = []
     for line_no, line in enumerate(lines[1:], start=2):
@@ -755,7 +765,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
             raise ManifestSchemaError(f"{manifest_path}:{line_no}: unknown record kind")
         where = f"{manifest_path}:{line_no}: scene record"
         _require(record, _SCENE_FIELDS, where)
-        _check_numbers(record, _SCENE_NUMBERS, where)
+        _check_values(record, _SCENE_VALUES, where)
         scenes.append(record)
     return header, scenes
 
@@ -780,7 +790,7 @@ def _require(record, fields, where: str):
             raise ManifestSchemaError(f"{where} lacks field {name!r}")
 
 
-def _check_numbers(record: dict, rules: dict, where: str):
+def _check_values(record: dict, rules: dict, where: str):
     """Raise ManifestSchemaError naming the first field of ``rules`` that
     ``record`` holds with an ill-typed or out-of-range value."""
     for name, (annotation, in_range, bound) in rules.items():
@@ -790,7 +800,7 @@ def _check_numbers(record: dict, rules: dict, where: str):
             value = decode_value(annotation, record[name], name)
         except ConfigError as exc:
             raise ManifestSchemaError(f"{where} field {exc}") from exc
-        if not in_range(value):
+        if in_range is not None and not in_range(value):
             raise ManifestSchemaError(
                 f"{where} field {name} must be {bound}, got {record[name]!r}"
             )

@@ -43,6 +43,9 @@ _SUPPORTED_WINDOWS = ("hann", "rect")
 # exact transforms of any waveform.
 NORM_FLOOR = 1e-2
 
+# The power the model's input and target magnitudes are compressed to.
+COMPRESSION_EXPONENT = 0.5
+
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -207,10 +210,10 @@ def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
 
     Frames are a strided view of one zero-padded channel buffer, reused
     for every channel; each channel in turn is windowed into one reused
-    frame buffer, transformed, and written into its column of the
+    frame buffer, and transformed straight into its column of the
     output.  No copy of every channel's frames is made, so the peak
-    transient is about one channel's frames and bins on top of the
-    output.  The bins equal those of gathering all frames at once.
+    transient is about one channel's frames on top of the output.  The
+    bins equal those of gathering all frames at once.
 
     Parameters
     ----------
@@ -244,7 +247,7 @@ def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
     for c in range(channels):
         padded[:num_samples] = x[c]  # the zero tail is never written
         np.multiply(frames, window, out=windowed)
-        spec[:, :, c] = np.fft.rfft(windowed, n=cfg.fft_size, axis=-1).T
+        np.fft.rfft(windowed, n=cfg.fft_size, axis=-1, out=spec[:, :, c].T)
 
     return ComplexSpectrogram(
         spec,
@@ -348,7 +351,7 @@ def _check_exponent(exponent: float):
         raise ValidationError(f"compression exponent must be in (0, 1], got {exponent}")
 
 
-def compress(spec, exponent: float = 0.5):
+def compress(spec, exponent: float = COMPRESSION_EXPONENT):
     """Power-compress magnitudes, leaving phase untouched.
 
     Each bin ``z`` maps to ``|z| ** exponent * exp(j * arg z)``; zero maps
@@ -359,7 +362,8 @@ def compress(spec, exponent: float = 0.5):
     ----------
     spec : ComplexSpectrogram or array_like
     exponent : float
-        In ``(0, 1]``; 0.5 by default, 1.0 is the identity.
+        In ``(0, 1]``; :data:`COMPRESSION_EXPONENT` (0.5) by default, the
+        exponent the model is trained and run with; 1.0 is the identity.
     """
     _check_exponent(exponent)
     if isinstance(spec, ComplexSpectrogram):
@@ -367,7 +371,7 @@ def compress(spec, exponent: float = 0.5):
     return _power_scale(spec, exponent)
 
 
-def decompress(spec, exponent: float = 0.5):
+def decompress(spec, exponent: float = COMPRESSION_EXPONENT):
     """Invert :func:`compress`: each bin maps to ``|z| ** (1/exponent)``
     with phase preserved.
 
@@ -375,7 +379,8 @@ def decompress(spec, exponent: float = 0.5):
     ----------
     spec : ComplexSpectrogram or array_like
     exponent : float
-        The exponent the data was compressed with, in ``(0, 1]``.
+        The exponent the data was compressed with, in ``(0, 1]``;
+        :data:`COMPRESSION_EXPONENT` by default.
     """
     _check_exponent(exponent)
     if isinstance(spec, ComplexSpectrogram):

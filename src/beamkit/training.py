@@ -271,8 +271,8 @@ def _load_examples(
     """Manifest → list of (input_planes, target_planes) training pairs.
 
     Each utterance is cropped to its leading ``segment_seconds`` (the
-    full utterance if shorter), transformed, compressed with the model's
-    ``compression_exponent``, and stacked into real/imaginary planes.
+    full utterance if shorter), transformed, compressed (:func:`compress`
+    at its default exponent), and stacked into real/imaginary planes.
     All utterances must share a length so batches stack.
     """
     header, scenes = read_manifest(manifest_path)
@@ -310,8 +310,8 @@ def _load_examples(
 
         mix_spec = stft(mixture, stft_cfg)
         tgt_spec = stft(target, stft_cfg)
-        mix_spec = compress(mix_spec, model_cfg.compression_exponent)
-        tgt_spec = compress(tgt_spec, model_cfg.compression_exponent)
+        mix_spec = compress(mix_spec)
+        tgt_spec = compress(tgt_spec)
         examples.append((ri_stack(mix_spec), ri_stack(tgt_spec)))
     return examples
 
@@ -620,7 +620,7 @@ def enhance_waveform(
     """Full waveform pipeline: transform, enhance, undo compression, invert."""
     _check_geometry(model, stft_cfg)
     enhanced = model.enhance_spectrogram(stft(mixture, stft_cfg))
-    return istft(decompress(enhanced, model.cfg.compression_exponent), stft_cfg)
+    return istft(decompress(enhanced), stft_cfg)
 
 
 def _mvdr_waveform(mixture, speech_img, noise_img, stft_cfg) -> np.ndarray:

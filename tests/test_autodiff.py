@@ -185,12 +185,16 @@ class TestBackwardBasics:
         with pytest.raises(ValidationError):
             loss.backward()
 
-    def test_retain_graph_allows_second_pass(self):
+    def test_backward_through_a_freed_shared_node_rejected(self):
+        # ``hidden`` feeds both losses; the first pass frees it, so the
+        # second could only hand x a part of its gradient.
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = (x * x).sum()
-        loss.backward(retain_graph=True)
-        loss.backward(retain_graph=True)
-        np.testing.assert_allclose(x.grad, 4 * np.ones(3))  # two accumulations
+        hidden = x * 2.0
+        first, second = hidden.sum(), (hidden * hidden).sum()
+        first.backward()
+        with pytest.raises(ValidationError, match="already freed"):
+            second.backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * np.ones(3))
 
     def test_plain_backward_frees_intermediates_keeps_leaves(self):
         x = Tensor(np.arange(4.0), requires_grad=True)
@@ -202,15 +206,6 @@ class TestBackwardBasics:
         assert hidden._parents == () and hidden._backward_fn is None
         np.testing.assert_array_equal(x.grad, 8.0 * x.data)
         np.testing.assert_array_equal(w.grad, 2.0 * x.data**2 * 2.0)
-
-    def test_retained_backward_keeps_intermediate_grads(self):
-        x = Tensor(np.arange(4.0), requires_grad=True)
-        hidden = x * 3.0
-        loss = (hidden * hidden).sum()
-        loss.backward(retain_graph=True)
-        np.testing.assert_array_equal(hidden.grad, 2.0 * hidden.data)
-        np.testing.assert_array_equal(loss.grad, 1.0)
-        assert hidden._parents[0] is x and hidden._backward_fn is not None
 
     def test_backward_releases_gradients_as_it_goes(self):
         # A 16-op chain: keeping every intermediate gradient to the end of
@@ -270,24 +265,39 @@ class TestBackwardBasics:
     def test_gradients_never_share_memory(self):
         # First gradients are stored without a copy; the ones an op may
         # share (x + x hands one array to both sides, the shape ops hand
-        # views of the child's gradient) must still be copied.
+        # views of the child's gradient) must still be copied.  Backward
+        # frees each intermediate gradient, so every closure is wrapped to
+        # keep the gradient it is handed.
         rng = np.random.default_rng(5)
         x = leaf(rng, 2, 6)
         y = leaf(rng, 2, 3)
-        doubled = x + x
-        flat = doubled.reshape((12,))
-        grid = flat.reshape((2, 6))
-        part = grid.narrow(1, 1, 3)
-        joined = concat([part, y], axis=1)
-        summed = joined.sum(axis=0)
-        loss = (summed * summed).sum() + (grid * 0.5).sum()
-        tensors = [x, y, doubled, flat, grid, part, joined, summed, loss]
-        loss.backward(retain_graph=True)
+
+        def forward():
+            doubled = x + x
+            flat = doubled.reshape((12,))
+            grid = flat.reshape((2, 6))
+            part = grid.narrow(1, 1, 3)
+            joined = concat([part, y], axis=1)
+            summed = joined.sum(axis=0)
+            loss = (summed * summed).sum() + (grid * 0.5).sum()
+            return [doubled, flat, grid, part, joined, summed, loss]
+
+        handed = []
+        intermediates = forward()
+        for t in intermediates:
+            def keep(g, run=t._backward_fn):
+                handed.append(g)
+                run(g)
+
+            t._backward_fn = keep
+        intermediates[-1].backward()
+        grads = [x.grad, y.grad] + handed
+        assert len(grads) == 9
+        for i, a in enumerate(grads):
+            for b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b)
         once = [t.grad.copy() for t in (x, y)]
-        for i, a in enumerate(tensors):
-            for b in tensors[i + 1 :]:
-                assert not np.shares_memory(a.grad, b.grad)
-        loss.backward(retain_graph=True)
+        forward()[-1].backward()  # a second pass needs a second forward
         for t, single in zip((x, y), once):
             np.testing.assert_array_equal(t.grad, 2.0 * single)
 
@@ -896,14 +906,13 @@ class TestLSTMSequence:
         assert out._parents == () and not out.requires_grad
         np.testing.assert_array_equal(out.data, lstm_sequence(*leaves).data)
 
-    def test_retained_graph_accumulates_twice(self):
+    def test_two_passes_accumulate(self):
         rng = np.random.default_rng(312)
         arrays, upstream = lstm_problem(rng, 3, 19, 2, 4)
         once = lstm_output_and_grads(lstm_sequence, arrays, upstream)[1:]
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        loss = (lstm_sequence(*leaves) * Tensor(upstream)).sum()
-        loss.backward(retain_graph=True)
-        loss.backward(retain_graph=True)
+        for _ in range(2):  # each pass rebuilds the forward
+            (lstm_sequence(*leaves) * Tensor(upstream)).sum().backward()
         for leaf, single in zip(leaves, once):
             np.testing.assert_allclose(leaf.grad, 2.0 * single, rtol=1e-14, atol=0.0)
 

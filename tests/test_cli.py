@@ -8,11 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+import beamkit
 from beamkit import __version__
 from beamkit.cli import build_parser, main
 from beamkit.config import RunConfig, default_config
+from beamkit.errors import CheckpointError
 from beamkit.model import ModelConfig, build_model
-from beamkit.training import save_model_checkpoint
+from beamkit.training import load_trained_model, save_model_checkpoint
 from beamkit.wavio import WaveBuffer, read_wav, write_wav
 
 
@@ -97,9 +99,13 @@ class TestParser:
         assert capsys.readouterr().out.strip() == f"beamkit {__version__}"
 
     def test_module_entry_point(self):
+        # The child finds the package where this process imported it from,
+        # whatever the caller's PYTHONPATH.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beamkit.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "beamkit", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout.strip() == f"beamkit {__version__}"
@@ -261,6 +267,36 @@ class TestExitCodes:
         assert len(err) == 1
         assert message in err[0]
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [("id", ["x"], "field id must be a string, got ['x']"),
+         ("id", "../x", "field id must be a file name without a directory, got '../x'"),
+         ("mixture_path", 5, "field mixture_path must be a string, got 5"),
+         ("target_path", None, "field target_path must be a string, got None")],
+        ids=["id-list", "id-directory", "mixture_path-number", "target_path-null"],
+    )
+    @pytest.mark.parametrize(
+        "args",
+        [["evaluate", "--system", "identity", "--dump-audio"], ["train", "--set", "model.mics=2"]],
+        ids=["evaluate", "train"],
+    )
+    def test_malformed_manifest_string_exits_3(
+        self, tmp_path, corpus_dir, capsys, args, name, value, message
+    ):
+        # Paths are joined onto the manifest's directory and the id names
+        # dumped audio, so each is checked before any scene is read.
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record[name] = value
+        lines[1] = json.dumps(record)
+        broken = tmp_path / "manifest.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        rc = main(args + ["--out", str(tmp_path / "o"), "--manifest", str(broken)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f":2: scene record {message}" in err[0]
+
     def test_train_manifest_missing_scene_field_exits_3(self, tmp_path, corpus_dir, capsys):
         broken = self.drop_manifest_field(corpus_dir, tmp_path, 2, ("mixture_path",))
         rc = main(["train", "--out", str(tmp_path / "o"),
@@ -334,8 +370,8 @@ class TestConfigDecoding:
             ("train=[1]", "train"),
             ('model.mics="9"', "model.mics"),
             ('train.epochs="3"', "train.epochs"),
-            ("model.glu_kernel=3", "model.glu_kernel"),
-            ("model.glu_kernel=[2]", "model.glu_kernel"),
+            ("simulate.sampling.rt60_range=3", "simulate.sampling.rt60_range"),
+            ("simulate.sampling.rt60_range=[0.3]", "simulate.sampling.rt60_range"),
             ("rir.room_dimensions=5", "rir.room_dimensions"),
             ('evaluate.max_scenes="a"', "evaluate.max_scenes"),
             ('simulate.sampling.num_mics="a"', "simulate.sampling.num_mics"),
@@ -346,7 +382,7 @@ class TestConfigDecoding:
             ("train.learning_rate=true", "train.learning_rate"),
             ("model.multi_output=1", "model.multi_output"),
             ("enhance.checkpoint=3", "enhance.checkpoint"),
-            ('model.unet_stride=[1,"2"]', "model.unet_stride[1]"),
+            ('simulate.sampling.room_width=[3,"10"]', "simulate.sampling.room_width[1]"),
             ("model.stcm_dilations=[1,2,4,8,16,true]", "model.stcm_dilations[5]"),
             ('simulate.sampling.min_doa_deg="5"', "simulate.sampling.min_doa_deg"),
         ],
@@ -375,37 +411,23 @@ class TestConfigDecoding:
         assert f"configuration error: {field} must be finite" in err[0]
 
     @pytest.mark.parametrize(
-        "assignment,field",
+        "assignment",
         [
-            ("model.glu_stride=[1,0]", "glu_stride"),
-            ("model.unet_stride=[1,0]", "unet_stride"),
-            ("model.glu_kernel=[0,0]", "glu_kernel"),
-            ("model.glu_kernel=[-1,3]", "glu_kernel"),
-            ("model.unet_kernel=[1,0]", "unet_kernel"),
+            "model.glu_kernel=[2,3]", "model.glu_stride=[1,2]", "model.unet_kernel=[1,3]",
+            "model.unet_stride=[1,2]", "model.stcm_kernel=5", "model.lstm_layers=2",
+            "model.compression_exponent=0.5",
         ],
     )
-    def test_kernel_or_stride_below_one_exits_2(self, tmp_path, capsys, assignment, field):
+    def test_fixed_geometry_is_an_unknown_field(self, tmp_path, capsys, assignment):
+        # The kernels, strides, LSTM depth and compression are constants,
+        # so even their old default values are refused.
         rc = main(["simulate", "--out", str(tmp_path / "o"),
                    "--set", "simulate.count=0", "--set", assignment])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert f"configuration error: {field} entries must be >= 1" in err[0]
-
-    @pytest.mark.parametrize(
-        "assignment,field",
-        [
-            ("model.glu_stride=[2,2]", "glu_stride"),
-            ("model.unet_stride=[2,1]", "unet_stride"),
-        ],
-    )
-    def test_time_stride_above_one_exits_2(self, tmp_path, capsys, assignment, field):
-        rc = main(["simulate", "--out", str(tmp_path / "o"),
-                   "--set", "simulate.count=0", "--set", assignment])
-        assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert f"configuration error: {field} time stride must be 1" in err[0]
+        field = assignment.split("=")[0].split(".")[1]
+        assert f"unknown model config fields: ['{field}']" in err[0]
 
     def test_leaf_fields_are_pinned(self):
         # Each settable value is one more configuration to test; a new one
@@ -421,13 +443,11 @@ class TestConfigDecoding:
             "enhance.checkpoint", "enhance.input_wav",
             "evaluate.checkpoint", "evaluate.dump_audio", "evaluate.manifest",
             "evaluate.max_scenes", "evaluate.system",
-            "model.bf_type", "model.compression_exponent", "model.embedding_channels",
-            "model.encoder_layers", "model.freq_bins", "model.glu_kernel", "model.glu_stride",
-            "model.lstm_hidden", "model.lstm_layers", "model.mics", "model.multi_output",
-            "model.stcm_dilations", "model.stcm_kernel", "model.stcm_per_group",
+            "model.bf_type", "model.embedding_channels", "model.encoder_layers",
+            "model.freq_bins", "model.lstm_hidden", "model.mics", "model.multi_output",
+            "model.stcm_dilations", "model.stcm_per_group",
             "model.stcm_squeeze_channels", "model.stcn_groups",
             "model.unet_block_depths_decoder", "model.unet_block_depths_encoder",
-            "model.unet_kernel", "model.unet_stride",
             "rir.array_center", "rir.max_order", "rir.mic_spacing", "rir.num_mics",
             "rir.room_dimensions", "rir.rt60", "rir.sample_rate", "rir.source_position",
             "seed",
@@ -638,6 +658,26 @@ class TestEnhance:
                          "--input", str(quiet_start_wav)]) == 0
             outputs.append((out / "enhanced.wav").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_checkpoint_carrying_fixed_geometry_exits_4(
+        self, passthrough_checkpoint, quiet_start_wav, tmp_path, capsys
+    ):
+        # Checkpoints written while ModelConfig had the kernel, stride,
+        # LSTM-depth and compression fields carry them in meta["model"].
+        from beamkit.autodiff import load_checkpoint, save_checkpoint
+
+        tensors, meta = load_checkpoint(passthrough_checkpoint)
+        meta["model"]["glu_kernel"] = [2, 3]
+        older = tmp_path / "older.bkt"
+        save_checkpoint(older, tensors, meta)
+        rc = main(["enhance", "--out", str(tmp_path / "o"), "--checkpoint", str(older),
+                   "--input", str(quiet_start_wav)])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "checkpoint metadata: unknown model config fields: ['glu_kernel']" in err[0]
+        with pytest.raises(CheckpointError, match="glu_kernel"):
+            load_trained_model(older)
 
     def test_wrong_sample_rate_exits_4(self, passthrough_checkpoint, tmp_path, capsys):
         slow = tmp_path / "slow.wav"

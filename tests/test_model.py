@@ -20,12 +20,16 @@ from beamkit.autodiff import (
 from beamkit.errors import ConfigError, ValidationError
 from beamkit.metrics import loss_tensors
 from beamkit.model import (
+    FREQ_STRIDE,
+    GLU_KERNEL,
+    LSTM_LAYERS,
+    STCM_KERNEL,
+    UNET_KERNEL,
     FrequencyUnet,
     GatedConvLayer,
     GatedDeconvLayer,
     ModelConfig,
     NeuralBeamformer,
-    PointwiseConvHead,
     RecurrentSubbandHead,
     build_model,
     downsampled_width,
@@ -86,30 +90,28 @@ def lstm_p(inputs, hidden):
 
 def head_p(cfg):
     c, out = cfg.embedding_channels, cfg.head_output_channels
-    if cfg.bf_type == "conv":
-        return c * out + out
     h = cfg.lstm_hidden
-    total = 2 * c + lstm_p(c, h) + (cfg.lstm_layers - 1) * lstm_p(h, h)
+    total = 2 * c + lstm_p(c, h) + (LSTM_LAYERS - 1) * lstm_p(h, h)
     return total + (h * h + h) + (h * out + out)
 
 
 def expected_parameters(cfg: ModelConfig) -> int:
     c = cfg.embedding_channels
-    kt, kf = cfg.glu_kernel
+    kt, kf = GLU_KERNEL
     widths = cfg.encoder_widths()
     total = glu_p(cfg.input_channels, c, kt, kf)
     total += (cfg.encoder_layers - 1) * glu_p(c, c, kt, kf)
     for depth in cfg.unet_block_depths_encoder:
-        total += unet_p(c, depth, cfg.unet_kernel[1])
+        total += unet_p(c, depth, UNET_KERNEL[1])
     wide = c * widths[-1]
     total += (
         cfg.stcn_groups
         * cfg.stcm_per_group
-        * temporal_block_p(wide, cfg.stcm_squeeze_channels, cfg.stcm_kernel)
+        * temporal_block_p(wide, cfg.stcm_squeeze_channels, STCM_KERNEL)
     )
     total += cfg.encoder_layers * glu_p(2 * c, c, kt, kf)
     for depth in cfg.unet_block_depths_decoder:
-        total += unet_p(c, depth, cfg.unet_kernel[1])
+        total += unet_p(c, depth, UNET_KERNEL[1])
     return total + head_p(cfg)
 
 
@@ -163,17 +165,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="stcm_dilations"):
             ModelConfig(stcm_dilations=(1, 2))
 
-    def test_bad_compression_exponent(self):
-        with pytest.raises(ConfigError, match="compression_exponent"):
-            ModelConfig(compression_exponent=0.0)
-
-    @pytest.mark.parametrize("field", ["glu_stride", "unet_stride"])
-    def test_time_stride_above_one_rejected(self, field):
-        # Every layer keeps the frame count; a time stride of 2 used to
-        # build and then fail inside a forward pass.
-        with pytest.raises(ConfigError, match=f"{field} time stride must be 1"):
-            ModelConfig(**{**tiny_config().to_dict(), field: (2, 2)})
-
     def test_dict_round_trip_through_json(self):
         cfg = tiny_config()
         restored = ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -208,13 +199,12 @@ class TestParameterCount:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ModelConfig(bf_type="conv"),
             ModelConfig(bf_type="mask"),
             ModelConfig(unet_block_depths_encoder=(0,) * 5, unet_block_depths_decoder=(0,) * 5),
             ModelConfig(bf_type="recurrent", multi_output=False),
             tiny_config(),
         ],
-        ids=["conv", "mask", "no-unet", "recurrent-single", "tiny"],
+        ids=["mask", "no-unet", "recurrent-single", "tiny"],
     )
     def test_variants_match_formula(self, cfg):
         assert build_model(cfg, seed=1).num_parameters() == expected_parameters(cfg)
@@ -235,7 +225,7 @@ class TestFrequencyUnet:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_shape_preserved_at_width_80(self, depth):
         rng = np.random.default_rng(depth)
-        unet = FrequencyUnet(4, depth, 80, (1, 3), (1, 2), Initializer(depth))
+        unet = FrequencyUnet(4, depth, 80, Initializer(depth))
         x = Tensor(rng.standard_normal((1, 4, 3, 80)))
         assert unet(x).shape == x.shape
 
@@ -244,7 +234,7 @@ class TestFrequencyUnet:
         # zero (the affine shift of the following norm initializes to 0),
         # so the residual connection passes the input through unchanged.
         rng = np.random.default_rng(9)
-        unet = FrequencyUnet(4, 2, 40, (1, 3), (1, 2), Initializer(2))
+        unet = FrequencyUnet(4, 2, 40, Initializer(2))
         unet.ups[-1].deconv.weight.data[:] = 0.0
         unet.ups[-1].deconv.bias.data[:] = 0.0
         x = Tensor(rng.standard_normal((2, 4, 3, 40)))
@@ -254,7 +244,7 @@ class TestFrequencyUnet:
     def test_per_frame_independence(self):
         # Time kernel 1 everywhere: corrupting one frame changes only it.
         rng = np.random.default_rng(10)
-        unet = FrequencyUnet(3, 2, 40, (1, 3), (1, 2), Initializer(4))
+        unet = FrequencyUnet(3, 2, 40, Initializer(4))
         x = rng.standard_normal((1, 3, 5, 40))
         base = unet(Tensor(x)).data
         poked = x.copy()
@@ -388,13 +378,12 @@ class TestModelGeometry:
         # bias and then its refiner, so two branch layers and a refiner
         # built in that order from the same seed hold the same numbers,
         # and the GLU of the branches is the stacked layer's gated output.
-        cfg = tiny_config()
-        layer = layer_cls(in_ch, 8, cfg, 1, 40, Initializer(21))
+        layer = layer_cls(in_ch, 8, 1, 40, Initializer(21))
         init = Initializer(21)
         linear, gate = (
-            branch_cls(in_ch, 8, cfg.glu_kernel, init, stride=cfg.glu_stride) for _ in range(2)
+            branch_cls(in_ch, 8, GLU_KERNEL, init, stride=FREQ_STRIDE) for _ in range(2)
         )
-        refiner = FrequencyUnet(8, 1, 40, cfg.unet_kernel, cfg.unet_stride, init)
+        refiner = FrequencyUnet(8, 1, 40, init)
         stacked = getattr(layer, attr)
         np.testing.assert_array_equal(
             stacked.weight.data,
@@ -445,28 +434,6 @@ class TestCausality:
         out_b = filter_and_sum_ri(w_b, Tensor(poked)).data
         np.testing.assert_array_equal(out_a[:, :, : t0 + 1], out_b[:, :, : t0 + 1])
 
-    def test_refiner_time_kernel_two_is_causal(self):
-        # The criterion-04 prefix check on a model whose frequency
-        # refiners also reach one frame into the past.
-        cfg = ModelConfig(**{**tiny_config().to_dict(), "unet_kernel": (2, 3)})
-        model = build_model(cfg, seed=4)
-        frames = 12
-        rng = np.random.default_rng(405)
-        with no_grad():
-            for _ in range(3):
-                planes = rng.standard_normal((1, 4, frames, 161))
-                baseline = model.forward(Tensor(planes)).data
-                assert baseline.shape == (1, 2, frames, 161)
-                for prefix in (1, frames // 2, frames - 1):
-                    tampered = planes.copy()
-                    tampered[:, :, prefix:, :] += 1.0 + 5.0 * rng.standard_normal(
-                        tampered[:, :, prefix:, :].shape
-                    )
-                    out = model.forward(Tensor(tampered)).data
-                    np.testing.assert_array_equal(
-                        out[:, :, :prefix], baseline[:, :, :prefix]
-                    )
-
     def test_impulse_response_starts_at_impulse_frame(self):
         # Relative to the all-zero bias response, an input impulse at
         # frame t0 must not alter any earlier frame of the embedding but
@@ -482,18 +449,9 @@ class TestCausality:
 
 
 class TestHeads:
-    def test_conv_head_zero_weights_gives_bias(self):
-        head = PointwiseConvHead(8, 4, Initializer(0))
-        head.proj.weight.data[:] = 0.0
-        head.proj.bias.data[:] = np.array([1.0, 2.0, 3.0, 4.0])
-        emb = Tensor(np.random.default_rng(0).standard_normal((1, 8, 3, 5)))
-        out = head(emb).data
-        for ch, value in enumerate([1.0, 2.0, 3.0, 4.0]):
-            np.testing.assert_array_equal(out[:, ch], value)
-
     def test_recurrent_head_is_frequency_shared(self):
         rng = np.random.default_rng(1)
-        head = RecurrentSubbandHead(8, 16, 2, 4, Initializer(1))
+        head = RecurrentSubbandHead(8, 16, 4, Initializer(1))
         emb = rng.standard_normal((1, 8, 6, 10))
         base = head(Tensor(emb)).data
         perm = rng.permutation(10)
@@ -502,7 +460,7 @@ class TestHeads:
 
     def test_recurrent_head_is_causal(self):
         rng = np.random.default_rng(2)
-        head = RecurrentSubbandHead(8, 16, 2, 4, Initializer(1))
+        head = RecurrentSubbandHead(8, 16, 4, Initializer(1))
         emb = rng.standard_normal((1, 8, 6, 5))
         full = head(Tensor(emb)).data
         truncated = head(Tensor(emb[:, :, :4, :])).data

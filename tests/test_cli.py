@@ -362,6 +362,15 @@ class TestExitCodes:
         assert "sampling.snr_grid_db must be a list, got 5" in err[0]
 
 
+# Model settings that are constants now; each still has its old default here.
+FIXED_ASSIGNMENTS = [
+    "model.glu_kernel=[2,3]", "model.glu_stride=[1,2]", "model.unet_kernel=[1,3]",
+    "model.unet_stride=[1,2]", "model.stcm_kernel=5", "model.lstm_layers=2",
+    "model.compression_exponent=0.5",
+]
+FIXED_MODEL_FIELDS = {a.split("=")[0] for a in FIXED_ASSIGNMENTS}
+
+
 class TestConfigDecoding:
     @pytest.mark.parametrize(
         "assignment,field",
@@ -385,6 +394,11 @@ class TestConfigDecoding:
             ('simulate.sampling.room_width=[3,"10"]', "simulate.sampling.room_width[1]"),
             ("model.stcm_dilations=[1,2,4,8,16,true]", "model.stcm_dilations[5]"),
             ('simulate.sampling.min_doa_deg="5"', "simulate.sampling.min_doa_deg"),
+            # fixed geometry: the field is refused as unknown before its
+            # value is decoded, so the one error line still names it
+            ("model.glu_kernel=3", "model.glu_kernel"),
+            ("model.glu_kernel=[2]", "model.glu_kernel"),
+            ('model.unet_stride=[1,"2"]', "model.unet_stride"),
         ],
     )
     def test_ill_typed_value_exits_2_naming_the_field(
@@ -395,7 +409,11 @@ class TestConfigDecoding:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert f"configuration error: {field} must be" in err[0]
+        if field in FIXED_MODEL_FIELDS:
+            name = field.split(".")[1]
+            assert f"configuration error: unknown model config fields: ['{name}']" in err[0]
+        else:
+            assert f"configuration error: {field} must be" in err[0]
 
     @pytest.mark.parametrize("field", ["epsilon", "segment_seconds", "lambda_ri", "lambda_mag"])
     @pytest.mark.parametrize("value", ["1e400", "NaN"])
@@ -410,14 +428,7 @@ class TestConfigDecoding:
         assert len(err) == 1
         assert f"configuration error: {field} must be finite" in err[0]
 
-    @pytest.mark.parametrize(
-        "assignment",
-        [
-            "model.glu_kernel=[2,3]", "model.glu_stride=[1,2]", "model.unet_kernel=[1,3]",
-            "model.unet_stride=[1,2]", "model.stcm_kernel=5", "model.lstm_layers=2",
-            "model.compression_exponent=0.5",
-        ],
-    )
+    @pytest.mark.parametrize("assignment", FIXED_ASSIGNMENTS)
     def test_fixed_geometry_is_an_unknown_field(self, tmp_path, capsys, assignment):
         # The kernels, strides, LSTM depth and compression are constants,
         # so even their old default values are refused.

@@ -588,12 +588,16 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     ``1/(1+e)`` for ``x >= 0`` and ``e/(1+e)`` below, with ``e = exp(-|x|)``;
     the numerator is ``max(e, x >= 0)`` because ``e <= 1``, which avoids a
-    branchy ``np.where``.
+    branchy ``np.where``.  The mask is written as 0.0/1.0 into ``out``, so
+    the maximum runs on two float arrays.
     """
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0, out=out)
+    if out is None:
+        out = np.empty_like(e)
+    np.greater_equal(x, 0.0, out=out, casting="unsafe")
+    np.maximum(e, out, out=out)
     e += 1.0
     return np.divide(out, e, out=out)
 

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .model import build_model
 from .rooms import ArraySpec, RoomSpec, build_corpus, image_method_rir
+from .signals import SAMPLE_RATE
 from .training import (
     enhance_waveform,
     evaluate,
@@ -67,9 +68,6 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-
-# The enhancement pipeline is defined at 16 kHz end to end.
-PIPELINE_SAMPLE_RATE = 16000
 
 
 def _setup_logging():
@@ -201,7 +199,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         master_seed=cfg.seed,
         sampling=sim.sampling,
         duration=sim.duration_seconds,
-        sample_rate=sim.sample_rate,
         max_order=sim.max_order,
     )
     print(f"wrote {sim.count} scenes; manifest: {manifest}")
@@ -217,12 +214,7 @@ def cmd_train(cfg: RunConfig, out_dir: str) -> int:
     model = build_model(cfg.model, seed=cfg.seed)
     log.info("model has %d parameters", model.num_parameters())
     result = train(
-        model,
-        manifest,
-        cfg.train,
-        stft_cfg=cfg.stft,
-        val_manifest_path=cfg.val_manifest,
-        out_dir=out_dir,
+        model, manifest, cfg.train, val_manifest_path=cfg.val_manifest, out_dir=out_dir
     )
     last = result.records[-1]
     print(
@@ -242,14 +234,14 @@ def cmd_enhance(cfg: RunConfig, out_dir: str) -> int:
     input_wav = _require_file(
         _require(cfg.enhance.input_wav, "enhance.input_wav"), "input WAV"
     )
-    model, stft_cfg, _meta = load_trained_model(checkpoint)
-    mixture = read_wav(input_wav, expect_rate=PIPELINE_SAMPLE_RATE)
+    model, _, _ = load_trained_model(checkpoint)
+    mixture = read_wav(input_wav, expect_rate=SAMPLE_RATE)
     if mixture.data.shape[0] != model.cfg.mics:
         raise ConfigMismatchError(
             f"{input_wav} has {mixture.data.shape[0]} channels but the "
             f"checkpoint expects {model.cfg.mics}"
         )
-    enhanced = enhance_waveform(model, mixture, stft_cfg)
+    enhanced = enhance_waveform(model, mixture)
     out_path = os.path.join(out_dir, "enhanced.wav")
     write_wav(out_path, enhanced, encoding="float32")
     print(f"wrote {out_path} ({enhanced.data.shape[1]} samples, mono)")
@@ -265,13 +257,12 @@ def cmd_evaluate(cfg: RunConfig, out_dir: str) -> int:
         checkpoint = _require_file(
             _require(section.checkpoint, "evaluate.checkpoint"), "checkpoint"
         )
-        system, stft_cfg, _meta = load_trained_model(checkpoint)
+        system, _, _ = load_trained_model(checkpoint)
     else:
-        system, stft_cfg = section.system, cfg.stft
+        system = section.system
     result = evaluate(
         system,
         manifest,
-        stft_cfg=stft_cfg,
         out_dir=out_dir,
         max_scenes=section.max_scenes,
         dump_audio=section.dump_audio,
@@ -292,12 +283,11 @@ def cmd_rir(cfg: RunConfig, out_dir: str) -> int:
         ),
         section.source_position,
         max_order=section.max_order,
-        sample_rate=section.sample_rate,
     )
     out_path = os.path.join(out_dir, "rir.wav")
     write_wav(
         out_path,
-        WaveBuffer(np.asarray(rirs.taps), section.sample_rate),
+        WaveBuffer(np.asarray(rirs.taps), SAMPLE_RATE),
         encoding="float32",
     )
     num_mics, num_taps = rirs.taps.shape

@@ -11,12 +11,9 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
     {
       "seed": 0,
       "model":    { ... ModelConfig fields ... },
-      "stft":     { "frame_length": 320, "frame_shift": 160,
-                    "fft_size": 320, "window": "hann" },
       "train":    { ... TrainConfig fields ...,
                     "manifest": "path", "val_manifest": "path" },
-      "simulate": { "count": 40, "duration_seconds": 6.0,
-                    "sample_rate": 16000, "max_order": null,
+      "simulate": { "count": 40, "duration_seconds": 6.0, "max_order": null,
                     "sampling": { ... SceneSampling fields ... } },
       "enhance":  { "checkpoint": "path", "input_wav": "path" },
       "evaluate": { "manifest": "path", "system": "model",
@@ -25,8 +22,7 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
       "rir":      { "room_dimensions": [6,5,3], "rt60": 0.3,
                     "source_position": [2,3,1.5],
                     "array_center": [3,2.5,1.5], "num_mics": 9,
-                    "mic_spacing": 0.04, "max_order": null,
-                    "sample_rate": 16000 }
+                    "mic_spacing": 0.04, "max_order": null }
     }
 
 Type rules, checked by one decoder before any range check: a section is
@@ -39,7 +35,9 @@ entries follow these rules, with two entries for ranges and three for
 ``rir`` positions.  A violation is a ``ConfigError`` naming the dotted
 field, e.g. ``model.unet_block_depths_encoder[1] must be an integer``.
 The model's kernels, strides, LSTM depth and spectral compression are
-constants, not fields (see :mod:`beamkit.model`).
+constants, not fields (see :mod:`beamkit.model`), and so are the STFT
+front end (see :mod:`beamkit.stft`) and the 16 kHz sample rate
+(:data:`beamkit.signals.SAMPLE_RATE`).
 """
 
 from __future__ import annotations
@@ -49,10 +47,9 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from ._decode import as_object, decode
-from .errors import ConfigError, ConfigMismatchError
+from .errors import ConfigError
 from .model import ModelConfig
 from .rooms import SceneSampling
-from .stft import StftConfig
 from .training import TrainConfig, check_max_scenes
 
 __all__ = [
@@ -77,7 +74,6 @@ class SimulateSection:
 
     count: int = 40
     duration_seconds: float = 6.0
-    sample_rate: int = 16000
     max_order: int | None = None
     sampling: SceneSampling = field(default_factory=SceneSampling)
 
@@ -87,10 +83,6 @@ class SimulateSection:
         if self.duration_seconds <= 0:
             raise ConfigError(
                 f"simulate.duration_seconds must be > 0, got {self.duration_seconds}"
-            )
-        if self.sample_rate < 1:
-            raise ConfigError(
-                f"simulate.sample_rate must be >= 1, got {self.sample_rate}"
             )
         if self.max_order is not None and self.max_order < 0:
             raise ConfigError(
@@ -137,7 +129,6 @@ class RirSection:
     num_mics: int = 9
     mic_spacing: float = 0.04
     max_order: int | None = None
-    sample_rate: int = 16000
 
     def __post_init__(self):
         for name in ("room_dimensions", "source_position", "array_center"):
@@ -153,22 +144,14 @@ class RirSection:
             raise ConfigError(
                 f"rir.max_order must be >= 0 or null, got {self.max_order}"
             )
-        if self.sample_rate < 1:
-            raise ConfigError(f"rir.sample_rate must be >= 1, got {self.sample_rate}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one command invocation needs, validated up front.
-
-    The transform geometry and the model's frequency-bin count are
-    cross-checked here so a run can never get partway on inconsistent
-    settings.
-    """
+    """Everything one command invocation needs, validated up front."""
 
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
-    stft: StftConfig = field(default_factory=StftConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     train_manifest: str | None = None
     val_manifest: str | None = None
@@ -180,12 +163,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.stft.freq_bins != self.model.freq_bins:
-            raise ConfigMismatchError(
-                f"stft yields {self.stft.freq_bins} frequency bins "
-                f"(fft_size {self.stft.fft_size}) but the model expects "
-                f"{self.model.freq_bins}"
-            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -213,7 +190,6 @@ class RunConfig:
         return {
             "seed": self.seed,
             "model": self.model.to_dict(),
-            "stft": asdict(self.stft),
             "train": train,
             "simulate": asdict(self.simulate),
             "enhance": asdict(self.enhance),

@@ -40,7 +40,7 @@ from .autodiff import (
 )
 from ._decode import decode
 from .errors import ConfigError, ValidationError
-from .stft import ComplexSpectrogram, compress
+from .stft import FREQ_BINS, ComplexSpectrogram, compress
 
 __all__ = [
     "ModelConfig",
@@ -75,7 +75,8 @@ class ModelConfig:
 
     The kernels, strides and LSTM depth are the module constants
     :data:`GLU_KERNEL`, :data:`UNET_KERNEL`, :data:`FREQ_STRIDE`,
-    :data:`STCM_KERNEL` and :data:`LSTM_LAYERS`.
+    :data:`STCM_KERNEL` and :data:`LSTM_LAYERS`.  The input has the
+    fixed front end's :data:`~.stft.FREQ_BINS` frequency bins.
 
     ``bf_type`` selects the weight head; both are channel layer-norm,
     ``LSTM_LAYERS`` frequency-shared unidirectional LSTMs and a two-layer
@@ -94,7 +95,6 @@ class ModelConfig:
     """
 
     mics: int = 9
-    freq_bins: int = 161
     embedding_channels: int = 64
     encoder_layers: int = 5
     unet_block_depths_encoder: tuple[int, ...] = (4, 3, 2, 1, 0)
@@ -116,8 +116,6 @@ class ModelConfig:
     def validate(self):
         if self.mics < 1:
             raise ConfigError(f"mics must be >= 1, got {self.mics}")
-        if self.freq_bins < 2:
-            raise ConfigError(f"freq_bins must be >= 2, got {self.freq_bins}")
         if self.embedding_channels < 1:
             raise ConfigError("embedding_channels must be >= 1")
         if self.encoder_layers < 1:
@@ -161,14 +159,13 @@ class ModelConfig:
 
     def encoder_widths(self) -> list[int]:
         """Frequency widths [input, after layer 1, ..., after layer n]."""
-        widths = [self.freq_bins]
+        widths = [FREQ_BINS]
         for i in range(self.encoder_layers):
             nxt = downsampled_width(widths[-1], GLU_KERNEL[1], FREQ_STRIDE[1])
             if nxt < 2:
                 raise ConfigError(
                     f"encoder layer {i + 1} would reduce the frequency width "
-                    f"to {nxt} (chain {widths}); reduce encoder_layers or "
-                    f"increase freq_bins"
+                    f"to {nxt} (chain {widths}); reduce encoder_layers"
                 )
             widths.append(nxt)
             inner = nxt
@@ -545,10 +542,9 @@ class NeuralBeamformer(Module):
                 f"expected (batch, {self.cfg.input_channels}, time, freq) "
                 f"input, got {x.shape}"
             )
-        if x.shape[3] != self.cfg.freq_bins:
+        if x.shape[3] != FREQ_BINS:
             raise ConfigError(
-                f"input has {x.shape[3]} frequency bins, model expects "
-                f"{self.cfg.freq_bins}"
+                f"input has {x.shape[3]} frequency bins, model expects {FREQ_BINS}"
             )
         skips = []
         cur = x
@@ -588,10 +584,10 @@ class NeuralBeamformer(Module):
                 f"spectrogram has {spec.data.shape[2]} channels, model "
                 f"expects {self.cfg.mics}"
             )
-        if spec.data.shape[0] != self.cfg.freq_bins:
+        if spec.data.shape[0] != FREQ_BINS:
             raise ConfigError(
                 f"spectrogram has {spec.data.shape[0]} frequency bins, "
-                f"model expects {self.cfg.freq_bins}"
+                f"model expects {FREQ_BINS}"
             )
         spec = compress(spec)
         with no_grad():

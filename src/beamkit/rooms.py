@@ -9,7 +9,8 @@ walls (and their repetitions) contributes an attenuated, delayed impulse
     amplitude = beta ** reflection_order / (4 * pi * distance)
 
 with ``beta = sqrt(1 - alpha)`` the uniform wall reflection coefficient
-and the delay ``distance / c * fs`` rounded to the nearest sample.
+and the delay ``distance / c * fs`` rounded to the nearest sample, at the
+pipeline's ``fs`` (:data:`~.signals.SAMPLE_RATE`, 16 kHz).
 
 Everything here is deterministic given a :class:`numpy.random.Generator`;
 corpus scenes derive their streams from ``(master_seed, scene_index)`` so
@@ -38,7 +39,7 @@ from .errors import (
     ManifestSchemaError,
     ValidationError,
 )
-from .signals import WaveBuffer, noise_like, speech_like
+from .signals import SAMPLE_RATE, WaveBuffer, noise_like, speech_like
 from .wavio import write_wav
 
 __all__ = [
@@ -73,7 +74,7 @@ _SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
 # value of the type), and that range as an error states it.
 _HEADER_NUMBERS = {
     "duration": (float, lambda v: 0.0 < v < math.inf, "positive and finite"),
-    "sample_rate": (int, lambda v: v > 0, "positive"),
+    "sample_rate": (int, lambda v: v == SAMPLE_RATE, str(SAMPLE_RATE)),
     "max_order": (int | None, lambda v: v is None or v >= 0, "null or >= 0"),
 }
 _SCENE_VALUES = {
@@ -330,11 +331,11 @@ def image_method_rir(
     array: ArraySpec,
     source: Sequence[float],
     max_order: int | None = None,
-    sample_rate: int = 16000,
 ) -> RirSet:
     """Image-method impulse responses from one source position to every mic.
 
-    Each image lands on the sample nearest its delay.
+    Each image lands on the sample nearest its delay, at
+    :data:`~.signals.SAMPLE_RATE`.
 
     Parameters
     ----------
@@ -346,13 +347,11 @@ def image_method_rir(
     max_order : int, optional
         Highest total reflection order to include; 0 keeps only the direct
         path.  Defaults to :func:`default_max_order`.
-    sample_rate : int
-        Output sampling rate in Hz.
 
     Returns
     -------
     RirSet
-        ``ceil(rt60 * sample_rate)`` taps per mic (never fewer than the
+        ``ceil(rt60 * SAMPLE_RATE)`` taps per mic (never fewer than the
         direct-path delay plus a small margin).
     """
     src = np.asarray(source, dtype=np.float64)
@@ -369,10 +368,9 @@ def image_method_rir(
 
     beta = math.sqrt(1.0 - absorption_from_rt60(room))
 
-    fs = sample_rate
-    samples_per_meter = fs / room.speed_of_sound
+    samples_per_meter = SAMPLE_RATE / room.speed_of_sound
     num_taps = max(
-        math.ceil(room.rt60 * fs),
+        math.ceil(room.rt60 * SAMPLE_RATE),
         int(np.max(direct) * samples_per_meter) + 64,
     )
 
@@ -386,7 +384,7 @@ def image_method_rir(
         idx = np.round(dist * samples_per_meter).astype(np.int64)
         ok = idx < num_taps
         np.add.at(taps[p], idx[ok], amp[ok])
-    return RirSet(taps, fs)
+    return RirSet(taps, SAMPLE_RATE)
 
 
 def synthesize_mixture(
@@ -405,7 +403,7 @@ def synthesize_mixture(
     Parameters
     ----------
     speech, noise : WaveBuffer
-        Mono sources at the same sample rate.
+        Mono sources at :data:`~.signals.SAMPLE_RATE`.
     scene : SceneSpec
     max_order : int, optional
         Forwarded to :func:`image_method_rir`.
@@ -417,11 +415,11 @@ def synthesize_mixture(
         ``mixture.data == reverberant_speech.data + reverberant_noise.data``
         holds bit-exactly.
     """
-    if speech.sample_rate != noise.sample_rate:
-        raise ValidationError(
-            f"speech rate {speech.sample_rate} != noise rate {noise.sample_rate}"
-        )
-    fs = speech.sample_rate
+    for name, source in (("speech", speech), ("noise", noise)):
+        if source.sample_rate != SAMPLE_RATE:
+            raise ValidationError(
+                f"{name} rate {source.sample_rate} Hz, expected {SAMPLE_RATE} Hz"
+            )
     s = speech.mono()
     n = noise.mono()
     if len(n) < len(s):
@@ -436,8 +434,8 @@ def synthesize_mixture(
         raise EmptySignalError("noise source has zero energy; cannot set SNR")
 
     room, array = scene.room, scene.array
-    speech_rir = image_method_rir(room, array, scene.speech_position, max_order, fs)
-    noise_rir = image_method_rir(room, array, scene.noise_position, max_order, fs)
+    speech_rir = image_method_rir(room, array, scene.speech_position, max_order)
+    noise_rir = image_method_rir(room, array, scene.noise_position, max_order)
 
     speech_img = fftconvolve(s[np.newaxis, :], speech_rir.taps, axes=-1)[:, : len(s)]
     noise_img = fftconvolve(n[np.newaxis, :], noise_rir.taps, axes=-1)[:, : len(s)]
@@ -457,9 +455,9 @@ def synthesize_mixture(
     mixture = speech_img + noise_img
     noise_part = mixture - speech_img
     return (
-        WaveBuffer(mixture, fs),
-        WaveBuffer(speech_img, fs),
-        WaveBuffer(noise_part, fs),
+        WaveBuffer(mixture, SAMPLE_RATE),
+        WaveBuffer(speech_img, SAMPLE_RATE),
+        WaveBuffer(noise_part, SAMPLE_RATE),
     )
 
 
@@ -596,7 +594,7 @@ def sample_scene(
     )
 
 
-def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int, sr: int):
+def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int):
     return {
         "kind": "scene",
         "id": scene_id,
@@ -610,7 +608,7 @@ def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int
         "speech_position": scene.speech_position.tolist(),
         "noise_position": scene.noise_position.tolist(),
         "snr_db": scene.snr_db,
-        "sample_rate": sr,
+        "sample_rate": SAMPLE_RATE,
         "num_samples": num_samples,
         **paths,
     }
@@ -622,7 +620,6 @@ def build_corpus(
     master_seed: int,
     sampling: SceneSampling = SceneSampling(),
     duration: float = 6.0,
-    sample_rate: int = 16000,
     max_order: int | None = None,
 ) -> str:
     """Synthesize a corpus of mixture/target pairs plus a manifest.
@@ -633,7 +630,9 @@ def build_corpus(
     line-delimited JSON: a header record (schema version, every
     :class:`SceneSampling` field and the other knobs that affect the audio)
     followed by one record per scene holding every scene field, the seed
-    pair, and the relative audio paths.
+    pair, and the relative audio paths.  All audio is at
+    :data:`~.signals.SAMPLE_RATE`, which the header and every scene record
+    state as ``sample_rate``.
 
     Parameters
     ----------
@@ -646,7 +645,6 @@ def build_corpus(
     sampling : SceneSampling
     duration : float
         Source length per scene in seconds (~6 s chunks by default).
-    sample_rate : int
     max_order : int, optional
         Reflection-order override forwarded to the RIR generator.
 
@@ -668,7 +666,7 @@ def build_corpus(
         "count": count,
         "master_seed": int(master_seed),
         "duration": duration,
-        "sample_rate": sample_rate,
+        "sample_rate": SAMPLE_RATE,
         "max_order": max_order,
         "sampling": asdict(sampling),
     }
@@ -680,15 +678,13 @@ def build_corpus(
             seed = (int(master_seed), index)
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             scene = sample_scene(rng, sampling, seed=seed)
-            mixture, speech_img, _ = _synthesize_scene_audio(
-                scene, rng, duration, sample_rate, max_order
-            )
+            mixture, speech_img, _ = _synthesize_scene_audio(scene, rng, duration, max_order)
 
             scene_id = f"scene_{index:06d}"
             mix_rel = f"audio/{scene_id}_mixture.wav"
             target_rel = f"audio/{scene_id}_target.wav"
             write_wav(os.path.join(out_dir, mix_rel), mixture, encoding="float32")
-            target = WaveBuffer(speech_img.data[0], sample_rate)
+            target = WaveBuffer(speech_img.data[0], SAMPLE_RATE)
             write_wav(os.path.join(out_dir, target_rel), target, encoding="float32")
 
             record = _scene_record(
@@ -696,7 +692,6 @@ def build_corpus(
                 scene_id,
                 {"mixture_path": mix_rel, "target_path": target_rel},
                 mixture.num_samples,
-                sample_rate,
             )
             manifest.write(json.dumps(record) + "\n")
     return manifest_path
@@ -706,11 +701,10 @@ def _synthesize_scene_audio(
     scene: SceneSpec,
     rng: np.random.Generator,
     duration: float,
-    sample_rate: int,
     max_order: int | None,
 ):
-    speech = speech_like(duration, sample_rate, rng)
-    noise = noise_like(duration, sample_rate, rng)
+    speech = speech_like(duration, SAMPLE_RATE, rng)
+    noise = noise_like(duration, SAMPLE_RATE, rng)
     return synthesize_mixture(speech, noise, scene, max_order=max_order)
 
 
@@ -729,7 +723,8 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
         missing/invalid header, a schema version this code does not
         understand, a header or scene record lacking a required field, an
         ill-typed or out-of-range number (header ``duration``,
-        ``sample_rate``, ``max_order``; scene ``seed``, ``snr_db``), a
+        ``max_order``; scene ``seed``, ``snr_db``), a header
+        ``sample_rate`` other than :data:`~.signals.SAMPLE_RATE`, a
         scene ``id``, ``mixture_path`` or ``target_path`` that is not a
         string, an ``id`` that is not a plain file name, or a header ``sampling`` object that lacks a
         :class:`SceneSampling` field or holds an unknown or ill-typed one.
@@ -820,7 +815,7 @@ def rebuild_scene_audio(record: dict, header: dict):
     sampling = _sampling_from_header(header)
     scene = sample_scene(rng, sampling, seed=seed)
     mixture, speech_img, noise_img = _synthesize_scene_audio(
-        scene, rng, header["duration"], header["sample_rate"], header.get("max_order")
+        scene, rng, header["duration"], header.get("max_order")
     )
     return scene, mixture, speech_img, noise_img
 

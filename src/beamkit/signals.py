@@ -9,18 +9,23 @@ regenerated bit for bit from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySignalError, ValidationError
 
 __all__ = [
+    "SAMPLE_RATE",
     "WaveBuffer",
     "rms",
     "speech_like",
     "noise_like",
 ]
+
+# The pipeline's sample rate in Hz: every corpus, every RIR and every
+# waveform the model reads or writes is at this rate.
+SAMPLE_RATE = 16000
 
 # RMS level of every synthesized source.
 SOURCE_RMS = 0.1

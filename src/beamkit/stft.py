@@ -1,11 +1,16 @@
 """STFT analysis/synthesis and magnitude power compression.
 
+The front end is the paper's and is fixed: 20 ms frames
+(:data:`FRAME_LENGTH` = 320 samples at :data:`~.signals.SAMPLE_RATE`), a
+10 ms hop (:data:`FRAME_SHIFT` = 160), a :data:`FFT_SIZE` = 320 point
+transform giving :data:`FREQ_BINS` = 161 one-sided bins, and a periodic
+Hann window (:data:`ANALYSIS_WINDOW`).
+
 Conventions
 -----------
-* Analysis uses a periodic window; frame ``t`` covers samples
-  ``[t * frame_shift, t * frame_shift + frame_length)`` with no center
-  padding, and the tail is zero-padded so the final partial frame is kept:
-  ``T = ceil(num_samples / frame_shift)``.
+* Frame ``t`` covers samples ``[t * FRAME_SHIFT, t * FRAME_SHIFT +
+  FRAME_LENGTH)`` with no center padding, and the tail is zero-padded so
+  the final partial frame is kept: ``T = ceil(num_samples / FRAME_SHIFT)``.
 * Synthesis is windowed overlap-add, normalized pointwise by the summed
   squared window.  Reconstruction is exact (to rounding) everywhere the
   normalizer is nonzero; the fully-overlapped interior is exposed by
@@ -16,15 +21,21 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
-from .errors import ConfigError, ConfigMismatchError, EmptySignalError, ValidationError
-from .signals import WaveBuffer
+from .errors import ConfigMismatchError, EmptySignalError, ValidationError
+from .signals import SAMPLE_RATE, WaveBuffer
 
 __all__ = [
+    "FRAME_LENGTH",
+    "FRAME_SHIFT",
+    "FFT_SIZE",
+    "FREQ_BINS",
+    "ANALYSIS_WINDOW",
     "StftConfig",
     "ComplexSpectrogram",
     "stft",
@@ -34,13 +45,20 @@ __all__ = [
     "cola_interior",
 ]
 
-_SUPPORTED_WINDOWS = ("hann", "rect")
+FRAME_LENGTH = 320
+FRAME_SHIFT = 160
+FFT_SIZE = 320
+FREQ_BINS = FFT_SIZE // 2 + 1  # 161
+
+# The periodic Hann window of FRAME_LENGTH samples, float64, read-only.
+ANALYSIS_WINDOW = get_window("hann", FRAME_LENGTH, fftbins=True).astype(np.float64)
+ANALYSIS_WINDOW.setflags(write=False)
 
 # Floor for the squared-window overlap-add normalizer in istft.  Inside the
-# full-overlap region the normalizer is >= 0.5 for every supported window,
-# so the floor only engages on the edge taper, where it caps the inversion
-# gain instead of letting the division blow up on spectrograms that are not
-# exact transforms of any waveform.
+# full-overlap region the normalizer is >= 0.5, so the floor only engages
+# on the edge taper, where it caps the inversion gain instead of letting
+# the division blow up on spectrograms that are not exact transforms of
+# any waveform.
 NORM_FLOOR = 1e-2
 
 # The power the model's input and target magnitudes are compressed to.
@@ -49,83 +67,35 @@ COMPRESSION_EXPONENT = 0.5
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Frame geometry and analysis window for the STFT front end.
+    """The STFT front end as a value: it has no fields, and every
+    instance describes the module constants.
 
-    Parameters
-    ----------
-    frame_length : int
-        Analysis frame length in samples (default 320 = 20 ms at 16 kHz).
-    frame_shift : int
-        Hop between frames in samples; must divide ``frame_length``
-        (default 160, i.e. 50% overlap).
-    fft_size : int
-        FFT length, at least ``frame_length`` (default 320).
-    window : str
-        ``"hann"`` (periodic) or ``"rect"``.  The window must satisfy
-        constant overlap-add at the chosen shift, checked at construction.
+    ``StftConfig()`` is what :func:`stft`, :func:`istft` and
+    :func:`cola_interior` accept as their configuration argument;
+    ``frame_length``, ``frame_shift``, ``fft_size`` and ``freq_bins`` read
+    :data:`FRAME_LENGTH`, :data:`FRAME_SHIFT`, :data:`FFT_SIZE` and
+    :data:`FREQ_BINS`.
     """
 
-    frame_length: int = 320
-    frame_shift: int = 160
-    fft_size: int = 320
-    window: str = "hann"
+    frame_length: ClassVar[int] = FRAME_LENGTH
+    frame_shift: ClassVar[int] = FRAME_SHIFT
+    fft_size: ClassVar[int] = FFT_SIZE
+    freq_bins: ClassVar[int] = FREQ_BINS
 
-    def __post_init__(self):
-        if self.frame_length <= 0 or self.frame_shift <= 0:
-            raise ConfigError(
-                f"frame_length and frame_shift must be positive, got "
-                f"{self.frame_length}, {self.frame_shift}"
-            )
-        if self.frame_shift > self.frame_length:
-            raise ConfigError(
-                f"frame_shift ({self.frame_shift}) must not exceed "
-                f"frame_length ({self.frame_length})"
-            )
-        if self.frame_length % self.frame_shift != 0:
-            raise ConfigError(
-                f"frame_shift ({self.frame_shift}) must divide "
-                f"frame_length ({self.frame_length})"
-            )
-        if self.fft_size < self.frame_length:
-            raise ConfigError(
-                f"fft_size ({self.fft_size}) must be at least "
-                f"frame_length ({self.frame_length})"
-            )
-        if self.window not in _SUPPORTED_WINDOWS:
-            raise ConfigError(
-                f"window must be one of {_SUPPORTED_WINDOWS}, got {self.window!r}"
-            )
-        self._check_cola()
-
-    @property
-    def freq_bins(self) -> int:
-        """Number of one-sided frequency bins, ``fft_size // 2 + 1``."""
-        return self.fft_size // 2 + 1
-
-    def analysis_window(self) -> np.ndarray:
-        """The periodic analysis window as float64 of ``frame_length`` samples."""
-        if self.window == "hann":
-            return get_window("hann", self.frame_length, fftbins=True).astype(np.float64)
-        return np.ones(self.frame_length, dtype=np.float64)
-
-    def _check_cola(self):
-        """Reject windows whose overlapped sum is not constant at this shift."""
-        w = self.analysis_window()
-        span = 4 * self.frame_length
-        acc = np.zeros(span + self.frame_length)
-        for start in range(0, span, self.frame_shift):
-            acc[start : start + self.frame_length] += w
-        interior = acc[self.frame_length : span]
-        if np.max(np.abs(interior - interior[0])) > 1e-8 * max(interior[0], 1.0):
-            raise ConfigError(
-                f"window {self.window!r} does not satisfy constant overlap-add "
-                f"at shift {self.frame_shift}"
-            )
+    @staticmethod
+    def analysis_window() -> np.ndarray:
+        """:data:`ANALYSIS_WINDOW`, the read-only periodic Hann window."""
+        return ANALYSIS_WINDOW
 
 
 @dataclass
 class ComplexSpectrogram:
     """Complex STFT tensor, frequency-major.
+
+    :func:`stft` makes every spectrogram with the module's geometry, and
+    :func:`istft` accepts only that geometry.  Other bin counts can be
+    described (``filter_and_sum`` and MVDR work on any), so the geometry
+    stays on the value.
 
     Parameters
     ----------
@@ -138,18 +108,14 @@ class ComplexSpectrogram:
         Sampling rate of the originating waveform in Hz.
     num_samples : int or None
         Original waveform length, kept so synthesis can trim exactly.
-    window : str
-        Analysis window the bins were produced with; synthesis must use
-        the same one.
     """
 
     data: np.ndarray
-    frame_shift: int = 160
-    frame_length: int = 320
-    fft_size: int = 320
-    sample_rate: int = 16000
+    frame_shift: int = FRAME_SHIFT
+    frame_length: int = FRAME_LENGTH
+    fft_size: int = FFT_SIZE
+    sample_rate: int = SAMPLE_RATE
     num_samples: int | None = None
-    window: str = "hann"
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
@@ -201,11 +167,10 @@ class ComplexSpectrogram:
             fft_size=self.fft_size,
             sample_rate=self.sample_rate,
             num_samples=self.num_samples,
-            window=self.window,
         )
 
 
-def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
+def stft(wave: WaveBuffer, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
     """Short-time Fourier transform of every channel of a waveform.
 
     Frames are a strided view of one zero-padded channel buffer, reused
@@ -220,13 +185,13 @@ def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
     wave : WaveBuffer
         Input waveform, any channel count, at least one sample.
     cfg : StftConfig
-        Frame geometry; ``T = ceil(num_samples / frame_shift)`` frames are
-        produced, the final frame zero-padded.
+        The fixed front end; it has nothing to set.  ``T = ceil(num_samples
+        / FRAME_SHIFT)`` frames are produced, the final frame zero-padded.
 
     Returns
     -------
     ComplexSpectrogram
-        Bins as a C-contiguous ``(cfg.freq_bins, T, channels)`` array,
+        Bins as a C-contiguous ``(FREQ_BINS, T, channels)`` array,
         channels on the fastest axis.
     """
     x = np.asarray(wave.data, dtype=np.float64)
@@ -235,68 +200,61 @@ def stft(wave: WaveBuffer, cfg: StftConfig) -> ComplexSpectrogram:
     if not np.all(np.isfinite(x)):
         raise ValidationError("waveform contains non-finite samples")
 
-    shift, length = cfg.frame_shift, cfg.frame_length
     channels, num_samples = x.shape
-    num_frames = -(-num_samples // shift)  # ceil division
-    padded = np.zeros((num_frames - 1) * shift + length, dtype=np.float64)
-    frames = sliding_window_view(padded, length)[::shift]  # (T, length) view
-    windowed = np.empty((num_frames, length), dtype=np.float64)
-    window = cfg.analysis_window()
+    num_frames = -(-num_samples // FRAME_SHIFT)  # ceil division
+    padded = np.zeros((num_frames - 1) * FRAME_SHIFT + FRAME_LENGTH, dtype=np.float64)
+    frames = sliding_window_view(padded, FRAME_LENGTH)[::FRAME_SHIFT]  # (T, length) view
+    windowed = np.empty((num_frames, FRAME_LENGTH), dtype=np.float64)
 
-    spec = np.empty((cfg.freq_bins, num_frames, channels), dtype=np.complex128)
+    spec = np.empty((FREQ_BINS, num_frames, channels), dtype=np.complex128)
     for c in range(channels):
         padded[:num_samples] = x[c]  # the zero tail is never written
-        np.multiply(frames, window, out=windowed)
-        np.fft.rfft(windowed, n=cfg.fft_size, axis=-1, out=spec[:, :, c].T)
+        np.multiply(frames, ANALYSIS_WINDOW, out=windowed)
+        np.fft.rfft(windowed, n=FFT_SIZE, axis=-1, out=spec[:, :, c].T)
 
-    return ComplexSpectrogram(
-        spec,
-        frame_shift=shift,
-        frame_length=length,
-        fft_size=cfg.fft_size,
-        sample_rate=wave.sample_rate,
-        num_samples=num_samples,
-        window=cfg.window,
-    )
+    return ComplexSpectrogram(spec, sample_rate=wave.sample_rate, num_samples=num_samples)
 
 
-def istft(spec: ComplexSpectrogram, cfg: StftConfig) -> WaveBuffer:
+def istft(spec: ComplexSpectrogram, cfg: StftConfig = StftConfig()) -> WaveBuffer:
     """Inverse STFT by windowed overlap-add with squared-window normalization.
 
     Parameters
     ----------
     spec : ComplexSpectrogram
-        Bins produced with a geometry compatible with ``cfg``.
+        Bins with the module's frame geometry; any other geometry is a
+        :class:`~.errors.ConfigMismatchError`.
     cfg : StftConfig
-        Must match the geometry and window recorded on ``spec``.
+        The fixed front end; it has nothing to set.
 
     Returns
     -------
     WaveBuffer
-        Waveform of length ``(T - 1) * frame_shift + frame_length``, trimmed
-        to ``spec.num_samples`` when that is known.  The squared-window
-        normalizer is floored at 1e-2 before division: where window
-        coverage vanishes (the taper at the very start and end) the
-        least-squares inversion is ill-conditioned, and for spectrograms
-        that are not exact transforms of any waveform — every enhanced or
-        beamformed spectrogram — an unfloored division amplifies the
-        inconsistent part without bound.  Samples inside the full-overlap
-        region are unaffected (their normalizer is ≥ 0.5), so round-trip
-        reconstruction on the interior is unchanged.
+        Waveform of length ``(T - 1) * FRAME_SHIFT + FRAME_LENGTH``,
+        trimmed to ``spec.num_samples`` when that is known.  The
+        squared-window normalizer is floored at 1e-2 before division:
+        where window coverage vanishes (the taper at the very start and
+        end) the least-squares inversion is ill-conditioned, and for
+        spectrograms that are not exact transforms of any waveform — every
+        enhanced or beamformed spectrogram — an unfloored division
+        amplifies the inconsistent part without bound.  Samples inside
+        the full-overlap region are unaffected (their normalizer is
+        ≥ 0.5), so round-trip reconstruction on the interior is unchanged.
     """
-    for name in ("frame_shift", "frame_length", "fft_size", "window"):
-        if getattr(spec, name) != getattr(cfg, name):
+    for name, value in (
+        ("frame_shift", FRAME_SHIFT), ("frame_length", FRAME_LENGTH), ("fft_size", FFT_SIZE)
+    ):
+        if getattr(spec, name) != value:
             raise ConfigMismatchError(
-                f"spectrogram {name}={getattr(spec, name)} does not match "
-                f"config {name}={getattr(cfg, name)}"
+                f"spectrogram {name}={getattr(spec, name)} is not the "
+                f"front end's {name}={value}"
             )
 
-    shift, length = cfg.frame_shift, cfg.frame_length
+    shift, length = FRAME_SHIFT, FRAME_LENGTH
     num_frames = spec.num_frames
     phases = length // shift  # frames that overlap each shift-sized block
 
-    window = cfg.analysis_window()
-    frames = np.fft.irfft(spec.data.transpose(2, 1, 0), n=cfg.fft_size, axis=-1)
+    window = ANALYSIS_WINDOW
+    frames = np.fft.irfft(spec.data.transpose(2, 1, 0), n=FFT_SIZE, axis=-1)
     frames = frames[:, :, :length] * window  # (ch, T, length)
 
     # Block b receives piece r of frame b - r.  Adding the pieces from the
@@ -316,19 +274,20 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig) -> WaveBuffer:
     return WaveBuffer(out, spec.sample_rate)
 
 
-def cola_interior(num_samples: int, cfg: StftConfig) -> slice:
+def cola_interior(num_samples: int, cfg: StftConfig = StftConfig()) -> slice:
     """Sample range with full analysis-window overlap coverage.
 
-    Every sample from ``frame_length - frame_shift`` onward is covered by
-    the maximal number of overlapping frames (the zero-padded tail included),
-    so reconstruction there is exact to rounding.
+    Every sample from ``FRAME_LENGTH - FRAME_SHIFT`` onward is covered by
+    the maximal number of overlapping frames (the zero-padded tail
+    included), so reconstruction there is exact to rounding.  ``cfg`` is
+    the fixed front end; it has nothing to set.
 
     Returns
     -------
     slice
-        ``slice(frame_length - frame_shift, num_samples)``.
+        ``slice(FRAME_LENGTH - FRAME_SHIFT, num_samples)``.
     """
-    return slice(cfg.frame_length - cfg.frame_shift, num_samples)
+    return slice(FRAME_LENGTH - FRAME_SHIFT, num_samples)
 
 
 def _power_scale(z: np.ndarray, exponent: float) -> np.ndarray:

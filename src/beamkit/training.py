@@ -42,7 +42,7 @@ from .model import (
 )
 from .mvdr import oracle_mvdr_enhance
 from .rooms import read_manifest, rebuild_scene_audio
-from .signals import WaveBuffer
+from .signals import SAMPLE_RATE, WaveBuffer
 from .stft import StftConfig, compress, decompress, istft, stft
 from .wavio import read_wav, write_wav
 
@@ -263,17 +263,15 @@ def format_aligned(records: list[dict], columns: list[str]) -> str:
 
 
 def _load_examples(
-    manifest_path: str | os.PathLike,
-    model_cfg: ModelConfig,
-    stft_cfg: StftConfig,
-    segment_seconds: float,
+    manifest_path: str | os.PathLike, model_cfg: ModelConfig, segment_seconds: float
 ):
     """Manifest → list of (input_planes, target_planes) training pairs.
 
     Each utterance is cropped to its leading ``segment_seconds`` (the
     full utterance if shorter), transformed, compressed (:func:`compress`
     at its default exponent), and stacked into real/imaginary planes.
-    All utterances must share a length so batches stack.
+    All utterances must share a length so batches stack, and every WAV
+    must be at :data:`~.signals.SAMPLE_RATE`.
     """
     header, scenes = read_manifest(manifest_path)
     if not scenes:
@@ -283,8 +281,8 @@ def _load_examples(
     examples = []
     segment = None
     for record in scenes:
-        mixture = read_wav(os.path.join(root, record["mixture_path"]))
-        target = read_wav(os.path.join(root, record["target_path"]))
+        mixture = read_wav(os.path.join(root, record["mixture_path"]), expect_rate=SAMPLE_RATE)
+        target = read_wav(os.path.join(root, record["target_path"]), expect_rate=SAMPLE_RATE)
         if mixture.num_channels != model_cfg.mics:
             raise ConfigMismatchError(
                 f"scene {record['id']} has {mixture.num_channels} channels, "
@@ -295,7 +293,7 @@ def _load_examples(
                 f"scene {record['id']} target must be mono, got "
                 f"{target.num_channels} channels"
             )
-        want = int(round(segment_seconds * mixture.sample_rate))
+        want = int(round(segment_seconds * SAMPLE_RATE))
         take = min(want, mixture.num_samples, target.num_samples)
         if segment is None:
             segment = take
@@ -305,23 +303,15 @@ def _load_examples(
                 f"previous scenes yielded {segment} (batching needs equal "
                 "lengths)"
             )
-        mixture = WaveBuffer(mixture.data[:, :segment], mixture.sample_rate)
-        target = WaveBuffer(target.data[:, :segment], target.sample_rate)
+        mixture = WaveBuffer(mixture.data[:, :segment], SAMPLE_RATE)
+        target = WaveBuffer(target.data[:, :segment], SAMPLE_RATE)
 
-        mix_spec = stft(mixture, stft_cfg)
-        tgt_spec = stft(target, stft_cfg)
+        mix_spec = stft(mixture)
+        tgt_spec = stft(target)
         mix_spec = compress(mix_spec)
         tgt_spec = compress(tgt_spec)
         examples.append((ri_stack(mix_spec), ri_stack(tgt_spec)))
     return examples
-
-
-def _check_geometry(model: NeuralBeamformer, stft_cfg: StftConfig):
-    if stft_cfg.freq_bins != model.cfg.freq_bins:
-        raise ConfigMismatchError(
-            f"transform yields {stft_cfg.freq_bins} frequency bins, model "
-            f"expects {model.cfg.freq_bins}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +378,8 @@ def train(
     ``out_dir`` set, the loss curve (line-delimited JSON), an aligned
     text summary, and best/final checkpoints are written there.  The
     model is left holding its final-epoch parameters; the best
-    validation state is returned (and saved) separately.
+    validation state is returned (and saved) separately.  ``stft_cfg`` is
+    the fixed front end; it has nothing to set.
 
     Raises
     ------
@@ -396,12 +387,9 @@ def train(
         When any batch produces a non-finite loss or activation; the
         error names the 1-based epoch and batch.
     """
-    _check_geometry(model, stft_cfg)
-    examples = _load_examples(manifest_path, model.cfg, stft_cfg, cfg.segment_seconds)
+    examples = _load_examples(manifest_path, model.cfg, cfg.segment_seconds)
     if val_manifest_path is not None:
-        val_examples = _load_examples(
-            val_manifest_path, model.cfg, stft_cfg, cfg.segment_seconds
-        )
+        val_examples = _load_examples(val_manifest_path, model.cfg, cfg.segment_seconds)
     else:
         val_examples = examples
 
@@ -453,7 +441,7 @@ def train(
             best_epoch = epoch
             best_state = model.state_dict()
             if best_path is not None:
-                save_model_checkpoint(best_path, model, stft_cfg, cfg, epoch, val_loss)
+                save_model_checkpoint(best_path, model, cfg, epoch, val_loss)
         lr_schedule(state, val_loss)
 
         records.append(
@@ -472,9 +460,7 @@ def train(
 
     curve_path = summary_path = None
     if out_dir is not None:
-        save_model_checkpoint(
-            final_path, model, stft_cfg, cfg, cfg.epochs, records[-1]["val_loss"]
-        )
+        save_model_checkpoint(final_path, model, cfg, cfg.epochs, records[-1]["val_loss"])
         curve_path = write_jsonl(os.path.join(out_dir, "loss_curve.jsonl"), records)
         summary_path = os.path.join(out_dir, "training_summary.txt")
         columns = ["epoch", "train_loss", "val_loss", "train_ri", "train_mag",
@@ -497,7 +483,6 @@ def train(
 def save_model_checkpoint(
     path: str | os.PathLike,
     model: NeuralBeamformer,
-    stft_cfg: StftConfig = StftConfig(),
     train_cfg: TrainConfig = TrainConfig(),
     epoch: int = 0,
     val_loss: float = 0.0,
@@ -508,7 +493,6 @@ def save_model_checkpoint(
     meta = {
         "kind": CHECKPOINT_META_KIND,
         "model": model.cfg.to_dict(),
-        "stft": asdict(stft_cfg),
         "train": train_cfg.to_dict(),
         "epoch": int(epoch),
         "val_loss": float(val_loss),
@@ -518,8 +502,12 @@ def save_model_checkpoint(
 
 
 def load_trained_model(path: str | os.PathLike) -> tuple[NeuralBeamformer, StftConfig, dict]:
-    """Rebuild a model (and its transform geometry) from a checkpoint;
-    a missing or undecodable ``model``/``stft`` entry is a CheckpointError."""
+    """Rebuild a model from a checkpoint: ``(model, StftConfig(), meta)``.
+
+    A missing or undecodable ``model`` entry is a CheckpointError; so is
+    one naming a field ``ModelConfig`` no longer has, such as the
+    ``freq_bins`` every checkpoint from a settable front end carries.
+    Any ``stft`` entry is ignored, as are the provenance entries."""
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != CHECKPOINT_META_KIND:
         raise ConfigMismatchError(
@@ -528,12 +516,11 @@ def load_trained_model(path: str | os.PathLike) -> tuple[NeuralBeamformer, StftC
         )
     try:
         model_cfg = ModelConfig.from_dict(meta.get("model"))
-        stft_cfg = decode(StftConfig, meta.get("stft"), "stft")
     except ConfigError as exc:
         raise CheckpointError(f"{path}: checkpoint metadata: {exc}") from exc
     model = build_model(model_cfg, seed=0)
     model.load_state_dict(tensors)
-    return model, stft_cfg, meta
+    return model, StftConfig(), meta
 
 
 # ---------------------------------------------------------------------------
@@ -615,32 +602,31 @@ class EvaluationResult:
 
 
 def enhance_waveform(
-    model: NeuralBeamformer, mixture: WaveBuffer, stft_cfg: StftConfig
+    model: NeuralBeamformer, mixture: WaveBuffer, stft_cfg: StftConfig = StftConfig()
 ) -> WaveBuffer:
-    """Full waveform pipeline: transform, enhance, undo compression, invert."""
-    _check_geometry(model, stft_cfg)
-    enhanced = model.enhance_spectrogram(stft(mixture, stft_cfg))
-    return istft(decompress(enhanced), stft_cfg)
+    """Full waveform pipeline: transform, enhance, undo compression, invert.
+    ``stft_cfg`` is the fixed front end; it has nothing to set."""
+    enhanced = model.enhance_spectrogram(stft(mixture))
+    return istft(decompress(enhanced))
 
 
-def _mvdr_waveform(mixture, speech_img, noise_img, stft_cfg) -> np.ndarray:
+def _mvdr_waveform(mixture, speech_img, noise_img) -> np.ndarray:
     def reference_stft(img: WaveBuffer):
         # The oracle mask reads only the reference channel of each image.
         ref = img.data[REFERENCE_CHANNEL : REFERENCE_CHANNEL + 1]
-        return stft(WaveBuffer(ref, img.sample_rate), stft_cfg)
+        return stft(WaveBuffer(ref, img.sample_rate))
 
     enhanced = oracle_mvdr_enhance(
-        stft(mixture, stft_cfg), reference_stft(speech_img), reference_stft(noise_img)
+        stft(mixture), reference_stft(speech_img), reference_stft(noise_img)
     )
-    return istft(enhanced, stft_cfg).data[0]
+    return istft(enhanced).data[0]
 
 
-def _system_callable(system, stft_cfg: StftConfig):
+def _system_callable(system):
     """Resolve an :func:`evaluate` system into one function
     ``(mixture, speech_image, noise_image, mvdr_estimate) -> mono samples``."""
     if isinstance(system, NeuralBeamformer):
-        _check_geometry(system, stft_cfg)
-        return lambda mixture, *_: enhance_waveform(system, mixture, stft_cfg).data[0]
+        return lambda mixture, *_: enhance_waveform(system, mixture).data[0]
     named = {
         "identity": lambda mixture, speech_img, noise_img, mvdr_est: mixture.data[0],
         "oracle-mvdr": lambda mixture, speech_img, noise_img, mvdr_est: mvdr_est,
@@ -694,9 +680,10 @@ def evaluate(
     aggregated into per-mixing-SNR means plus an overall mean.  With
     ``out_dir`` set, rows and aggregates go to ``metrics.jsonl`` and an
     aligned table to ``metrics_summary.txt``; ``dump_audio`` adds each
-    scene's enhanced output under ``audio/``.
+    scene's enhanced output under ``audio/``.  ``stft_cfg`` is the fixed
+    front end; it has nothing to set.
     """
-    enhance = _system_callable(system, stft_cfg)
+    enhance = _system_callable(system)
     check_max_scenes(max_scenes)
 
     header, scenes = read_manifest(manifest_path)
@@ -717,13 +704,13 @@ def evaluate(
         _, mixture, speech_img, noise_img = rebuild_scene_audio(record, header)
         reference = speech_img.data[0]
         noisy = mixture.data[0]
-        mvdr_est = _mvdr_waveform(mixture, speech_img, noise_img, stft_cfg)
+        mvdr_est = _mvdr_waveform(mixture, speech_img, noise_img)
         enhanced = enhance(mixture, speech_img, noise_img, mvdr_est)
 
         if audio_dir is not None:
             write_wav(
                 os.path.join(audio_dir, f"{record['id']}_enhanced.wav"),
-                WaveBuffer(enhanced, header["sample_rate"]),
+                WaveBuffer(enhanced, SAMPLE_RATE),
                 encoding="float32",
             )
 

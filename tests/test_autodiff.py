@@ -592,6 +592,22 @@ class TestActivations:
         want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         np.testing.assert_array_equal(sigmoid(Tensor(x)).data.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("out", ["none", "given", "in-place"])
+    def test_sigmoid_float_mask_matches_bool_mask(self, out):
+        # The numerator's mask is a float array; the bool-mask form it
+        # replaced, np.maximum(e, x >= 0), is the oracle.  The LSTM calls
+        # it in place on its gate planes.
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, 700.0, -700.0, 800.0, -800.0, np.nan])
+        plane = np.random.default_rng(10).standard_normal((3, 322, 16)) * 8
+        for x in (special, plane):
+            e = np.exp(-np.abs(x))
+            want = np.maximum(e, x >= 0) / (e + 1.0)
+            buf = {"none": None, "given": np.empty_like(x), "in-place": x}[out]
+            got = tensor._sigmoid(x, out=buf)
+            assert buf is None or got is buf
+            assert np.array_equal(got, want, equal_nan=True)
+
     def test_glu_gate_zero_halves_linear(self):
         rng = np.random.default_rng(7)
         lin = Tensor(rng.standard_normal((3, 4)))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -324,13 +325,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "meta,field",
-        [({"stft": {}}, "model must be"),
-         ({"model": 5, "stft": {}}, "model must be"),
-         ({"model": tiny_model_fields(), "stft": {"hop": 3}}, "unknown stft config fields"),
+        [({}, "model must be"),
+         ({"model": 5}, "model must be"),
          # a checkpoint written while ModelConfig still had these two fields
-         ({"model": {**tiny_model_fields(), "use_unet_blocks": True, "compression": True},
-           "stft": {}}, "unknown model config fields: ['compression', 'use_unet_blocks']")],
-        ids=["no-model", "model-not-object", "unknown-stft-key", "removed-model-switches"],
+         ({"model": {**tiny_model_fields(), "use_unet_blocks": True, "compression": True}},
+          "unknown model config fields: ['compression', 'use_unet_blocks']")],
+        ids=["no-model", "model-not-object", "removed-model-switches"],
     )
     def test_malformed_checkpoint_metadata_exits_4(self, tmp_path, capsys, meta, field):
         from beamkit.autodiff import save_checkpoint
@@ -361,6 +361,37 @@ class TestExitCodes:
         assert len(err) == 1
         assert "sampling.snr_grid_db must be a list, got 5" in err[0]
 
+    def test_corpus_wavs_at_another_rate_exit_4(self, tmp_path, corpus_dir, capsys):
+        # The header still says 16000 Hz; train used to run on these WAVs,
+        # cropping 1 s segments that held 8000 samples.
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, copy)
+        for wav in (copy / "audio").iterdir():
+            write_wav(wav, WaveBuffer(read_wav(wav).data, 8000), encoding="float32")
+        rc = main(["train", "--out", str(tmp_path / "o"), "--set", "model.mics=2",
+                   "--manifest", str(copy / "manifest.jsonl")])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "sample rate 8000 Hz, expected 16000 Hz" in err[0]
+
+    @pytest.mark.parametrize(
+        "args", [["evaluate", "--system", "identity"], ["train"]], ids=["evaluate", "train"]
+    )
+    def test_header_sample_rate_other_than_16000_exits_3(
+        self, tmp_path, corpus_dir, capsys, args
+    ):
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["sample_rate"] = 8000
+        tampered = tmp_path / "manifest.jsonl"
+        tampered.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        rc = main(args + ["--out", str(tmp_path / "o"), "--manifest", str(tampered)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "header field sample_rate must be 16000, got 8000" in err[0]
+
 
 # Model settings that are constants now; each still has its old default here.
 FIXED_ASSIGNMENTS = [
@@ -369,6 +400,14 @@ FIXED_ASSIGNMENTS = [
     "model.compression_exponent=0.5",
 ]
 FIXED_MODEL_FIELDS = {a.split("=")[0] for a in FIXED_ASSIGNMENTS}
+# The STFT front end and the sample rate are constants too: (subcommand,
+# assignment, the one error line's unknown-field clause).
+FIXED_FRONT_END = [
+    ("simulate", "simulate.sample_rate=8000", "unknown simulate config fields: ['sample_rate']"),
+    ("rir", "rir.sample_rate=8000", "unknown rir config fields: ['sample_rate']"),
+    ("simulate", "stft.fft_size=512", "unknown config fields: ['stft']"),
+    ("simulate", "model.freq_bins=257", "unknown model config fields: ['freq_bins']"),
+]
 
 
 class TestConfigDecoding:
@@ -440,6 +479,20 @@ class TestConfigDecoding:
         field = assignment.split("=")[0].split(".")[1]
         assert f"unknown model config fields: ['{field}']" in err[0]
 
+    @pytest.mark.parametrize(
+        "command,assignment,message", FIXED_FRONT_END, ids=[a for _, a, _ in FIXED_FRONT_END]
+    )
+    def test_fixed_front_end_is_an_unknown_field(
+        self, tmp_path, capsys, command, assignment, message
+    ):
+        # simulate.sample_rate=8000 used to write a corpus that train and
+        # evaluate accepted and enhance refused.
+        rc = main([command, "--out", str(tmp_path / "o"),
+                   "--set", "simulate.count=0", "--set", assignment])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"beamkit: configuration error: {message}"]
+
     def test_leaf_fields_are_pinned(self):
         # Each settable value is one more configuration to test; a new one
         # has to be added here on purpose.
@@ -455,15 +508,14 @@ class TestConfigDecoding:
             "evaluate.checkpoint", "evaluate.dump_audio", "evaluate.manifest",
             "evaluate.max_scenes", "evaluate.system",
             "model.bf_type", "model.embedding_channels", "model.encoder_layers",
-            "model.freq_bins", "model.lstm_hidden", "model.mics", "model.multi_output",
+            "model.lstm_hidden", "model.mics", "model.multi_output",
             "model.stcm_dilations", "model.stcm_per_group",
             "model.stcm_squeeze_channels", "model.stcn_groups",
             "model.unet_block_depths_decoder", "model.unet_block_depths_encoder",
             "rir.array_center", "rir.max_order", "rir.mic_spacing", "rir.num_mics",
-            "rir.room_dimensions", "rir.rt60", "rir.sample_rate", "rir.source_position",
+            "rir.room_dimensions", "rir.rt60", "rir.source_position",
             "seed",
             "simulate.count", "simulate.duration_seconds", "simulate.max_order",
-            "simulate.sample_rate",
             "simulate.sampling.array_height", "simulate.sampling.array_wall_margin",
             "simulate.sampling.mic_spacing", "simulate.sampling.min_doa_deg",
             "simulate.sampling.num_mics", "simulate.sampling.rejection_budget",
@@ -471,7 +523,6 @@ class TestConfigDecoding:
             "simulate.sampling.room_width", "simulate.sampling.rt60_range",
             "simulate.sampling.snr_grid_db", "simulate.sampling.source_distances",
             "simulate.sampling.source_wall_margin",
-            "stft.fft_size", "stft.frame_length", "stft.frame_shift", "stft.window",
             "train.batch_size", "train.beta1", "train.beta2", "train.epochs", "train.epsilon",
             "train.lambda_mag", "train.lambda_ri", "train.learning_rate", "train.manifest",
             "train.plateau_patience", "train.seed", "train.segment_seconds",
@@ -688,6 +739,28 @@ class TestEnhance:
         assert len(err) == 1
         assert "checkpoint metadata: unknown model config fields: ['glu_kernel']" in err[0]
         with pytest.raises(CheckpointError, match="glu_kernel"):
+            load_trained_model(older)
+
+    def test_checkpoint_carrying_freq_bins_exits_4(
+        self, passthrough_checkpoint, quiet_start_wav, tmp_path, capsys
+    ):
+        # Checkpoints written while the front end was settable carry
+        # freq_bins in meta["model"] (and an stft entry, which is ignored).
+        from beamkit.autodiff import load_checkpoint, save_checkpoint
+
+        tensors, meta = load_checkpoint(passthrough_checkpoint)
+        assert "stft" not in meta and "freq_bins" not in meta["model"]
+        meta["model"]["freq_bins"] = 161
+        meta["stft"] = {"frame_length": 320, "frame_shift": 160, "fft_size": 320, "window": "hann"}
+        older = tmp_path / "older.bkt"
+        save_checkpoint(older, tensors, meta)
+        rc = main(["enhance", "--out", str(tmp_path / "o"), "--checkpoint", str(older),
+                   "--input", str(quiet_start_wav)])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "checkpoint metadata: unknown model config fields: ['freq_bins']" in err[0]
+        with pytest.raises(CheckpointError, match="freq_bins"):
             load_trained_model(older)
 
     def test_wrong_sample_rate_exits_4(self, passthrough_checkpoint, tmp_path, capsys):

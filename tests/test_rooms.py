@@ -280,6 +280,13 @@ class TestSynthesizeMixture:
         with pytest.raises(ValidationError):
             synthesize_mixture(speech, noise, self.scene)
 
+    def test_sources_at_another_rate_rejected(self):
+        # The RIRs are always at the pipeline's 16 kHz.
+        speech = speech_like(0.5, 8000, self.rng)
+        noise = noise_like(0.5, 8000, self.rng)
+        with pytest.raises(ValidationError, match="speech rate 8000 Hz, expected 16000 Hz"):
+            synthesize_mixture(speech, noise, self.scene)
+
 
 class TestSampleScene:
     def test_fixed_seed_is_deterministic(self):

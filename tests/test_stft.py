@@ -4,15 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
-from beamkit.errors import (
-    ConfigError,
-    ConfigMismatchError,
-    EmptySignalError,
-    ValidationError,
-)
+from beamkit.errors import ConfigMismatchError, EmptySignalError, ValidationError
 from beamkit.signals import WaveBuffer, noise_like, speech_like
 from beamkit.stft import (
+    ANALYSIS_WINDOW,
     NORM_FLOOR,
     ComplexSpectrogram,
     StftConfig,
@@ -43,37 +40,17 @@ class TestConfig:
         assert CFG.fft_size == 320
         assert CFG.freq_bins == 161
 
-    def test_shift_must_divide_length(self):
-        with pytest.raises(ConfigError):
-            StftConfig(frame_length=320, frame_shift=150)
-
-    def test_shift_must_not_exceed_length(self):
-        with pytest.raises(ConfigError):
-            StftConfig(frame_length=160, frame_shift=320)
-
-    def test_fft_size_at_least_frame_length(self):
-        with pytest.raises(ConfigError):
-            StftConfig(frame_length=320, frame_shift=160, fft_size=256)
-
-    def test_unknown_window_rejected(self):
-        with pytest.raises(ConfigError):
-            StftConfig(window="blackman-ish")
-
     def test_window_is_periodic_hann(self):
         w = CFG.analysis_window()
         n = np.arange(320)
         np.testing.assert_allclose(w, 0.5 * (1 - np.cos(2 * np.pi * n / 320)), atol=1e-12)
         assert w[0] == 0.0
+        # One read-only array, the bits scipy gives for a periodic Hann.
+        assert w is ANALYSIS_WINDOW and not w.flags.writeable
+        assert np.array_equal(w, get_window("hann", 320, fftbins=True))
 
 
 class TestAnalysis:
-    def test_dc_concentrates_in_bin_zero(self):
-        wave = WaveBuffer(np.ones(320), 16000)
-        spec = stft(wave, StftConfig(window="rect")).channel(0)
-        dc = np.abs(spec[0, 0])
-        assert dc > 0
-        assert np.max(np.abs(spec[1:, 0])) < 1e-10 * dc
-
     def test_dc_under_hann_window(self):
         # The periodic Hann window is itself a three-term cosine, so a DC
         # frame transforms to the window's spectrum: 160 at bin 0, -80 at
@@ -184,10 +161,7 @@ def gather_stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
 class TestFraming:
     @pytest.mark.parametrize("channels", [1, 9])
     @pytest.mark.parametrize("num_samples", [1, 1000, 4801])
-    @pytest.mark.parametrize(
-        "cfg", [CFG, StftConfig(fft_size=512), StftConfig(480, 160, 480, "rect")],
-        ids=["default", "fft512", "rect480"],
-    )
+    @pytest.mark.parametrize("cfg", [CFG], ids=["default"])
     def test_matches_gather_framing(self, channels, num_samples, cfg):
         x = np.random.default_rng(num_samples).standard_normal((channels, num_samples))
         spec = stft(WaveBuffer(x, 16000), cfg)
@@ -238,18 +212,11 @@ class TestSynthesis:
         assert istft(spec, CFG).num_samples == 4 * 160 + 320
 
     def test_geometry_mismatch_rejected(self):
-        spec = stft(WaveBuffer(np.ones(1000), 16000), CFG)
-        other = StftConfig(frame_length=160, frame_shift=80, fft_size=320)
-        with pytest.raises(ConfigMismatchError):
-            istft(spec, other)
-
-    def test_window_mismatch_rejected(self):
-        # Synthesising these rect-window bins with the hann window used to
-        # return a wrong waveform: max error 15.7 against 8.9e-16.
-        wave = WaveBuffer(np.random.default_rng(9).standard_normal(4000), 16000)
-        spec = stft(wave, StftConfig(window="rect"))
-        assert spec.window == "rect" and compress(spec).window == "rect"
-        with pytest.raises(ConfigMismatchError, match="window=rect does not match config window=hann"):
+        # 161 bins, but from 160-sample frames at an 80-sample hop.
+        spec = ComplexSpectrogram(
+            np.zeros((161, 5, 1), dtype=complex), frame_shift=80, frame_length=160
+        )
+        with pytest.raises(ConfigMismatchError, match="frame_shift=80"):
             istft(spec, CFG)
 
     def test_roundtrip_white_noise(self):
@@ -295,27 +262,15 @@ class TestSynthesis:
         np.testing.assert_allclose(back.data[0, CFG.frame_shift :], x[CFG.frame_shift :], atol=1e-9)
         assert back.data[0, 0] == 0.0
 
-    def test_roundtrip_rect_window(self):
-        cfg = StftConfig(window="rect")
-        rng = np.random.default_rng(8)
-        assert roundtrip_error(rng.standard_normal(5000), cfg) <= 1e-6
-
-    @pytest.mark.parametrize(
-        "length,shift,window",
-        [(320, 160, "hann"), (320, 80, "hann"), (320, 320, "rect"),
-         (512, 128, "hann"), (300, 100, "hann")],
-    )
+    @pytest.mark.parametrize("length,shift,window", [(320, 160, "hann")])
     @pytest.mark.parametrize("num_frames", [1, 2, 5, 37, 601])
     def test_overlap_add_equals_frame_loop(self, length, shift, window, num_frames):
-        cfg = StftConfig(frame_length=length, frame_shift=shift, fft_size=length, window=window)
         rng = np.random.default_rng(num_frames)
-        shape = (cfg.freq_bins, num_frames, 2)
-        spec = ComplexSpectrogram(
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            frame_shift=shift, frame_length=length, fft_size=length, window=window,
-        )
-        # Reference: one windowed frame at a time, in frame order.
-        w = cfg.analysis_window()
+        shape = (CFG.freq_bins, num_frames, 2)
+        spec = ComplexSpectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # Reference: one windowed frame at a time, in frame order, with a
+        # window scipy builds afresh.
+        w = get_window(window, length, fftbins=True)
         frames = np.fft.irfft(spec.data.transpose(2, 1, 0), n=length, axis=-1) * w
         out_len = (num_frames - 1) * shift + length
         out = np.zeros((2, out_len))
@@ -324,7 +279,7 @@ class TestSynthesis:
             out[:, t * shift : t * shift + length] += frames[:, t, :]
             norm[t * shift : t * shift + length] += w**2
         out /= np.maximum(norm, NORM_FLOOR)
-        assert np.array_equal(istft(spec, cfg).data, out)
+        assert np.array_equal(istft(spec, CFG).data, out)
 
 
 class TestCompression:

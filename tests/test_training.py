@@ -18,6 +18,7 @@ from beamkit.metrics import SATURATION_DB, loss_tensors, si_snr_db, snr_db
 from beamkit.model import ModelConfig, build_model, tiny_config
 from beamkit.rooms import SceneSampling, build_corpus
 from beamkit.signals import WaveBuffer
+from beamkit.stft import StftConfig
 from beamkit.training import (
     MetricsRow,
     OptimState,
@@ -501,6 +502,7 @@ class TestTrain:
         )
         loaded, stft_cfg, meta = load_trained_model(result.best_checkpoint)
         assert meta["epoch"] == result.best_epoch
+        assert stft_cfg == StftConfig() and "stft" not in meta
         # JSON stores tuples as lists; compare through the config parser.
         assert ModelConfig.from_dict(meta["model"]) == model.cfg
         for name, value in loaded.state_dict().items():

@@ -29,8 +29,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import EVALUATE_SYSTEMS, RunConfig, load_run_config
 from .errors import (
@@ -276,7 +274,7 @@ def cmd_rir(cfg: RunConfig, out_dir: str) -> int:
     """Write the impulse responses from ``rir.source_position`` to each mic
     of the configured array as one float32 WAV channel per mic."""
     section = cfg.rir
-    rirs = image_method_rir(
+    taps = image_method_rir(
         RoomSpec(dimensions=section.room_dimensions, rt60=section.rt60),
         ArraySpec.uniform_linear(
             section.array_center, num_mics=section.num_mics, spacing=section.mic_spacing
@@ -285,12 +283,8 @@ def cmd_rir(cfg: RunConfig, out_dir: str) -> int:
         max_order=section.max_order,
     )
     out_path = os.path.join(out_dir, "rir.wav")
-    write_wav(
-        out_path,
-        WaveBuffer(np.asarray(rirs.taps), SAMPLE_RATE),
-        encoding="float32",
-    )
-    num_mics, num_taps = rirs.taps.shape
+    write_wav(out_path, WaveBuffer(taps, SAMPLE_RATE), encoding="float32")
+    num_mics, num_taps = taps.shape
     print(f"wrote {out_path} ({num_mics} channels, {num_taps} taps)")
     return 0
 

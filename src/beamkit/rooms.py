@@ -9,8 +9,9 @@ walls (and their repetitions) contributes an attenuated, delayed impulse
     amplitude = beta ** reflection_order / (4 * pi * distance)
 
 with ``beta = sqrt(1 - alpha)`` the uniform wall reflection coefficient
-and the delay ``distance / c * fs`` rounded to the nearest sample, at the
-pipeline's ``fs`` (:data:`~.signals.SAMPLE_RATE`, 16 kHz).
+and the delay ``distance / c * fs`` rounded to the nearest sample, where
+``c`` is :data:`SPEED_OF_SOUND` (343 m/s) and ``fs`` the pipeline's
+:data:`~.signals.SAMPLE_RATE` (16 kHz).
 
 Everything here is deterministic given a :class:`numpy.random.Generator`;
 corpus scenes derive their streams from ``(master_seed, scene_index)`` so
@@ -46,7 +47,6 @@ __all__ = [
     "RoomSpec",
     "ArraySpec",
     "SceneSpec",
-    "RirSet",
     "SceneSampling",
     "absorption_from_rt60",
     "default_max_order",
@@ -59,10 +59,14 @@ __all__ = [
     "rebuild_scene_audio",
     "MANIFEST_SCHEMA_VERSION",
     "MANIFEST_NAME",
+    "SPEED_OF_SOUND",
 ]
 
 MANIFEST_SCHEMA_VERSION = 2
 MANIFEST_NAME = "manifest.jsonl"
+
+# Meters per second; every room uses it.
+SPEED_OF_SOUND = 343.0
 
 # Fields every manifest record must carry (``max_order`` and ``count`` are
 # informational and may be absent).
@@ -93,7 +97,8 @@ _SCENE_VALUES = {
 
 @dataclass(frozen=True)
 class RoomSpec:
-    """Shoebox room geometry and target reverberation time.
+    """Shoebox room geometry and target reverberation time.  Sound
+    travels at :data:`SPEED_OF_SOUND` in every room.
 
     Parameters
     ----------
@@ -101,13 +106,10 @@ class RoomSpec:
         (length, width, height) in meters, all positive.
     rt60 : float
         Target reverberation time in seconds, positive.
-    speed_of_sound : float
-        Meters per second (343 default).
     """
 
     dimensions: tuple[float, float, float]
     rt60: float
-    speed_of_sound: float = 343.0
 
     def __post_init__(self):
         dims = tuple(float(d) for d in self.dimensions)
@@ -115,8 +117,6 @@ class RoomSpec:
             raise GeometryError(f"room dimensions must be three positive values, got {dims}")
         if self.rt60 <= 0:
             raise ValidationError(f"rt60 must be positive, got {self.rt60}")
-        if self.speed_of_sound <= 0:
-            raise ValidationError(f"speed_of_sound must be positive, got {self.speed_of_sound}")
         object.__setattr__(self, "dimensions", dims)
 
     @property
@@ -225,39 +225,6 @@ def _check_inside(room: RoomSpec, array: ArraySpec, **sources: np.ndarray):
             )
 
 
-@dataclass(frozen=True)
-class RirSet:
-    """Per-microphone impulse responses for one source.
-
-    Parameters
-    ----------
-    taps : numpy.ndarray
-        Shape ``(num_mics, num_taps)`` float64.
-    sample_rate : int
-        Hz.
-    """
-
-    taps: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        taps = np.array(self.taps, dtype=np.float64)  # a copy: the caller's stays writable
-        if taps.ndim != 2:
-            raise ValidationError(f"taps must be (num_mics, num_taps), got {taps.shape}")
-        if not np.all(np.isfinite(taps)):
-            raise ValidationError("impulse responses contain non-finite taps")
-        taps.setflags(write=False)
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def num_mics(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def num_taps(self) -> int:
-        return self.taps.shape[1]
-
-
 def absorption_from_rt60(room: RoomSpec) -> float:
     """Invert Sabine's formula for a uniform absorption coefficient.
 
@@ -277,7 +244,7 @@ def default_max_order(room: RoomSpec) -> int:
     truncation point.  Bounded at 30 to keep worst-case lattices tractable.
     """
     min_dim = min(room.dimensions)
-    order = math.ceil(room.speed_of_sound * room.rt60 / min_dim) + 1
+    order = math.ceil(SPEED_OF_SOUND * room.rt60 / min_dim) + 1
     return min(30, order)
 
 
@@ -331,11 +298,11 @@ def image_method_rir(
     array: ArraySpec,
     source: Sequence[float],
     max_order: int | None = None,
-) -> RirSet:
+) -> np.ndarray:
     """Image-method impulse responses from one source position to every mic.
 
-    Each image lands on the sample nearest its delay, at
-    :data:`~.signals.SAMPLE_RATE`.
+    Sound travels at :data:`SPEED_OF_SOUND`, and each image lands on the
+    sample nearest its delay at :data:`~.signals.SAMPLE_RATE`.
 
     Parameters
     ----------
@@ -350,8 +317,9 @@ def image_method_rir(
 
     Returns
     -------
-    RirSet
-        ``ceil(rt60 * SAMPLE_RATE)`` taps per mic (never fewer than the
+    numpy.ndarray
+        Read-only float64 taps of shape ``(num_mics, num_taps)``, with
+        ``num_taps = ceil(rt60 * SAMPLE_RATE)`` (never fewer than the
         direct-path delay plus a small margin).
     """
     src = np.asarray(source, dtype=np.float64)
@@ -368,7 +336,7 @@ def image_method_rir(
 
     beta = math.sqrt(1.0 - absorption_from_rt60(room))
 
-    samples_per_meter = SAMPLE_RATE / room.speed_of_sound
+    samples_per_meter = SAMPLE_RATE / SPEED_OF_SOUND
     num_taps = max(
         math.ceil(room.rt60 * SAMPLE_RATE),
         int(np.max(direct) * samples_per_meter) + 64,
@@ -384,7 +352,8 @@ def image_method_rir(
         idx = np.round(dist * samples_per_meter).astype(np.int64)
         ok = idx < num_taps
         np.add.at(taps[p], idx[ok], amp[ok])
-    return RirSet(taps, SAMPLE_RATE)
+    taps.setflags(write=False)
+    return taps
 
 
 def synthesize_mixture(
@@ -437,8 +406,8 @@ def synthesize_mixture(
     speech_rir = image_method_rir(room, array, scene.speech_position, max_order)
     noise_rir = image_method_rir(room, array, scene.noise_position, max_order)
 
-    speech_img = fftconvolve(s[np.newaxis, :], speech_rir.taps, axes=-1)[:, : len(s)]
-    noise_img = fftconvolve(n[np.newaxis, :], noise_rir.taps, axes=-1)[:, : len(s)]
+    speech_img = fftconvolve(s[np.newaxis, :], speech_rir, axes=-1)[:, : len(s)]
+    noise_img = fftconvolve(n[np.newaxis, :], noise_rir, axes=-1)[:, : len(s)]
 
     e_speech = float(np.sum(speech_img[0] ** 2))
     e_noise = float(np.sum(noise_img[0] ** 2))
@@ -602,7 +571,7 @@ def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int
         "room": {
             "dimensions": list(scene.room.dimensions),
             "rt60": scene.room.rt60,
-            "speed_of_sound": scene.room.speed_of_sound,
+            "speed_of_sound": SPEED_OF_SOUND,
         },
         "array": {"mic_positions": scene.array.mic_positions.tolist()},
         "speech_position": scene.speech_position.tolist(),
@@ -703,8 +672,8 @@ def _synthesize_scene_audio(
     duration: float,
     max_order: int | None,
 ):
-    speech = speech_like(duration, SAMPLE_RATE, rng)
-    noise = noise_like(duration, SAMPLE_RATE, rng)
+    speech = speech_like(duration, rng)
+    noise = noise_like(duration, rng)
     return synthesize_mixture(speech, noise, scene, max_order=max_order)
 
 

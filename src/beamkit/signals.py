@@ -1,10 +1,10 @@
 """Waveform container and deterministic synthetic test signals.
 
 The synthesis routines here stand in for recorded corpora at desk scale:
-one speech-shaped source and one pink-noise source, each at an RMS of
-``SOURCE_RMS``.  They are fully deterministic given a
-:class:`numpy.random.Generator`, so any scene built from them can be
-regenerated bit for bit from its seed.
+one speech-shaped source and one pink-noise source, each at the pipeline's
+:data:`SAMPLE_RATE` and an RMS of ``SOURCE_RMS``.  They are fully
+deterministic given a :class:`numpy.random.Generator`, so any scene built
+from them can be regenerated bit for bit from its seed.
 """
 
 from __future__ import annotations
@@ -70,15 +70,6 @@ class WaveBuffer:
     def num_samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.data.shape[1] / self.sample_rate
-
-    def channel(self, index: int) -> np.ndarray:
-        """Return one channel as a 1-D float64 view."""
-        return self.data[index]
-
     def mono(self) -> np.ndarray:
         """Return the sole channel; raise if the buffer is multichannel."""
         if self.num_channels != 1:
@@ -120,12 +111,9 @@ def _harmonic_bank(phase: np.ndarray, amplitudes, offsets: np.ndarray) -> np.nda
     return acc.imag
 
 
-def speech_like(
-    duration: float,
-    sample_rate: int,
-    rng: np.random.Generator,
-) -> WaveBuffer:
-    """Synthesize a speech-shaped test signal at an RMS of ``SOURCE_RMS``.
+def speech_like(duration: float, rng: np.random.Generator) -> WaveBuffer:
+    """Synthesize a speech-shaped test signal at :data:`SAMPLE_RATE` and an
+    RMS of ``SOURCE_RMS``.
 
     A harmonic source with a drifting pitch contour is filtered through a
     randomized three-resonance spectral envelope and gated by a syllabic
@@ -144,29 +132,27 @@ def speech_like(
     ----------
     duration : float
         Length in seconds (> 0).
-    sample_rate : int
-        Sampling rate in Hz.
     rng : numpy.random.Generator
         Source of all randomness; equal states give bit-identical output.
 
     Returns
     -------
     WaveBuffer
-        Mono buffer of ``round(duration * sample_rate)`` samples.
+        Mono buffer of ``round(duration * SAMPLE_RATE)`` samples.
     """
     if duration <= 0:
         raise ValidationError(f"duration must be positive, got {duration}")
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * SAMPLE_RATE))
     if n == 0:
         raise EmptySignalError("requested duration rounds to zero samples")
-    t = np.arange(n, dtype=np.float64) / sample_rate
+    t = np.arange(n, dtype=np.float64) / SAMPLE_RATE
 
     # Pitch contour: slow drift plus vibrato around a per-utterance base.
     f0 = rng.uniform(90.0, 220.0)
     drift = 0.12 * f0 * np.sin(2 * np.pi * rng.uniform(0.2, 0.6) * t + rng.uniform(0, 2 * np.pi))
     vibrato = 0.02 * f0 * np.sin(2 * np.pi * rng.uniform(4.0, 7.0) * t)
     inst_freq = f0 + drift + vibrato
-    phase = 2 * np.pi * np.cumsum(inst_freq) / sample_rate
+    phase = 2 * np.pi * np.cumsum(inst_freq) / SAMPLE_RATE
 
     # Three randomized resonances shape the harmonic amplitudes.
     centers = np.array(
@@ -175,7 +161,7 @@ def speech_like(
     widths = np.array([rng.uniform(80, 150), rng.uniform(120, 250), rng.uniform(200, 400)])
     gains = np.array([1.0, rng.uniform(0.3, 0.8), rng.uniform(0.1, 0.4)])
 
-    top = min(4000.0, 0.45 * sample_rate)
+    top = min(4000.0, 0.45 * SAMPLE_RATE)
     num_harmonics = max(1, int(top / (f0 * 1.15)))
     amplitudes = [
         np.sum(gains * np.exp(-0.5 * ((k * f0 - centers) / widths) ** 2)) / k**0.5
@@ -201,14 +187,14 @@ def speech_like(
     burst_env = np.zeros(n)
     num_bursts = max(1, int(round(duration * rng.uniform(1.5, 3.5))))
     for _ in range(num_bursts):
-        width = max(2, int(rng.uniform(0.04, 0.12) * sample_rate))
+        width = max(2, int(rng.uniform(0.04, 0.12) * SAMPLE_RATE))
         start = int(rng.uniform(0, max(1, n - width)))
         stop = min(n, start + width)
         ramp = np.hanning(width)[: stop - start]
         burst_env[start:stop] = np.maximum(burst_env[start:stop], ramp)
     spectrum = np.fft.rfft(rng.standard_normal(n))
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    low_edge, high_edge = 2500.0, 0.47 * sample_rate
+    freqs = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE)
+    low_edge, high_edge = 2500.0, 0.47 * SAMPLE_RATE
     band = 1.0 / (1.0 + np.exp(-(freqs - low_edge) / 200.0))
     band /= 1.0 + np.exp((freqs - high_edge) / 200.0)
     frication = np.fft.irfft(spectrum * band, n=n)
@@ -216,11 +202,12 @@ def speech_like(
 
     out = gate * (voiced + 0.05 * hiss * rms(voiced)) + burst_env * frication
 
-    return WaveBuffer(_normalize_rms(out, SOURCE_RMS), sample_rate)
+    return WaveBuffer(_normalize_rms(out, SOURCE_RMS), SAMPLE_RATE)
 
 
-def noise_like(duration: float, sample_rate: int, rng: np.random.Generator) -> WaveBuffer:
-    """Synthesize stationary pink noise at an RMS of ``SOURCE_RMS``.
+def noise_like(duration: float, rng: np.random.Generator) -> WaveBuffer:
+    """Synthesize stationary pink noise at :data:`SAMPLE_RATE` and an RMS of
+    ``SOURCE_RMS``.
 
     White Gaussian noise gets a 1/sqrt(f) magnitude slope that flattens
     below a 50 Hz corner, as hardware pinking filters do; without the
@@ -230,25 +217,23 @@ def noise_like(duration: float, sample_rate: int, rng: np.random.Generator) -> W
     ----------
     duration : float
         Length in seconds (> 0).
-    sample_rate : int
-        Sampling rate in Hz.
     rng : numpy.random.Generator
         Source of all randomness.
 
     Returns
     -------
     WaveBuffer
-        Mono buffer of ``round(duration * sample_rate)`` samples.
+        Mono buffer of ``round(duration * SAMPLE_RATE)`` samples.
     """
     if duration <= 0:
         raise ValidationError(f"duration must be positive, got {duration}")
-    n = int(round(duration * sample_rate))
+    n = int(round(duration * SAMPLE_RATE))
     if n == 0:
         raise EmptySignalError("requested duration rounds to zero samples")
 
     spectrum = np.fft.rfft(rng.standard_normal(n))
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(n, d=1.0 / SAMPLE_RATE)
     freqs[0] = freqs[1] if n > 1 else 1.0
     out = np.fft.irfft(spectrum * (1.0 / np.sqrt(np.maximum(freqs, 50.0))), n=n)
     out = out - np.mean(out)
-    return WaveBuffer(_normalize_rms(out, SOURCE_RMS), sample_rate)
+    return WaveBuffer(_normalize_rms(out, SOURCE_RMS), SAMPLE_RATE)

@@ -104,8 +104,6 @@ class ComplexSpectrogram:
         array is promoted to a single channel.
     frame_shift, frame_length, fft_size : int
         Frame geometry the bins were produced with.
-    sample_rate : int
-        Sampling rate of the originating waveform in Hz.
     num_samples : int or None
         Original waveform length, kept so synthesis can trim exactly.
     """
@@ -114,7 +112,6 @@ class ComplexSpectrogram:
     frame_shift: int = FRAME_SHIFT
     frame_length: int = FRAME_LENGTH
     fft_size: int = FFT_SIZE
-    sample_rate: int = SAMPLE_RATE
     num_samples: int | None = None
 
     def __post_init__(self):
@@ -165,7 +162,6 @@ class ComplexSpectrogram:
             frame_shift=self.frame_shift,
             frame_length=self.frame_length,
             fft_size=self.fft_size,
-            sample_rate=self.sample_rate,
             num_samples=self.num_samples,
         )
 
@@ -183,7 +179,11 @@ def stft(wave: WaveBuffer, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram
     Parameters
     ----------
     wave : WaveBuffer
-        Input waveform, any channel count, at least one sample.
+        Input waveform at :data:`~.signals.SAMPLE_RATE`, any channel
+        count, at least one sample.  A waveform at another rate is a
+        :class:`~.errors.ValidationError`: this is the one way into the
+        spectral domain, so every spectrogram, and every waveform
+        :func:`istft` returns, is at that rate.
     cfg : StftConfig
         The fixed front end; it has nothing to set.  ``T = ceil(num_samples
         / FRAME_SHIFT)`` frames are produced, the final frame zero-padded.
@@ -194,6 +194,10 @@ def stft(wave: WaveBuffer, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram
         Bins as a C-contiguous ``(FREQ_BINS, T, channels)`` array,
         channels on the fastest axis.
     """
+    if wave.sample_rate != SAMPLE_RATE:
+        raise ValidationError(
+            f"waveform rate {wave.sample_rate} Hz, expected {SAMPLE_RATE} Hz"
+        )
     x = np.asarray(wave.data, dtype=np.float64)
     if x.shape[1] == 0:
         raise EmptySignalError("cannot transform an empty waveform")
@@ -212,7 +216,7 @@ def stft(wave: WaveBuffer, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram
         np.multiply(frames, ANALYSIS_WINDOW, out=windowed)
         np.fft.rfft(windowed, n=FFT_SIZE, axis=-1, out=spec[:, :, c].T)
 
-    return ComplexSpectrogram(spec, sample_rate=wave.sample_rate, num_samples=num_samples)
+    return ComplexSpectrogram(spec, num_samples=num_samples)
 
 
 def istft(spec: ComplexSpectrogram, cfg: StftConfig = StftConfig()) -> WaveBuffer:
@@ -229,7 +233,8 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig = StftConfig()) -> WaveBuffe
     Returns
     -------
     WaveBuffer
-        Waveform of length ``(T - 1) * FRAME_SHIFT + FRAME_LENGTH``,
+        Waveform at :data:`~.signals.SAMPLE_RATE` of length
+        ``(T - 1) * FRAME_SHIFT + FRAME_LENGTH``,
         trimmed to ``spec.num_samples`` when that is known.  The
         squared-window normalizer is floored at 1e-2 before division:
         where window coverage vanishes (the taper at the very start and
@@ -271,7 +276,7 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig = StftConfig()) -> WaveBuffe
 
     if spec.num_samples is not None:
         out = out[:, : spec.num_samples]
-    return WaveBuffer(out, spec.sample_rate)
+    return WaveBuffer(out, SAMPLE_RATE)
 
 
 def cola_interior(num_samples: int, cfg: StftConfig = StftConfig()) -> slice:

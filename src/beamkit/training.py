@@ -663,7 +663,6 @@ def check_max_scenes(max_scenes) -> None:
 def evaluate(
     system,
     manifest_path: str | os.PathLike,
-    stft_cfg: StftConfig = StftConfig(),
     out_dir: str | os.PathLike | None = None,
     max_scenes: int | None = None,
     dump_audio: bool = False,
@@ -680,8 +679,7 @@ def evaluate(
     aggregated into per-mixing-SNR means plus an overall mean.  With
     ``out_dir`` set, rows and aggregates go to ``metrics.jsonl`` and an
     aligned table to ``metrics_summary.txt``; ``dump_audio`` adds each
-    scene's enhanced output under ``audio/``.  ``stft_cfg`` is the fixed
-    front end; it has nothing to set.
+    scene's enhanced output under ``audio/``.
     """
     enhance = _system_callable(system)
     check_max_scenes(max_scenes)

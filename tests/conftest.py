@@ -1,17 +1,11 @@
 """Shared pytest plumbing: the release-gate verdict block.
 
-Each release-gate test registers one verdict line via
-:func:`record_criterion`; the hook below prints the collected lines as a
-dedicated section of the terminal summary so every run ends with one
-pass/fail line per criterion.
+The hook below prints the verdict lines that the release gates register
+through :func:`criteria.record_criterion` as a dedicated section of the
+terminal summary, so every run ends with one pass/fail line per criterion.
 """
 
-_CRITERION_LINES: dict[int, str] = {}
-
-
-def record_criterion(number: int, passed: bool, detail: str) -> None:
-    verdict = "PASS" if passed else "FAIL"
-    _CRITERION_LINES[number] = f"criterion {number:02d} {verdict} - {detail}"
+from criteria import _CRITERION_LINES
 
 
 def pytest_terminal_summary(terminalreporter):

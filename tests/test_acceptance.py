@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from criteria import record_criterion
 
 from beamkit.autodiff import (
     LSTM,

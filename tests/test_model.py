@@ -601,7 +601,6 @@ class TestEnhancePipeline:
             frame_shift=cfg.frame_shift,
             frame_length=cfg.frame_length,
             fft_size=cfg.fft_size,
-            sample_rate=16000,
             num_samples=700,
         )
         out = model.enhance_spectrogram(spec)

@@ -581,7 +581,6 @@ class TestApplyUtteranceBeamformer:
 
 def small_scene(seed=0, snr_db=0.0, rt60=0.25):
     rng = np.random.default_rng(seed)
-    fs = 16_000
     room = RoomSpec((6.0, 5.0, 3.0), rt60=rt60)
     array = ArraySpec.uniform_linear((3.0, 2.5, 1.5), num_mics=3, spacing=0.04)
     scene = SceneSpec(
@@ -591,8 +590,8 @@ def small_scene(seed=0, snr_db=0.0, rt60=0.25):
         noise_position=(1.6, 1.2, 1.4),
         snr_db=snr_db,
     )
-    speech = speech_like(1.0, fs, rng)
-    noise = noise_like(1.0, fs, rng)
+    speech = speech_like(1.0, rng)
+    noise = noise_like(1.0, rng)
     return synthesize_mixture(speech, noise, scene)
 
 

@@ -23,9 +23,9 @@ from beamkit.stft import (
 CFG = StftConfig()  # 320/160/320 periodic Hann
 
 
-def roundtrip_error(x: np.ndarray, cfg: StftConfig = CFG, sr: int = 16000) -> float:
+def roundtrip_error(x: np.ndarray, cfg: StftConfig = CFG) -> float:
     """Relative L2 reconstruction error over the fully-overlapped interior."""
-    wave = WaveBuffer(x, sr)
+    wave = WaveBuffer(x, 16000)
     back = istft(stft(wave, cfg), cfg)
     region = cola_interior(wave.num_samples, cfg)
     ref = wave.data[:, region]
@@ -104,6 +104,12 @@ class TestAnalysis:
         wave.data[0, 5] = np.nan
         with pytest.raises(ValidationError):
             stft(wave, CFG)
+
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_other_sample_rate_rejected(self, rate):
+        # The front end's geometry is in samples at 16 kHz.
+        with pytest.raises(ValidationError, match=f"waveform rate {rate} Hz, expected 16000 Hz"):
+            stft(WaveBuffer(np.ones(320), rate), CFG)
 
     def test_strided_channel_axis_accepted(self):
         # A (mic, time, freq) array transposed to (freq, time, mic) has a
@@ -228,7 +234,7 @@ class TestSynthesis:
         assert roundtrip_error(rng.standard_normal((4, 9000))) <= 1e-6
 
     def test_roundtrip_speech_shaped_six_seconds(self):
-        wave = speech_like(6.0, 16000, np.random.default_rng(123))
+        wave = speech_like(6.0, np.random.default_rng(123))
         assert roundtrip_error(wave.data) <= 1e-6
 
     def test_roundtrip_random_lengths(self):
@@ -333,7 +339,7 @@ class TestCompression:
                 decompress(np.array(1 + 0j), e)
 
     def test_spectrogram_metadata_preserved(self):
-        wave = noise_like(0.5, 16000, np.random.default_rng(14))
+        wave = noise_like(0.5, np.random.default_rng(14))
         spec = stft(wave, CFG)
         comp = compress(spec)
         assert isinstance(comp, ComplexSpectrogram)
@@ -342,7 +348,7 @@ class TestCompression:
         np.testing.assert_allclose(np.abs(comp.data), np.abs(spec.data) ** 0.5, rtol=1e-12)
 
     def test_compressed_roundtrip_through_synthesis(self):
-        wave = speech_like(1.0, 16000, np.random.default_rng(15))
+        wave = speech_like(1.0, np.random.default_rng(15))
         spec = stft(wave, CFG)
         back = istft(decompress(compress(spec)), CFG)
         region = cola_interior(wave.num_samples, CFG)

@@ -515,6 +515,13 @@ class TestTrain:
         assert out.num_channels == 1
         assert out.num_samples == header_scene.num_samples
 
+    def test_enhance_refuses_another_sample_rate(self):
+        # An 8 kHz input once ran the 16 kHz front end and came back
+        # labelled 8000 Hz.
+        x = np.random.default_rng(4).standard_normal((2, 1600))
+        with pytest.raises(ValidationError, match="waveform rate 8000 Hz, expected 16000 Hz"):
+            enhance_waveform(build_model(tiny_config(), 0), WaveBuffer(x, 8000))
+
     def test_channel_mismatch_is_rejected(self, corpus):
         cfg = tiny_config()
         widened = ModelConfig(**{**cfg.to_dict(), "mics": 3})

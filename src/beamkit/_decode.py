@@ -4,6 +4,7 @@ are stated in :mod:`beamkit.config`."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -45,7 +46,8 @@ def decode(cls, raw, label: str):
 
 def decode_value(tp, value, path: str):
     """``value`` checked against annotation ``tp`` (a dataclass, a tuple,
-    a scalar or ``X | None``); a ConfigError names ``path`` otherwise."""
+    a scalar or ``X | None``); a ConfigError names ``path`` otherwise.
+    A number field refuses NaN and ±inf."""
     if is_dataclass(tp):
         return decode(tp, value, path)
     args = get_args(tp)
@@ -60,6 +62,8 @@ def decode_value(tp, value, path: str):
         )
     options = args or (tp,)  # the members of ``X | None``, or one scalar type
     if any(_SCALARS[option][1](value) for option in options):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
         return value
     expected = " or ".join(_SCALARS[option][0] for option in options)
     raise ConfigError(f"{path} must be {expected}, got {value!r}")

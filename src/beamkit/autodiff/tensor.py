@@ -552,19 +552,16 @@ def relu(a: Tensor) -> Tensor:
     return Tensor._result(data, (a,), backward, "relu")
 
 
-def prelu(a: Tensor, alpha: Tensor, channel_axis: int = 1) -> Tensor:
+def prelu(a: Tensor, alpha: Tensor) -> Tensor:
     """``x if x >= 0 else alpha * x`` with one slope per channel.
 
-    ``alpha`` has shape ``(channels,)`` and is applied along
-    ``channel_axis`` of the input.
+    ``alpha`` has shape ``(channels,)`` and is applied along axis 1 of
+    the input.
     """
-    axis = channel_axis % a.ndim
-    if alpha.ndim != 1 or alpha.shape[0] != a.shape[axis]:
-        raise ValidationError(
-            f"alpha shape {alpha.shape} does not match {a.shape[axis]} channels"
-        )
+    if a.ndim < 2 or alpha.shape != (a.shape[1],):
+        raise ValidationError(f"alpha shape {alpha.shape} does not match input {a.shape}")
     view = [1] * a.ndim
-    view[axis] = alpha.shape[0]
+    view[1] = alpha.shape[0]
     alpha_b = alpha.data.reshape(view)
     # Equals np.where(x < 0, alpha * x, x) except possibly for the sign of
     # a zero, and avoids np.where's slow data-dependent select.
@@ -577,7 +574,7 @@ def prelu(a: Tensor, alpha: Tensor, channel_axis: int = 1) -> Tensor:
         if na.requires_grad:
             na._accumulate(np.where(negative, alpha_b * g, g))
         if n_alpha.requires_grad:
-            reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
+            reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
             n_alpha._accumulate(np.sum(g * x * negative, axis=reduce_axes))
 
     return Tensor._result(data, (a, alpha), backward, "prelu")
@@ -681,23 +678,24 @@ def magnitude(real: Tensor, imag: Tensor) -> Tensor:
 
 # -- normalization ----------------------------------------------------------------
 
+# Added to the variance before the inverse square root.
+NORM_EPS = 1e-5
+
 
 def axis_norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
     axes: tuple[int, ...],
-    channel_axis: int = 1,
-    eps: float = 1e-5,
     alpha: Tensor | None = None,
 ) -> Tensor:
     """Zero-mean, unit-variance normalization over ``axes``, then a
     per-channel ``gamma * n + beta`` and, given ``alpha``, a per-channel
-    PReLU, as one graph node.
+    PReLU, as one graph node.  Channels are axis 1 of ``x``.
 
     The forward pass runs the numpy operations of the elementary-op
-    composition (mean as ``sum * (1/n)``, centre, variance, ``+ eps``,
-    ``** -0.5``, scale, affine, then :func:`prelu`'s
+    composition (mean as ``sum * (1/n)``, centre, variance,
+    ``+ NORM_EPS``, ``** -0.5``, scale, affine, then :func:`prelu`'s
     ``max(y, 0) + alpha * min(y, 0)``, in place) in the same order, so
     its values are the same bits.  Only the normalized map ``n`` and the
     inverse deviation are kept for the backward pass: it rebuilds the
@@ -712,15 +710,13 @@ def axis_norm(
     ----------
     x : Tensor
     gamma, beta : Tensor, shape (channels,)
-        Applied along ``channel_axis`` of ``x``.
     axes : tuple of int
         Axes the statistics are taken over.
     alpha : Tensor, shape (channels,), optional
         PReLU slopes for negative outputs.
     """
     ndim = x.ndim
-    channel_axis %= ndim
-    channels = x.shape[channel_axis]
+    channels = x.shape[1]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ValidationError(
             f"axis_norm gamma {gamma.shape} and beta {beta.shape} do not match "
@@ -733,7 +729,7 @@ def axis_norm(
     axes = tuple(axes)
     scale = 1.0 / math.prod(x.shape[ax % ndim] for ax in axes)
     view = [1] * ndim
-    view[channel_axis] = channels
+    view[1] = channels
     gamma_b = gamma.data.reshape(view)
     beta_b = beta.data.reshape(view)
 
@@ -741,7 +737,7 @@ def axis_norm(
     centered = x.data - mean
     var = (centered * centered).sum(axis=axes, keepdims=True) * scale
     _check_finite(var, "axis_norm")
-    inv = (var + eps) ** -0.5
+    inv = (var + NORM_EPS) ** -0.5
     normalized = np.multiply(centered, inv, out=centered)
     data = normalized * gamma_b
     data += beta_b
@@ -756,7 +752,7 @@ def axis_norm(
     n_alpha = None if alpha is None else alpha._node
 
     def backward(g):
-        reduce_axes = tuple(i for i in range(ndim) if i != channel_axis)
+        reduce_axes = tuple(i for i in range(ndim) if i != 1)
         if n_alpha is not None:
             affine = normalized * gamma_b
             affine += beta_b

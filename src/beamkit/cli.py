@@ -241,7 +241,7 @@ def cmd_enhance(cfg: RunConfig, out_dir: str) -> int:
         )
     enhanced = enhance_waveform(model, mixture)
     out_path = os.path.join(out_dir, "enhanced.wav")
-    write_wav(out_path, enhanced, encoding="float32")
+    write_wav(out_path, enhanced)
     print(f"wrote {out_path} ({enhanced.data.shape[1]} samples, mono)")
     return 0
 
@@ -283,7 +283,7 @@ def cmd_rir(cfg: RunConfig, out_dir: str) -> int:
         max_order=section.max_order,
     )
     out_path = os.path.join(out_dir, "rir.wav")
-    write_wav(out_path, WaveBuffer(taps, SAMPLE_RATE), encoding="float32")
+    write_wav(out_path, WaveBuffer(taps, SAMPLE_RATE))
     num_mics, num_taps = taps.shape
     print(f"wrote {out_path} ({num_mics} channels, {num_taps} taps)")
     return 0

@@ -28,7 +28,7 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
 Type rules, checked by one decoder before any range check: a section is
 a JSON object without unknown keys; an integer field takes an integer but
 not ``true``, ``1.0`` or ``"1"``; a number field takes an integer or a
-float and keeps it as given; a boolean field takes only ``true``/``false``;
+finite float and keeps it as given; a boolean field takes only ``true``/``false``;
 a string field takes only a string; a field whose default is ``null`` also
 takes ``null``; a list field takes a JSON list (stored as a tuple) whose
 entries follow these rules, with two entries for ranges and three for

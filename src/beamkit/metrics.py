@@ -27,6 +27,10 @@ __all__ = [
 # -inf error energy, and tables need finite entries.
 SATURATION_DB = 60.0
 
+# The training loss weights its complex and magnitude terms equally.
+LOSS_WEIGHT_RI = 0.5
+LOSS_WEIGHT_MAG = 0.5
+
 
 # ---------------------------------------------------------------------------
 # waveform metrics
@@ -107,17 +111,12 @@ def snr_db(estimate, reference) -> float:
 # spectral loss
 
 
-def loss_tensors(
-    estimate: Tensor,
-    target: Tensor,
-    lambda_ri: float = 0.5,
-    lambda_mag: float = 0.5,
-) -> tuple[Tensor, Tensor, Tensor]:
+def loss_tensors(estimate: Tensor, target: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Differentiable loss on stacked real/imaginary planes.
 
     Both tensors are ``(batch, 2, time, freq)`` with plane 0 real and
     plane 1 imaginary.  Returns ``(total, ri_term, mag_term)`` scalar
-    tensors with ``total = lambda_ri·ri_term + lambda_mag·mag_term``:
+    tensors with ``total = ri_term·LOSS_WEIGHT_RI + mag_term·LOSS_WEIGHT_MAG``:
     ``ri_term`` is the mean over time-frequency bins of the complex
     squared error ``|Ŝ − S|²`` and ``mag_term`` the mean of
     ``(|Ŝ| − |S|)²``.  The means divide by ``batch·time·freq`` so each
@@ -142,5 +141,5 @@ def loss_tensors(
     mag_diff = est_mag - tgt_mag
     mag = (mag_diff * mag_diff).sum() * (1.0 / bins)
 
-    total = ri * lambda_ri + mag * lambda_mag
+    total = ri * LOSS_WEIGHT_RI + mag * LOSS_WEIGHT_MAG
     return total, ri, mag

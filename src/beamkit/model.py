@@ -91,7 +91,7 @@ class ModelConfig:
     A layer whose ``unet_block_depths_*`` entry is 0 has no frequency
     U-Net refiner, so all-zero depths give the plain gated encoder and
     decoder.  Input and target spectrograms are power-compressed by
-    :func:`~.stft.compress` at its default exponent.
+    :func:`~.stft.compress` (exponent ``COMPRESSION_EXPONENT``, 0.5).
     """
 
     mics: int = 9

@@ -41,7 +41,8 @@ class WaveBuffer:
         Samples with shape ``(channels, num_samples)``.  A 1-D array is
         promoted to a single channel.  Stored as float64.
     sample_rate : int
-        Sampling rate in Hz; must be positive.
+        Sampling rate in Hz; a positive ``int`` or numpy integer (not a
+        float, not a bool).
     """
 
     data: np.ndarray
@@ -57,10 +58,11 @@ class WaveBuffer:
             )
         if arr.shape[1] == 0:
             raise EmptySignalError("waveform has zero samples")
-        if int(self.sample_rate) <= 0:
-            raise ValidationError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ValidationError(f"sample_rate must be a positive integer, got {rate!r}")
         self.data = arr
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = int(rate)
 
     @property
     def num_channels(self) -> int:

@@ -310,43 +310,25 @@ def _power_scale(z: np.ndarray, exponent: float) -> np.ndarray:
     return z * scale
 
 
-def _check_exponent(exponent: float):
-    if not (0.0 < exponent <= 1.0):
-        raise ValidationError(f"compression exponent must be in (0, 1], got {exponent}")
-
-
-def compress(spec, exponent: float = COMPRESSION_EXPONENT):
+def compress(spec):
     """Power-compress magnitudes, leaving phase untouched.
 
-    Each bin ``z`` maps to ``|z| ** exponent * exp(j * arg z)``; zero maps
-    to zero.  Accepts either a :class:`ComplexSpectrogram` (metadata is
-    preserved) or a raw complex array/scalar.
-
-    Parameters
-    ----------
-    spec : ComplexSpectrogram or array_like
-    exponent : float
-        In ``(0, 1]``; :data:`COMPRESSION_EXPONENT` (0.5) by default, the
-        exponent the model is trained and run with; 1.0 is the identity.
+    Each bin ``z`` maps to ``|z| ** COMPRESSION_EXPONENT * exp(j * arg z)``;
+    zero maps to zero.  The exponent is fixed at 0.5, the one the model is
+    trained and run with.  Accepts either a :class:`ComplexSpectrogram`
+    (metadata is preserved) or a raw complex array/scalar.
     """
-    _check_exponent(exponent)
     if isinstance(spec, ComplexSpectrogram):
-        return spec.with_data(_power_scale(spec.data, exponent))
-    return _power_scale(spec, exponent)
+        return spec.with_data(_power_scale(spec.data, COMPRESSION_EXPONENT))
+    return _power_scale(spec, COMPRESSION_EXPONENT)
 
 
-def decompress(spec, exponent: float = COMPRESSION_EXPONENT):
-    """Invert :func:`compress`: each bin maps to ``|z| ** (1/exponent)``
-    with phase preserved.
-
-    Parameters
-    ----------
-    spec : ComplexSpectrogram or array_like
-    exponent : float
-        The exponent the data was compressed with, in ``(0, 1]``;
-        :data:`COMPRESSION_EXPONENT` by default.
+def decompress(spec):
+    """Invert :func:`compress`: each bin maps to
+    ``|z| ** (1 / COMPRESSION_EXPONENT)`` with phase preserved; the
+    exponent is fixed, as in :func:`compress`.  Accepts a
+    :class:`ComplexSpectrogram` or a raw complex array/scalar.
     """
-    _check_exponent(exponent)
     if isinstance(spec, ComplexSpectrogram):
-        return spec.with_data(_power_scale(spec.data, 1.0 / exponent))
-    return _power_scale(spec, 1.0 / exponent)
+        return spec.with_data(_power_scale(spec.data, 1.0 / COMPRESSION_EXPONENT))
+    return _power_scale(spec, 1.0 / COMPRESSION_EXPONENT)

@@ -70,29 +70,32 @@ CHECKPOINT_META_KIND = "model_checkpoint"
 # configuration
 
 
+# The paper's fixed training recipe: Adam's coefficients, and the number
+# of epochs without a better validation loss before the rate halves.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+PLATEAU_PATIENCE = 2
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the desk-scale trainer.
 
     Each batch is one forward pass and one backward pass of the mean
-    spectral loss (weights ``lambda_ri``/``lambda_mag``), followed by one
-    Adam step with ``beta1``/``beta2``/``epsilon``.  The learning rate
-    starts at ``learning_rate`` and halves after ``plateau_patience``
-    epochs without a better validation loss.  ``learning_rate=0`` is
-    allowed as a diagnostic mode that freezes the parameters while
-    exercising the full loop.
+    spectral loss (weights :data:`~.metrics.LOSS_WEIGHT_RI` and
+    :data:`~.metrics.LOSS_WEIGHT_MAG`), followed by one Adam step with
+    :data:`ADAM_BETA1`, :data:`ADAM_BETA2` and :data:`ADAM_EPSILON`.  The
+    learning rate starts at ``learning_rate`` and halves after
+    :data:`PLATEAU_PATIENCE` epochs without a better validation loss.
+    ``learning_rate=0`` is allowed as a diagnostic mode that freezes the
+    parameters while exercising the full loop.
     """
 
     epochs: int = 20
     batch_size: int = 2
     learning_rate: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    plateau_patience: int = 2
     segment_seconds: float = 2.0
-    lambda_ri: float = 0.5
-    lambda_mag: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -104,22 +107,10 @@ class TrainConfig:
             raise ConfigError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.plateau_patience < 1:
-            raise ConfigError(
-                f"plateau_patience must be >= 1, got {self.plateau_patience}"
-            )
         if not (math.isfinite(self.segment_seconds) and self.segment_seconds > 0.0):
             raise ConfigError(
                 f"segment_seconds must be finite and > 0, got {self.segment_seconds}"
             )
-        for name in ("lambda_ri", "lambda_mag"):
-            weight = getattr(self, name)
-            if not (math.isfinite(weight) and weight >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {weight}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -136,18 +127,17 @@ class TrainConfig:
 
 @dataclass
 class OptimState:
-    """What changes as a run trains: the Adam moments and step count, and
-    the plateau-halving schedule state.  ``cfg`` holds everything fixed.
+    """What changes as a run trains: the learning rate, the Adam moments
+    and step count, and the plateau-halving schedule state.
 
-    The learning rate starts at ``cfg.learning_rate`` and never
+    The learning rate starts at the value it is built with and never
     increases: :func:`lr_schedule` halves it whenever validation loss
-    fails to improve for ``cfg.plateau_patience`` consecutive epochs.  A
+    fails to improve for :data:`PLATEAU_PATIENCE` consecutive epochs.  A
     zero learning rate is the diagnostic freeze mode; otherwise it stays
     positive (halving cannot reach zero).
     """
 
-    cfg: TrainConfig
-    learning_rate: float = field(init=False)
+    learning_rate: float
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -155,24 +145,20 @@ class OptimState:
     best_val_loss: float = math.inf
     halvings: int = 0
 
-    def __post_init__(self):
-        self.learning_rate = self.cfg.learning_rate
-
 
 def adam_step(params: dict, state: OptimState) -> OptimState:
     """One Adam update (bias-corrected) applied to ``params`` in place.
 
     ``params`` maps names to leaf tensors; each update reads the tensor's
     ``.grad`` (``None`` counts as a zero gradient) and the coefficients
-    ``beta1``/``beta2``/``epsilon`` of ``state.cfg``.  Parameters are
-    visited in sorted-name order so the update sequence is deterministic.
-    Returns ``state`` for chaining.
+    :data:`ADAM_BETA1`, :data:`ADAM_BETA2` and :data:`ADAM_EPSILON`.
+    Parameters are visited in sorted-name order so the update sequence is
+    deterministic.  Returns ``state`` for chaining.
     """
-    cfg = state.cfg
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     for name in sorted(params):
         param = params[name]
         grad = np.zeros_like(param.data) if param.grad is None else param.grad
@@ -186,19 +172,19 @@ def adam_step(params: dict, state: OptimState) -> OptimState:
             state.second_moment[name] = np.zeros_like(param.data)
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * grad**2
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad**2
         m_hat = m / bias1
         v_hat = v / bias2
-        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        param.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return state
 
 
 def lr_schedule(state: OptimState, validation_loss: float) -> OptimState:
     """Plateau rule: halve the learning rate after
-    ``state.cfg.plateau_patience`` stalls.
+    :data:`PLATEAU_PATIENCE` stalls.
 
     An epoch improves only if its validation loss is strictly below the
     best seen so far (no minimum delta).  Improvement resets the stall
@@ -214,7 +200,7 @@ def lr_schedule(state: OptimState, validation_loss: float) -> OptimState:
         state.plateau_count = 0
     else:
         state.plateau_count += 1
-        if state.plateau_count >= state.cfg.plateau_patience:
+        if state.plateau_count >= PLATEAU_PATIENCE:
             state.learning_rate *= 0.5
             state.halvings += 1
             state.plateau_count = 0
@@ -268,8 +254,8 @@ def _load_examples(
     """Manifest → list of (input_planes, target_planes) training pairs.
 
     Each utterance is cropped to its leading ``segment_seconds`` (the
-    full utterance if shorter), transformed, compressed (:func:`compress`
-    at its default exponent), and stacked into real/imaginary planes.
+    full utterance if shorter), transformed, compressed (:func:`compress`),
+    and stacked into real/imaginary planes.
     All utterances must share a length so batches stack, and every WAV
     must be at :data:`~.signals.SAMPLE_RATE`.
     """
@@ -332,7 +318,7 @@ class TrainResult:
     summary_path: str | None = None
 
 
-def _batch_loss(model, examples, indices, cfg) -> tuple[float, float, float]:
+def _batch_loss(model, examples, indices) -> tuple[float, float, float]:
     """Loss of the batch of ``examples`` at ``indices``, stacked in that
     order; ``total`` is backpropagated when gradients are enabled.
 
@@ -340,12 +326,7 @@ def _batch_loss(model, examples, indices, cfg) -> tuple[float, float, float]:
     """
     inputs = np.stack([examples[i][0] for i in indices])
     targets = np.stack([examples[i][1] for i in indices])
-    total, ri, mag = loss_tensors(
-        model.forward(Tensor(inputs)),
-        Tensor(targets),
-        cfg.lambda_ri,
-        cfg.lambda_mag,
-    )
+    total, ri, mag = loss_tensors(model.forward(Tensor(inputs)), Tensor(targets))
     if is_grad_enabled():
         total.backward()
     return float(total.data), float(ri.data), float(mag.data)
@@ -394,7 +375,7 @@ def train(
         val_examples = examples
 
     params = dict(model.named_parameters())
-    state = OptimState(cfg)
+    state = OptimState(cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence((int(cfg.seed), 0x7261494E)))
 
     out_dir = os.fspath(out_dir) if out_dir is not None else None
@@ -419,7 +400,7 @@ def train(
             picked = np.sort(batch)
             model.zero_grad()
             try:
-                losses = _batch_loss(model, examples, picked, cfg)
+                losses = _batch_loss(model, examples, picked)
                 if not math.isfinite(losses[0]):
                     raise DivergenceError(epoch, batch_index)
                 adam_step(params, state)
@@ -431,7 +412,7 @@ def train(
         train_loss, train_ri, train_mag = _size_weighted_means(batch_losses)
         with no_grad():
             val_loss = _size_weighted_means(
-                [(len(b), *_batch_loss(model, val_examples, b, cfg)) for b in val_batches]
+                [(len(b), *_batch_loss(model, val_examples, b)) for b in val_batches]
             )[0]
         if not math.isfinite(val_loss):
             raise DivergenceError(epoch, 0, "validation loss is not finite")
@@ -706,11 +687,8 @@ def evaluate(
         enhanced = enhance(mixture, speech_img, noise_img, mvdr_est)
 
         if audio_dir is not None:
-            write_wav(
-                os.path.join(audio_dir, f"{record['id']}_enhanced.wav"),
-                WaveBuffer(enhanced, SAMPLE_RATE),
-                encoding="float32",
-            )
+            write_wav(os.path.join(audio_dir, f"{record['id']}_enhanced.wav"),
+                      WaveBuffer(enhanced, SAMPLE_RATE))
 
         values = {
             "si_snr_noisy_db": si_snr_db(noisy, reference),

@@ -1,11 +1,10 @@
 """WAV file reading and writing.
 
-Only two encodings are supported: 16-bit integer PCM and 32-bit float.
-Samples on disk are channel-interleaved; in memory a :class:`WaveBuffer`
-holds float64 of shape ``(channels, samples)``.  PCM16 uses the fixed
-convention ``int = clip(round(x * 32768), -32768, 32767)`` on write and
-``x = int / 32768`` on read, so the round-trip error is at most one
-quantization step (1/32768) per sample.
+Files are written as 32-bit float.  Both 32-bit float and 16-bit integer
+PCM files are read, since input audio may come from elsewhere; PCM16
+samples are scaled by ``x = int / 32768``.  Samples on disk are
+channel-interleaved; in memory a :class:`WaveBuffer` holds float64 of
+shape ``(channels, samples)``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import os
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import ValidationError, WavFormatError
+from .errors import WavFormatError
 from .signals import WaveBuffer
 
 __all__ = ["read_wav", "write_wav", "PCM16_SCALE"]
@@ -70,8 +69,9 @@ def read_wav(path: str | os.PathLike, expect_rate: int | None = None) -> WaveBuf
     return buffer
 
 
-def write_wav(path: str | os.PathLike, wave: WaveBuffer, encoding: str = "float32"):
-    """Write a WaveBuffer to disk.
+def write_wav(path: str | os.PathLike, wave: WaveBuffer):
+    """Write a WaveBuffer to disk as 32-bit float, which is lossless for
+    values representable in single precision.
 
     Parameters
     ----------
@@ -79,20 +79,8 @@ def write_wav(path: str | os.PathLike, wave: WaveBuffer, encoding: str = "float3
         Destination file; parent directory must exist.
     wave : WaveBuffer
         Data to write; channels become interleaved WAV channels in order.
-    encoding : {"float32", "pcm16"}
-        ``"float32"`` is lossless for values representable in single
-        precision; ``"pcm16"`` scales by 32768, rounds to nearest, and
-        clamps to [-32768, 32767].
     """
-    data = wave.data.T  # (samples, channels)
-    if encoding == "float32":
-        payload = data.astype(np.float32)
-    elif encoding == "pcm16":
-        scaled = np.round(data * PCM16_SCALE)
-        payload = np.clip(scaled, -32768, 32767).astype(np.int16)
-    else:
-        raise ValidationError(f"unknown WAV encoding {encoding!r}")
-
+    payload = wave.data.T.astype(np.float32)  # (samples, channels)
     if payload.shape[1] == 1:
         payload = payload[:, 0]
     wavfile.write(os.fspath(path), wave.sample_rate, payload)

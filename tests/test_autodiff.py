@@ -553,28 +553,28 @@ class TestActivations:
     def test_prelu_values(self):
         x = Tensor(np.array([[-2.0, 4.0]]).T.reshape(2, 1))
         alpha = Tensor(np.array([0.25]))
-        out = prelu(x, alpha, channel_axis=1)
+        out = prelu(x, alpha)
         np.testing.assert_allclose(out.data, [[-0.5], [4.0]])
 
     def test_prelu_alpha_one_is_identity(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((2, 3, 4)))
-        out = prelu(x, Tensor(np.ones(3)), channel_axis=1)
+        out = prelu(x, Tensor(np.ones(3)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_prelu_alpha_zero_is_relu(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((2, 3, 4)))
-        out = prelu(x, Tensor(np.zeros(3)), channel_axis=1)
+        out = prelu(x, Tensor(np.zeros(3)))
         np.testing.assert_array_equal(out.data, np.maximum(x.data, 0.0))
 
     def test_prelu_matches_where_formula(self):
         rng = np.random.default_rng(15)
         extremes = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
-        x = np.concatenate([rng.standard_normal(2_000) * 4, extremes] * 3).reshape(3, -1)
+        x = np.concatenate([rng.standard_normal(2_000) * 4, extremes] * 3).reshape(1, 3, -1)
         alpha = np.array([0.25, -0.7, 0.0])
         want = np.where(x < 0, alpha[:, None] * x, x)
-        out = prelu(Tensor(x), Tensor(alpha), channel_axis=0)
+        out = prelu(Tensor(x), Tensor(alpha))
         np.testing.assert_array_equal(out.data, want)
 
     def test_sigmoid_tanh_values_and_stability(self):
@@ -696,14 +696,14 @@ class TestNorms:
         np.testing.assert_array_equal(full[:, :, :4, :], partial[:, :, :4, :])
 
 
-def axis_norm_unfused(x, gamma, beta, axes, channel_axis=1, eps=1e-5):
+def axis_norm_unfused(x, gamma, beta, axes):
     """Normalization as a graph of elementary ops: the fused op's oracle."""
     mean = x.mean(axis=axes, keepdims=True)
     centered = x - mean
     var = (centered * centered).mean(axis=axes, keepdims=True)
-    normalized = centered * ((var + eps) ** -0.5)
+    normalized = centered * ((var + 1e-5) ** -0.5)
     view = [1] * x.ndim
-    view[channel_axis] = gamma.shape[0]
+    view[1] = gamma.shape[0]
     return normalized * gamma.reshape(view) + beta.reshape(view)
 
 
@@ -1321,7 +1321,7 @@ class TestGradients:
 
         def fn():
             a = sigmoid(x) + tanh(x) + relu(x + 0.05)
-            p = prelu(x, alpha, channel_axis=1)
+            p = prelu(x, alpha)
             return (a * p).sum()
 
         self.check(fn, [x, alpha])

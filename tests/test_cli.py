@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config echo, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -247,10 +248,12 @@ class TestExitCodes:
          (2, "seed", "abc", ":2: scene record field seed must be a list, got 'abc'"),
          (2, "seed", [-1, 0], "field seed must be a list of integers >= 0, got [-1, 0]"),
          (2, "seed", [1.5, 0], "field seed[0] must be an integer, got 1.5"),
-         (3, "snr_db", "x", ":3: scene record field snr_db must be a number, got 'x'")],
+         (3, "snr_db", "x", ":3: scene record field snr_db must be a number, got 'x'"),
+         (1, "duration", math.inf, ":1: manifest header field duration must be finite, got inf"),
+         (3, "snr_db", math.nan, ":3: scene record field snr_db must be finite, got nan")],
         ids=["duration-string", "duration-bool", "sample_rate-string", "sample_rate-fraction",
              "max_order-string", "seed-string", "seed-negative", "seed-fraction",
-             "snr_db-string"],
+             "snr_db-string", "duration-inf", "snr_db-nan"],
     )
     def test_malformed_manifest_number_exits_3(
         self, tmp_path, corpus_dir, capsys, line_no, name, value, message
@@ -367,7 +370,7 @@ class TestExitCodes:
         copy = tmp_path / "corpus"
         shutil.copytree(corpus_dir, copy)
         for wav in (copy / "audio").iterdir():
-            write_wav(wav, WaveBuffer(read_wav(wav).data, 8000), encoding="float32")
+            write_wav(wav, WaveBuffer(read_wav(wav).data, 8000))
         rc = main(["train", "--out", str(tmp_path / "o"), "--set", "model.mics=2",
                    "--manifest", str(copy / "manifest.jsonl")])
         assert rc == 4
@@ -400,6 +403,12 @@ FIXED_ASSIGNMENTS = [
     "model.compression_exponent=0.5",
 ]
 FIXED_MODEL_FIELDS = {a.split("=")[0] for a in FIXED_ASSIGNMENTS}
+# The training recipe's constants, each at its old default.
+FIXED_TRAIN = [
+    "train.beta1=0.9", "train.beta2=0.999", "train.epsilon=1e-8",
+    "train.plateau_patience=2", "train.lambda_ri=0.5", "train.lambda_mag=0.5",
+]
+FIXED_TRAIN_FIELDS = {a.split("=")[0] for a in FIXED_TRAIN}
 # The STFT front end and the sample rate are constants too: (subcommand,
 # assignment, the one error line's unknown-field clause).
 FIXED_FRONT_END = [
@@ -407,6 +416,15 @@ FIXED_FRONT_END = [
     ("rir", "rir.sample_rate=8000", "unknown rir config fields: ['sample_rate']"),
     ("simulate", "stft.fft_size=512", "unknown config fields: ['stft']"),
     ("simulate", "model.freq_bins=257", "unknown model config fields: ['freq_bins']"),
+]
+# Non-finite numbers outside the train section: (subcommand, assignment,
+# the dotted field the one error line names).
+NON_FINITE = [
+    ("simulate", "simulate.duration_seconds=NaN", "simulate.duration_seconds"),
+    ("simulate", "simulate.duration_seconds=1e400", "simulate.duration_seconds"),
+    ("rir", "rir.rt60=NaN", "rir.rt60"),
+    ("simulate", "simulate.sampling.mic_spacing=NaN", "simulate.sampling.mic_spacing"),
+    ("simulate", "simulate.sampling.array_height=NaN", "simulate.sampling.array_height"),
 ]
 
 
@@ -465,7 +483,23 @@ class TestConfigDecoding:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert f"configuration error: {field} must be finite" in err[0]
+        if f"train.{field}" in FIXED_TRAIN_FIELDS:
+            assert f"configuration error: unknown train config fields: ['{field}']" in err[0]
+        else:
+            assert f"configuration error: train.{field} must be finite, got " in err[0]
+
+    @pytest.mark.parametrize(
+        "command,assignment,field", NON_FINITE, ids=[a for _, a, _ in NON_FINITE]
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, assignment, field):
+        # Each used to pass the range checks and end in a traceback (or,
+        # for array_height, in exhausting the source-draw budget).
+        rc = main([command, "--out", str(tmp_path / "o"), "--set", "simulate.count=1",
+                   "--set", "simulate.duration_seconds=0.5", "--set", assignment])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        value = "inf" if assignment.endswith("1e400") else "nan"
+        assert err == [f"beamkit: configuration error: {field} must be finite, got {value}"]
 
     @pytest.mark.parametrize("assignment", FIXED_ASSIGNMENTS)
     def test_fixed_geometry_is_an_unknown_field(self, tmp_path, capsys, assignment):
@@ -478,6 +512,17 @@ class TestConfigDecoding:
         assert len(err) == 1
         field = assignment.split("=")[0].split(".")[1]
         assert f"unknown model config fields: ['{field}']" in err[0]
+
+    @pytest.mark.parametrize("assignment", FIXED_TRAIN)
+    def test_fixed_training_recipe_is_an_unknown_field(self, tmp_path, capsys, assignment):
+        # Adam's coefficients, the plateau patience and the loss weights
+        # are constants, so even their old default values are refused.
+        rc = main(["simulate", "--out", str(tmp_path / "o"),
+                   "--set", "simulate.count=0", "--set", assignment])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        field = assignment.split("=")[0].split(".")[1]
+        assert err == [f"beamkit: configuration error: unknown train config fields: ['{field}']"]
 
     @pytest.mark.parametrize(
         "command,assignment,message", FIXED_FRONT_END, ids=[a for _, a, _ in FIXED_FRONT_END]
@@ -523,10 +568,8 @@ class TestConfigDecoding:
             "simulate.sampling.room_width", "simulate.sampling.rt60_range",
             "simulate.sampling.snr_grid_db", "simulate.sampling.source_distances",
             "simulate.sampling.source_wall_margin",
-            "train.batch_size", "train.beta1", "train.beta2", "train.epochs", "train.epsilon",
-            "train.lambda_mag", "train.lambda_ri", "train.learning_rate", "train.manifest",
-            "train.plateau_patience", "train.seed", "train.segment_seconds",
-            "train.val_manifest",
+            "train.batch_size", "train.epochs", "train.learning_rate", "train.manifest",
+            "train.seed", "train.segment_seconds", "train.val_manifest",
         ]
 
     def test_grad_accumulation_is_an_unknown_field(self, tmp_path, capsys):
@@ -682,7 +725,7 @@ def quiet_start_wav(tmp_path_factory):
     data = 0.3 * rng.standard_normal((2, 16000))
     data[:, :320] = 0.0
     path = root / "mixture.wav"
-    write_wav(path, WaveBuffer(data, 16000), encoding="float32")
+    write_wav(path, WaveBuffer(data, 16000))
     return path
 
 
@@ -707,17 +750,34 @@ class TestEnhance:
     ):
         # Checkpoints written while TrainConfig had grad_accumulation carry
         # it in meta["train"], which loading never decodes.
+        self.check_old_train_meta_enhances_alike(
+            passthrough_checkpoint, quiet_start_wav, tmp_path, {"grad_accumulation": 1}
+        )
+
+    def test_checkpoint_carrying_the_old_training_recipe_still_enhances(
+        self, passthrough_checkpoint, quiet_start_wav, tmp_path
+    ):
+        # Checkpoints written while TrainConfig had the Adam coefficients,
+        # the plateau patience and the loss weights carry them too.
+        old = {a.split("=")[0].split(".")[1]: json.loads(a.split("=")[1]) for a in FIXED_TRAIN}
+        self.check_old_train_meta_enhances_alike(
+            passthrough_checkpoint, quiet_start_wav, tmp_path, old
+        )
+
+    @staticmethod
+    def check_old_train_meta_enhances_alike(original, wav, tmp_path, old_train):
         from beamkit.autodiff import load_checkpoint, save_checkpoint
 
-        tensors, meta = load_checkpoint(passthrough_checkpoint)
-        meta["train"]["grad_accumulation"] = 1
+        tensors, meta = load_checkpoint(original)
+        assert not old_train.keys() & meta["train"].keys()
+        meta["train"].update(old_train)
         older = tmp_path / "older.bkt"
         save_checkpoint(older, tensors, meta)
         outputs = []
-        for checkpoint in (passthrough_checkpoint, older):
+        for checkpoint in (original, older):
             out = tmp_path / checkpoint.stem
             assert main(["enhance", "--out", str(out), "--checkpoint", str(checkpoint),
-                         "--input", str(quiet_start_wav)]) == 0
+                         "--input", str(wav)]) == 0
             outputs.append((out / "enhanced.wav").read_bytes())
         assert outputs[0] == outputs[1]
 

@@ -1,10 +1,13 @@
 """Synthetic test signals: the harmonic bank against its direct-sum oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
 from beamkit import signals
-from beamkit.signals import speech_like
+from beamkit.errors import ValidationError
+from beamkit.signals import WaveBuffer, speech_like
 
 # Agreement of the Horner harmonic bank with the direct sum, relative to
 # the peak sample.  Set from the float64 spacing at k·φ ≈ 4e5 rad (the
@@ -48,3 +51,20 @@ def test_vector_offset_draw_keeps_the_scalar_stream():
     expected = [scalar.uniform(0, 2 * np.pi) for _ in range(31)]
     np.testing.assert_array_equal(drawn, expected)
     assert vector.standard_normal() == scalar.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [16000.9, 16000.0, True, "16000", 0, -16000, np.float64(16000)],
+    ids=["fractional", "float", "bool", "string", "zero", "negative", "numpy-float"],
+)
+def test_wave_buffer_refuses_a_rate_that_is_not_a_positive_integer(rate):
+    # A fractional rate used to be truncated: 16000.9 became 16000 Hz.
+    with pytest.raises(ValidationError, match=re.escape(f"got {rate!r}")):
+        WaveBuffer(np.ones(320), rate)
+
+
+@pytest.mark.parametrize("rate", [16000, np.int32(16000), np.int64(8000)])
+def test_wave_buffer_keeps_an_integer_rate_as_int(rate):
+    buffer = WaveBuffer(np.ones(320), rate)
+    assert buffer.sample_rate == rate and type(buffer.sample_rate) is int

@@ -1,0 +1,28 @@
+"""The settable parameters of the public functions whose other values
+became constants: each list is pinned, so a new knob is added on purpose."""
+
+import inspect
+
+import pytest
+
+from beamkit.autodiff.tensor import axis_norm, prelu
+from beamkit.metrics import loss_tensors
+from beamkit.stft import compress, decompress
+from beamkit.training import OptimState
+from beamkit.wavio import write_wav
+
+PARAMETERS = {
+    loss_tensors: ["estimate", "target"],
+    compress: ["spec"],
+    decompress: ["spec"],
+    write_wav: ["path", "wave"],
+    prelu: ["a", "alpha"],
+    axis_norm: ["x", "gamma", "beta", "axes", "alpha"],
+    OptimState: ["learning_rate", "step_count", "first_moment", "second_moment",
+                 "plateau_count", "best_val_loss", "halvings"],
+}
+
+
+@pytest.mark.parametrize("function", PARAMETERS, ids=lambda f: f.__name__)
+def test_parameters_are_pinned(function):
+    assert list(inspect.signature(function).parameters) == PARAMETERS[function]

@@ -296,9 +296,8 @@ class TestCompression:
         np.testing.assert_allclose(compress(np.array(-9 + 0j)), -3 + 0j, rtol=1e-12)
 
     def test_zero_maps_to_zero(self):
-        for e in (0.25, 0.5, 1.0):
-            assert compress(np.array(0j), e) == 0j
-            assert decompress(np.array(0j), e) == 0j
+        assert compress(np.array(0j)) == 0j
+        assert decompress(np.array(0j)) == 0j
 
     def test_decompress_squares(self):
         np.testing.assert_allclose(decompress(np.array(2 + 0j)), 4 + 0j, rtol=1e-12)
@@ -310,9 +309,8 @@ class TestCompression:
     def test_roundtrip_random_tensor(self):
         rng = np.random.default_rng(9)
         z = rng.standard_normal((161, 7, 3)) + 1j * rng.standard_normal((161, 7, 3))
-        for e in (0.3, 0.5, 1.0):
-            back = decompress(compress(z, e), e)
-            assert np.max(np.abs(back - z) / np.abs(z)) <= 1e-12
+        back = decompress(compress(z))
+        assert np.max(np.abs(back - z) / np.abs(z)) <= 1e-12
 
     def test_phase_preserved(self):
         rng = np.random.default_rng(10)
@@ -325,18 +323,6 @@ class TestCompression:
         order = np.argsort(np.abs(z))
         compressed_sorted = np.abs(compress(z))[order]
         assert np.all(np.diff(compressed_sorted) > 0)
-
-    def test_exponent_one_is_identity(self):
-        rng = np.random.default_rng(13)
-        z = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        np.testing.assert_allclose(compress(z, 1.0), z, rtol=1e-15)
-
-    def test_bad_exponent_rejected(self):
-        for e in (0.0, -0.5, 1.5):
-            with pytest.raises(ValidationError):
-                compress(np.array(1 + 0j), e)
-            with pytest.raises(ValidationError):
-                decompress(np.array(1 + 0j), e)
 
     def test_spectrogram_metadata_preserved(self):
         wave = noise_like(0.5, np.random.default_rng(14))

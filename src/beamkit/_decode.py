@@ -67,3 +67,17 @@ def decode_value(tp, value, path: str):
         return value
     expected = " or ".join(_SCALARS[option][0] for option in options)
     raise ConfigError(f"{path} must be {expected}, got {value!r}")
+
+
+def require_finite(section, label: str = "") -> None:
+    """A ConfigError naming the first float field of dataclass ``section``,
+    or float entry of a tuple field, that holds NaN or ±inf; ``label``
+    prefixes the field as in :func:`decode`."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        path = f"{label}.{f.name}" if label else f.name
+        entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, entry in entries:
+            if isinstance(entry, float) and not math.isfinite(entry):
+                where = path if i is None else f"{path}[{i}]"
+                raise ConfigError(f"{where} must be finite, got {entry!r}")

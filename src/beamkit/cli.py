@@ -108,29 +108,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize a scene corpus with a manifest")
     add_common(p)
-    p.add_argument("--count", type=int, default=None, help="number of scenes")
+    p.add_argument("--count", dest="simulate.count", type=int, help="number of scenes")
 
     p = sub.add_parser("train", help="train the neural beamformer on a corpus")
     add_common(p)
-    p.add_argument("--manifest", default=None, help="training corpus manifest")
-    p.add_argument("--val-manifest", default=None, help="validation corpus manifest")
+    p.add_argument("--manifest", dest="train.manifest", help="training corpus manifest")
+    p.add_argument("--val-manifest", dest="train.val_manifest", help="validation corpus manifest")
 
     p = sub.add_parser("enhance", help="enhance one multichannel WAV file")
     add_common(p)
-    p.add_argument("--checkpoint", default=None, help="trained model checkpoint")
-    p.add_argument("--input", default=None, help="16 kHz multichannel WAV to enhance")
+    p.add_argument("--checkpoint", dest="enhance.checkpoint", help="trained model checkpoint")
+    p.add_argument("--input", dest="enhance.input_wav", help="16 kHz multichannel WAV to enhance")
 
     p = sub.add_parser("evaluate", help="score a system over a corpus manifest")
     add_common(p)
-    p.add_argument("--manifest", default=None, help="corpus manifest to score")
-    p.add_argument("--checkpoint", default=None, help="trained model checkpoint")
+    p.add_argument("--manifest", dest="evaluate.manifest", help="corpus manifest to score")
+    p.add_argument("--checkpoint", dest="evaluate.checkpoint", help="trained model checkpoint")
     p.add_argument(
-        "--system", default=None, choices=EVALUATE_SYSTEMS,
+        "--system", dest="evaluate.system", choices=EVALUATE_SYSTEMS,
         help="which system to score (default: model)",
     )
-    p.add_argument("--max-scenes", type=int, default=None, help="limit scene count")
+    p.add_argument("--max-scenes", dest="evaluate.max_scenes", type=int, help="limit scene count")
     p.add_argument(
-        "--dump-audio", action="store_true", default=False,
+        "--dump-audio", dest="evaluate.dump_audio", action="store_true", default=None,
         help="also write each enhanced scene as a WAV under <out>/audio",
     )
 
@@ -141,27 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_overrides(args: argparse.Namespace) -> list[str]:
-    """Convenience flags become ordinary overrides, applied after --set."""
-    mapping = {
-        "simulate": [("count", "simulate.count")],
-        "train": [("manifest", "train.manifest"), ("val_manifest", "train.val_manifest")],
-        "enhance": [("checkpoint", "enhance.checkpoint"), ("input", "enhance.input_wav")],
-        "evaluate": [
-            ("manifest", "evaluate.manifest"),
-            ("checkpoint", "evaluate.checkpoint"),
-            ("system", "evaluate.system"),
-            ("max_scenes", "evaluate.max_scenes"),
-        ],
-        "rir": [],
-    }
-    assignments = []
-    for attr, dotted in mapping[args.command]:
-        value = getattr(args, attr)
-        if value is not None:
-            assignments.append(f"{dotted}={json.dumps(value)}")
-    if args.command == "evaluate" and args.dump_audio:
-        assignments.append("evaluate.dump_audio=true")
-    return assignments
+    """Convenience flags become ordinary overrides, applied after --set:
+    each flag's ``dest`` is the dotted config field it sets."""
+    return [
+        f"{dest}={json.dumps(value)}"
+        for dest, value in vars(args).items()
+        if "." in dest and value is not None
+    ]
 
 
 def _echo_config(out_dir: str, command: str, cfg: RunConfig):

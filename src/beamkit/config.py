@@ -46,11 +46,11 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
-from ._decode import as_object, decode
+from ._decode import as_object, decode, require_finite
 from .errors import ConfigError
 from .model import ModelConfig
 from .rooms import SceneSampling
-from .training import TrainConfig, check_max_scenes
+from .training import SYSTEMS, TrainConfig, check_max_scenes
 
 __all__ = [
     "RunConfig",
@@ -65,7 +65,7 @@ __all__ = [
 
 MAX_SEED = 2**64 - 1
 
-EVALUATE_SYSTEMS = ("model", "identity", "oracle-mvdr")
+EVALUATE_SYSTEMS = ("model", *SYSTEMS)
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ class SimulateSection:
     sampling: SceneSampling = field(default_factory=SceneSampling)
 
     def __post_init__(self):
+        require_finite(self, "simulate")
         if self.count < 0:
             raise ConfigError(f"simulate.count must be >= 0, got {self.count}")
         if self.duration_seconds <= 0:
@@ -134,6 +135,7 @@ class RirSection:
         for name in ("room_dimensions", "source_position", "array_center"):
             # Integer coordinates are echoed as floats, e.g. 6.0 for 6.
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        require_finite(self, "rir")
         if self.rt60 <= 0:
             raise ConfigError(f"rir.rt60 must be > 0, got {self.rt60}")
         if self.num_mics < 1:

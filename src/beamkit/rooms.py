@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import fftconvolve
 
-from ._decode import decode, decode_value
+from ._decode import decode, decode_value, require_finite
 from .errors import (
     ConfigError,
     EmptySignalError,
@@ -465,6 +465,7 @@ class SceneSampling:
     rejection_budget: int = 10_000
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("room_length", "room_width", "room_height", "rt60_range"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):

@@ -10,7 +10,10 @@ loss curves, checkpoints, and metric tables alike.
 The evaluation harness regenerates each manifest scene from its
 recorded seed (bit-exactly), runs the system under test next to the
 always-computed oracle mask-based MVDR baseline, and reports SI-SNR and
-SNR per scene with per-mixing-SNR aggregate means.
+SNR per scene with per-mixing-SNR aggregate means.  Its schema is two
+tables: :data:`ESTIMATES` × :data:`METRICS` gives every metric column,
+gain column and summary column, and :data:`SYSTEMS` names the systems
+besides a trained model.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "TrainResult",
     "MetricsRow",
     "EvaluationResult",
+    "ESTIMATES", "METRICS", "SYSTEMS",
     "adam_step",
     "lr_schedule",
     "train",
@@ -508,70 +512,68 @@ def load_trained_model(path: str | os.PathLike) -> tuple[NeuralBeamformer, StftC
 # evaluation
 
 
+# The first table: every estimate is scored by every metric against the
+# reference-channel speech image, in the column ``<metric>_<estimate>_db``.
+ESTIMATES = ("noisy", "enhanced", "mvdr")
+METRICS = {"si_snr": si_snr_db, "snr": snr_db}
+
+
+def _column(metric: str, estimate: str) -> str:
+    return f"{metric}_{estimate}_db"
+
+
+# Gain column -> (metric, estimate): the estimate's score minus the noisy
+# input's.  The system's gains keep their unprefixed names; the others
+# are prefixed with their estimate.
+_GAINS = {
+    f"{'' if estimate == 'enhanced' else estimate + '_'}{metric}_gain_db": (metric, estimate)
+    for estimate in ESTIMATES
+    if estimate != "noisy"
+    for metric in METRICS
+}
+
+
 @dataclass(frozen=True)
 class MetricsRow:
-    """Per-scene metrics for the noisy mixture, the system, and the oracle
-    MVDR baseline, all against the reference-channel speech image.
+    """Per-scene metrics of the :data:`ESTIMATES` (the noisy mixture, the
+    system and the oracle MVDR baseline) under the :data:`METRICS`.
 
-    ``saturated`` names every metric field that hit the ±60 dB cap.
+    ``values`` maps each of :attr:`METRIC_FIELDS` to its score; every
+    metric column and every gain in :attr:`GAIN_FIELDS` reads as an
+    attribute, e.g. ``row.si_snr_mvdr_db`` and ``row.mvdr_si_snr_gain_db``.
+    ``saturated`` names every metric column that hit the ±60 dB cap.
     """
 
     scene_id: str
     snr_db: float
-    si_snr_noisy_db: float
-    si_snr_enhanced_db: float
-    si_snr_mvdr_db: float
-    snr_noisy_db: float
-    snr_enhanced_db: float
-    snr_mvdr_db: float
+    values: dict
     saturated: tuple = ()
 
-    METRIC_FIELDS = (
-        "si_snr_noisy_db",
-        "si_snr_enhanced_db",
-        "si_snr_mvdr_db",
-        "snr_noisy_db",
-        "snr_enhanced_db",
-        "snr_mvdr_db",
-    )
-    # Derived columns: each a property below, written and averaged with
-    # the metric fields.
-    GAIN_FIELDS = (
-        "si_snr_gain_db",
-        "snr_gain_db",
-        "mvdr_si_snr_gain_db",
-        "mvdr_snr_gain_db",
-    )
+    METRIC_FIELDS = tuple(_column(m, e) for m in METRICS for e in ESTIMATES)
+    GAIN_FIELDS = tuple(_GAINS)
 
     def __post_init__(self):
-        for name in self.METRIC_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, value in self.values.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         unknown = set(self.saturated) - set(self.METRIC_FIELDS)
         if unknown:
             raise ValidationError(f"unknown saturated flags: {sorted(unknown)}")
 
-    @property
-    def si_snr_gain_db(self) -> float:
-        return self.si_snr_enhanced_db - self.si_snr_noisy_db
-
-    @property
-    def snr_gain_db(self) -> float:
-        return self.snr_enhanced_db - self.snr_noisy_db
-
-    @property
-    def mvdr_si_snr_gain_db(self) -> float:
-        return self.si_snr_mvdr_db - self.si_snr_noisy_db
-
-    @property
-    def mvdr_snr_gain_db(self) -> float:
-        return self.snr_mvdr_db - self.snr_noisy_db
+    def __getattr__(self, name):
+        # ``values`` is absent while pickle or copy rebuilds a row.
+        values = self.__dict__.get("values", {})
+        if name in values:
+            return values[name]
+        if name in _GAINS:
+            metric, estimate = _GAINS[name]
+            return values[_column(metric, estimate)] - values[_column(metric, "noisy")]
+        raise AttributeError(name)
 
     def to_dict(self) -> dict:
-        record = {"kind": "scene_metrics", **asdict(self)}
-        record.update((name, getattr(self, name)) for name in self.GAIN_FIELDS)
-        record["saturated"] = list(self.saturated)
-        return record
+        columns = {name: getattr(self, name) for name in self.METRIC_FIELDS + self.GAIN_FIELDS}
+        return {"kind": "scene_metrics", "scene_id": self.scene_id, "snr_db": self.snr_db,
+                **columns, "saturated": list(self.saturated)}
 
 
 @dataclass
@@ -603,22 +605,24 @@ def _mvdr_waveform(mixture, speech_img, noise_img) -> np.ndarray:
     return istft(enhanced).data[0]
 
 
+# The second table: named systems ``(mixture, speech_image, noise_image,
+# mvdr_estimate) -> mono samples``.
+SYSTEMS = {
+    "identity": lambda mixture, speech_img, noise_img, mvdr_est: mixture.data[0],
+    "oracle-mvdr": lambda mixture, speech_img, noise_img, mvdr_est: mvdr_est,
+}
+
+
 def _system_callable(system):
-    """Resolve an :func:`evaluate` system into one function
-    ``(mixture, speech_image, noise_image, mvdr_estimate) -> mono samples``."""
+    """Resolve an :func:`evaluate` system into one function of the
+    :data:`SYSTEMS` signature."""
     if isinstance(system, NeuralBeamformer):
         return lambda mixture, *_: enhance_waveform(system, mixture).data[0]
-    named = {
-        "identity": lambda mixture, speech_img, noise_img, mvdr_est: mixture.data[0],
-        "oracle-mvdr": lambda mixture, speech_img, noise_img, mvdr_est: mvdr_est,
-    }
-    if isinstance(system, str) and system in named:
-        return named[system]
+    if isinstance(system, str) and system in SYSTEMS:
+        return SYSTEMS[system]
     if not callable(system):
-        raise ConfigError(
-            f"system must be a model, 'identity', 'oracle-mvdr', or a "
-            f"callable, got {system!r}"
-        )
+        named = ", ".join(map(repr, SYSTEMS))
+        raise ConfigError(f"system must be a model, {named}, or a callable, got {system!r}")
 
     def run(mixture, speech_img, noise_img, mvdr_est):
         out = system(mixture, speech_img, noise_img)
@@ -650,17 +654,19 @@ def evaluate(
 ) -> EvaluationResult:
     """Score a system against the noisy mixture and the oracle MVDR.
 
-    ``system`` is a trained model, the string ``"identity"`` (the noisy
-    reference channel passes through), the string ``"oracle-mvdr"``
-    (the baseline itself), or — for diagnostics — a callable
+    ``system`` is a trained model, a name in :data:`SYSTEMS` (``"identity"``
+    passes the noisy reference channel through, ``"oracle-mvdr"`` is the
+    baseline itself), or — for diagnostics — a callable
     ``(mixture, speech_image, noise_image) -> mono WaveBuffer``.
 
     Every scene is regenerated bit-exactly from its manifest seed, so
-    the oracle columns have access to the true source images.  Rows are
-    aggregated into per-mixing-SNR means plus an overall mean.  With
-    ``out_dir`` set, rows and aggregates go to ``metrics.jsonl`` and an
-    aligned table to ``metrics_summary.txt``; ``dump_audio`` adds each
-    scene's enhanced output under ``audio/``.
+    the oracle columns have access to the true source images.  Each of
+    the :data:`ESTIMATES` is scored once by each of the :data:`METRICS`
+    into a :class:`MetricsRow`.  Rows are aggregated into per-mixing-SNR
+    means plus an overall mean.  With ``out_dir`` set, rows and
+    aggregates go to ``metrics.jsonl`` and an aligned table to
+    ``metrics_summary.txt``; ``dump_audio`` adds each scene's enhanced
+    output under ``audio/``.
     """
     enhance = _system_callable(system)
     check_max_scenes(max_scenes)
@@ -678,39 +684,7 @@ def evaluate(
         audio_dir = os.path.join(os.fspath(out_dir), "audio")
         os.makedirs(audio_dir, exist_ok=True)
 
-    rows: list[MetricsRow] = []
-    for record in scenes:
-        _, mixture, speech_img, noise_img = rebuild_scene_audio(record, header)
-        reference = speech_img.data[0]
-        noisy = mixture.data[0]
-        mvdr_est = _mvdr_waveform(mixture, speech_img, noise_img)
-        enhanced = enhance(mixture, speech_img, noise_img, mvdr_est)
-
-        if audio_dir is not None:
-            write_wav(os.path.join(audio_dir, f"{record['id']}_enhanced.wav"),
-                      WaveBuffer(enhanced, SAMPLE_RATE))
-
-        values = {
-            "si_snr_noisy_db": si_snr_db(noisy, reference),
-            "si_snr_enhanced_db": si_snr_db(enhanced, reference),
-            "si_snr_mvdr_db": si_snr_db(mvdr_est, reference),
-            "snr_noisy_db": snr_db(noisy, reference),
-            "snr_enhanced_db": snr_db(enhanced, reference),
-            "snr_mvdr_db": snr_db(mvdr_est, reference),
-        }
-        saturated = tuple(
-            name for name in MetricsRow.METRIC_FIELDS
-            if abs(values[name]) >= SATURATION_DB
-        )
-        rows.append(
-            MetricsRow(
-                scene_id=record["id"],
-                snr_db=float(record["snr_db"]),
-                saturated=saturated,
-                **values,
-            )
-        )
-
+    rows = [_score_scene(record, header, enhance, audio_dir) for record in scenes]
     aggregates = _aggregate(rows)
 
     metrics_path = summary_path = None
@@ -722,17 +696,37 @@ def evaluate(
             [row.to_dict() for row in rows] + aggregates,
         )
         summary_path = os.path.join(out_dir, "metrics_summary.txt")
-        columns = [
-            "bucket",
-            "count",
-            *MetricsRow.METRIC_FIELDS,
-            "si_snr_gain_db",
-            "mvdr_si_snr_gain_db",
-        ]
+        # The summary shows the gains in the first metric only.
+        headline = next(iter(METRICS))
+        gains = [name for name, (metric, _) in _GAINS.items() if metric == headline]
+        columns = ["bucket", "count", *MetricsRow.METRIC_FIELDS, *gains]
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write(format_aligned(aggregates, columns))
 
     return EvaluationResult(rows, aggregates, metrics_path, summary_path)
+
+
+def _score_scene(record: dict, header: dict, enhance, audio_dir: str | None) -> MetricsRow:
+    """Regenerate one manifest scene, run the system and the oracle MVDR
+    on it, and score every estimate.  A function of its own, so that one
+    scene's audio is freed before the next scene is regenerated."""
+    _, mixture, speech_img, noise_img = rebuild_scene_audio(record, header)
+    reference = speech_img.data[0]
+    mvdr_est = _mvdr_waveform(mixture, speech_img, noise_img)
+    enhanced = enhance(mixture, speech_img, noise_img, mvdr_est)
+
+    if audio_dir is not None:
+        write_wav(os.path.join(audio_dir, f"{record['id']}_enhanced.wav"),
+                  WaveBuffer(enhanced, SAMPLE_RATE))
+
+    estimates = dict(zip(ESTIMATES, (mixture.data[0], enhanced, mvdr_est)))
+    values = {
+        _column(metric, estimate): score(estimates[estimate], reference)
+        for metric, score in METRICS.items()
+        for estimate in ESTIMATES
+    }
+    saturated = tuple(name for name, value in values.items() if abs(value) >= SATURATION_DB)
+    return MetricsRow(record["id"], float(record["snr_db"]), values, saturated)
 
 
 def _aggregate(rows: list) -> list[dict]:

@@ -1,5 +1,6 @@
-"""The settable parameters of the public functions whose other values
-became constants: each list is pinned, so a new knob is added on purpose."""
+"""The settable parameters of public functions and constructors, among
+them those whose other values became constants: each list is pinned, so
+a new knob is added on purpose."""
 
 import inspect
 
@@ -8,7 +9,7 @@ import pytest
 from beamkit.autodiff.tensor import axis_norm, prelu
 from beamkit.metrics import loss_tensors
 from beamkit.stft import compress, decompress
-from beamkit.training import OptimState
+from beamkit.training import MetricsRow, OptimState, evaluate
 from beamkit.wavio import write_wav
 
 PARAMETERS = {
@@ -20,6 +21,8 @@ PARAMETERS = {
     axis_norm: ["x", "gamma", "beta", "axes", "alpha"],
     OptimState: ["learning_rate", "step_count", "first_moment", "second_moment",
                  "plateau_count", "best_val_loss", "halvings"],
+    evaluate: ["system", "manifest_path", "out_dir", "max_scenes", "dump_audio"],
+    MetricsRow: ["scene_id", "snr_db", "values", "saturated"],
 }
 
 

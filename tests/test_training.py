@@ -39,14 +39,15 @@ from beamkit.wavio import read_wav
 # loss
 
 
-def loss_report(estimate, target, lambda_ri=0.5, lambda_mag=0.5):
+def loss_report(estimate, target):
     """The spectral loss on complex arrays, the oracle of ``loss_tensors``:
     ``(total, ri_term, mag_term)`` with ``ri_term`` the mean complex
-    squared error and ``mag_term`` the mean squared magnitude error."""
+    squared error, ``mag_term`` the mean squared magnitude error, and the
+    paper's fixed weights of 0.5 each."""
     diff = estimate - target
     ri = float(np.mean(diff.real**2 + diff.imag**2))
     mag = float(np.mean((np.abs(estimate) - np.abs(target)) ** 2))
-    return lambda_ri * ri + lambda_mag * mag, ri, mag
+    return 0.5 * ri + 0.5 * mag, ri, mag
 
 
 class TestLossReport:
@@ -64,12 +65,6 @@ class TestLossReport:
         # estimate j against target 1: |j-1|^2 = 2 lands in the complex
         # term while the magnitudes match exactly, so total = 0.5*2 = 1.
         assert loss_report(np.array([[1j]]), np.array([[1.0 + 0j]])) == (1.0, 2.0, 0.0)
-
-    def test_term_weights_are_applied(self):
-        total, _, _ = loss_report(
-            np.array([[1j]]), np.array([[1.0 + 0j]]), lambda_ri=0.25, lambda_mag=0.75
-        )
-        assert total == 0.25 * 2.0
 
     def test_tensor_route_matches_array_route(self):
         # Same arithmetic through the differentiable path and the plain
@@ -603,6 +598,16 @@ class TestEvaluate:
         row = result.rows[0]
         assert math.isfinite(row.si_snr_enhanced_db)
 
+    def test_a_named_system_is_one_table_entry(self, corpus, monkeypatch):
+        import beamkit.training as training
+
+        def target(mixture, speech_img, noise_img, mvdr_est):
+            return speech_img.data[0]
+
+        monkeypatch.setitem(training.SYSTEMS, "target", target)
+        row = evaluate("target", corpus, max_scenes=1).rows[0]
+        assert row.si_snr_enhanced_db == SATURATION_DB
+
     def test_unknown_system_string_rejected(self, corpus):
         with pytest.raises(ConfigError, match="system"):
             evaluate("wiener", corpus)
@@ -653,16 +658,42 @@ class TestEvaluate:
     def test_max_scenes_accepts_numpy_integer(self, corpus):
         assert len(evaluate("identity", corpus, max_scenes=np.int64(1)).rows) == 1
 
+    def test_metrics_schema_is_pinned(self, corpus, tmp_path):
+        metric_fields = (
+            "si_snr_noisy_db", "si_snr_enhanced_db", "si_snr_mvdr_db",
+            "snr_noisy_db", "snr_enhanced_db", "snr_mvdr_db",
+        )
+        gain_fields = (
+            "si_snr_gain_db", "snr_gain_db", "mvdr_si_snr_gain_db", "mvdr_snr_gain_db",
+        )
+        assert MetricsRow.METRIC_FIELDS == metric_fields
+        assert MetricsRow.GAIN_FIELDS == gain_fields
+        result = evaluate("identity", corpus, out_dir=tmp_path / "eval", max_scenes=1)
+        records = [json.loads(line) for line in open(result.metrics_path, encoding="utf-8")]
+        keys = {record["kind"]: set(record) for record in records}
+        assert keys == {
+            "scene_metrics": {"kind", "scene_id", "snr_db", "saturated",
+                              *metric_fields, *gain_fields},
+            "aggregate": {"kind", "bucket", "count", *metric_fields, *gain_fields},
+        }
+        header = open(result.summary_path, encoding="utf-8").readline().split()
+        assert header == (
+            "bucket count si_snr_noisy_db si_snr_enhanced_db si_snr_mvdr_db "
+            "snr_noisy_db snr_enhanced_db snr_mvdr_db si_snr_gain_db "
+            "mvdr_si_snr_gain_db"
+        ).split()
+        for record in records:
+            for name in metric_fields + gain_fields:
+                assert isinstance(record[name], float)
+        row = result.rows[0]
+        assert row.si_snr_gain_db == row.si_snr_enhanced_db - row.si_snr_noisy_db
+        assert row.mvdr_snr_gain_db == row.snr_mvdr_db - row.snr_noisy_db
+
     def test_metrics_row_rejects_unknown_saturation_flag(self):
         with pytest.raises(ValidationError, match="flags"):
             MetricsRow(
                 scene_id="s",
                 snr_db=0.0,
-                si_snr_noisy_db=1.0,
-                si_snr_enhanced_db=1.0,
-                si_snr_mvdr_db=1.0,
-                snr_noisy_db=1.0,
-                snr_enhanced_db=1.0,
-                snr_mvdr_db=1.0,
+                values=dict.fromkeys(MetricsRow.METRIC_FIELDS, 1.0),
                 saturated=("nonsense",),
             )

@@ -21,20 +21,14 @@ _SCALARS = {
 }
 
 
-def as_object(raw, label: str) -> dict:
-    """``raw`` itself if it is a dict, else a ConfigError naming ``label``."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{label or 'config'} must be an object, got {raw!r}")
-    return raw
-
-
 def decode(cls, raw, label: str):
     """Build dataclass ``cls`` from the dict ``raw``; omitted fields keep
     their defaults.  ``label`` is the dotted path of ``raw`` (empty at the
     config root) and prefixes every field an error names."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label or 'config'} must be an object, got {raw!r}")
     hints = get_type_hints(cls)
-    known = {f.name for f in fields(cls)}
-    unknown = set(as_object(raw, label)) - known
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         where = f"{label} " if label else ""
         raise ConfigError(f"unknown {where}config fields: {sorted(unknown)}")

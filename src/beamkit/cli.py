@@ -190,15 +190,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_train(cfg: RunConfig, out_dir: str) -> int:
+    section = cfg.train
     manifest = _require_file(
-        _require(cfg.train_manifest, "train.manifest"), "training manifest"
+        _require(section.manifest, "train.manifest"), "training manifest"
     )
-    if cfg.val_manifest is not None:
-        _require_file(cfg.val_manifest, "validation manifest")
+    if section.val_manifest is not None:
+        _require_file(section.val_manifest, "validation manifest")
     model = build_model(cfg.model, seed=cfg.seed)
     log.info("model has %d parameters", model.num_parameters())
     result = train(
-        model, manifest, cfg.train, val_manifest_path=cfg.val_manifest, out_dir=out_dir
+        model, manifest, section, val_manifest_path=section.val_manifest, out_dir=out_dir
     )
     last = result.records[-1]
     print(

@@ -25,6 +25,11 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
                     "mic_spacing": 0.04, "max_order": null }
     }
 
+Each key is one :class:`RunConfig` field and each section one dataclass,
+decoded and echoed as written.  The ``train`` section is
+:class:`TrainSection`: the trainer's :class:`~.training.TrainConfig`
+fields plus the manifests it reads.
+
 Type rules, checked by one decoder before any range check: a section is
 a JSON object without unknown keys; an integer field takes an integer but
 not ``true``, ``1.0`` or ``"1"``; a number field takes an integer or a
@@ -46,7 +51,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
-from ._decode import as_object, decode, require_finite
+from ._decode import decode, require_finite
 from .errors import ConfigError
 from .model import ModelConfig
 from .rooms import SceneSampling
@@ -54,6 +59,7 @@ from .training import SYSTEMS, TrainConfig, check_max_scenes
 
 __all__ = [
     "RunConfig",
+    "TrainSection",
     "SimulateSection",
     "EnhanceSection",
     "EvaluateSection",
@@ -132,9 +138,6 @@ class RirSection:
     max_order: int | None = None
 
     def __post_init__(self):
-        for name in ("room_dimensions", "source_position", "array_center"):
-            # Integer coordinates are echoed as floats, e.g. 6.0 for 6.
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         require_finite(self, "rir")
         if self.rt60 <= 0:
             raise ConfigError(f"rir.rt60 must be > 0, got {self.rt60}")
@@ -149,14 +152,23 @@ class RirSection:
 
 
 @dataclass(frozen=True)
+class TrainSection(TrainConfig):
+    """The ``train`` section: the trainer's :class:`TrainConfig` fields
+    plus the corpus it reads, a training manifest and an optional
+    validation manifest.  Checkpoints record only the trainer's fields."""
+
+    manifest: str | None = None
+    val_manifest: str | None = None
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one command invocation needs, validated up front."""
+    """Everything one command invocation needs, validated up front: the
+    seed and one section per schema key."""
 
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    train_manifest: str | None = None
-    val_manifest: str | None = None
+    train: TrainSection = field(default_factory=TrainSection)
     simulate: SimulateSection = field(default_factory=SimulateSection)
     enhance: EnhanceSection = field(default_factory=EnhanceSection)
     evaluate: EvaluateSection = field(default_factory=EvaluateSection)
@@ -168,36 +180,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Decode a config dict under the type rules of this module.
-
-        The manifests are written inside the ``train`` section but held
-        on :attr:`train_manifest`/:attr:`val_manifest`, so they are
-        lifted out first; the top-level names stay unknown keys.
-        """
-        raw = dict(as_object(raw, ""))
-        train = dict(as_object(raw.get("train", {}), "train"))
-        lifted = {
-            "train_manifest": train.pop("manifest", None),
-            "val_manifest": train.pop("val_manifest", None),
-        }
-        unknown = lifted.keys() & raw.keys()
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return decode(cls, {**raw, "train": train, **lifted}, "")
+        """Decode a config dict under the type rules of this module."""
+        return decode(cls, raw, "")
 
     def to_dict(self) -> dict:
-        train = self.train.to_dict()
-        train["manifest"] = self.train_manifest
-        train["val_manifest"] = self.val_manifest
-        return {
-            "seed": self.seed,
-            "model": self.model.to_dict(),
-            "train": train,
-            "simulate": asdict(self.simulate),
-            "enhance": asdict(self.enhance),
-            "evaluate": asdict(self.evaluate),
-            "rir": asdict(self.rir),
-        }
+        return asdict(self)
 
 
 def default_config() -> dict:

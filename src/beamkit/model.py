@@ -40,6 +40,7 @@ from .autodiff import (
 )
 from ._decode import decode
 from .errors import ConfigError, ValidationError
+from .signals import REFERENCE_CHANNEL
 from .stft import FREQ_BINS, ComplexSpectrogram, compress
 
 __all__ = [
@@ -53,8 +54,6 @@ __all__ = [
     "ri_unstack",
     "REFERENCE_CHANNEL",
 ]
-
-REFERENCE_CHANNEL = 0
 
 BF_TYPES = ("recurrent", "mask")
 
@@ -110,10 +109,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.multi_output is None:
             object.__setattr__(self, "multi_output", self.bf_type != "mask")
-        self.validate()
-
-    # -- validation ------------------------------------------------------
-    def validate(self):
         if self.mics < 1:
             raise ConfigError(f"mics must be >= 1, got {self.mics}")
         if self.embedding_channels < 1:

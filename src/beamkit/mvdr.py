@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSteeringError, SolverError, ValidationError
-from .model import REFERENCE_CHANNEL, filter_and_sum
+from .model import filter_and_sum
+from .signals import REFERENCE_CHANNEL
 from .stft import ComplexSpectrogram
 
 MASK_FLOOR = 1e-8

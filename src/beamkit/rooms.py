@@ -40,7 +40,7 @@ from .errors import (
     ManifestSchemaError,
     ValidationError,
 )
-from .signals import SAMPLE_RATE, WaveBuffer, noise_like, speech_like
+from .signals import REFERENCE_CHANNEL, SAMPLE_RATE, WaveBuffer, noise_like, speech_like
 from .wavio import write_wav
 
 __all__ = [
@@ -365,9 +365,9 @@ def synthesize_mixture(
     """Reverberate both sources and mix them at the scene's target SNR.
 
     Each mono source is convolved with its image-method RIRs (truncated to
-    the source length), the noise image is scaled so the reference-channel
-    (mic 0) energy ratio matches ``scene.snr_db``, and the mixture is the
-    exact sum of the two returned parts.
+    the source length), the noise image is scaled so the energy ratio at
+    :data:`~.signals.REFERENCE_CHANNEL` matches ``scene.snr_db``, and the
+    mixture is the exact sum of the two returned parts.
 
     Parameters
     ----------
@@ -409,8 +409,8 @@ def synthesize_mixture(
     speech_img = fftconvolve(s[np.newaxis, :], speech_rir, axes=-1)[:, : len(s)]
     noise_img = fftconvolve(n[np.newaxis, :], noise_rir, axes=-1)[:, : len(s)]
 
-    e_speech = float(np.sum(speech_img[0] ** 2))
-    e_noise = float(np.sum(noise_img[0] ** 2))
+    e_speech = float(np.sum(speech_img[REFERENCE_CHANNEL] ** 2))
+    e_noise = float(np.sum(noise_img[REFERENCE_CHANNEL] ** 2))
     if e_speech == 0.0:
         raise EmptySignalError("reverberant speech has zero reference-channel energy")
     if e_noise == 0.0:
@@ -568,7 +568,7 @@ def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int
     return {
         "kind": "scene",
         "id": scene_id,
-        "seed": list(scene.seed) if scene.seed is not None else None,
+        "seed": list(scene.seed),
         "room": {
             "dimensions": list(scene.room.dimensions),
             "rt60": scene.room.rt60,
@@ -645,16 +645,15 @@ def build_corpus(
     with open(manifest_path, "w", encoding="utf-8") as manifest:
         manifest.write(json.dumps(header) + "\n")
         for index in range(count):
-            seed = (int(master_seed), index)
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            scene = sample_scene(rng, sampling, seed=seed)
-            mixture, speech_img, _ = _synthesize_scene_audio(scene, rng, duration, max_order)
+            scene, mixture, speech_img, _ = _scene_from_seed(
+                (int(master_seed), index), sampling, duration, max_order
+            )
 
             scene_id = f"scene_{index:06d}"
             mix_rel = f"audio/{scene_id}_mixture.wav"
             target_rel = f"audio/{scene_id}_target.wav"
             write_wav(os.path.join(out_dir, mix_rel), mixture)
-            target = WaveBuffer(speech_img.data[0], SAMPLE_RATE)
+            target = WaveBuffer(speech_img.data[REFERENCE_CHANNEL], SAMPLE_RATE)
             write_wav(os.path.join(out_dir, target_rel), target)
 
             record = _scene_record(
@@ -667,15 +666,29 @@ def build_corpus(
     return manifest_path
 
 
-def _synthesize_scene_audio(
-    scene: SceneSpec,
-    rng: np.random.Generator,
+def _scene_from_seed(
+    seed: tuple[int, ...],
+    sampling: SceneSampling,
     duration: float,
     max_order: int | None,
 ):
+    """One scene and its audio from its seed, in the one draw order that
+    :func:`build_corpus` writes and :func:`rebuild_scene_audio` repeats
+    bit for bit: a generator on ``SeedSequence(seed)`` draws the scene
+    (:func:`sample_scene`), then ``duration`` seconds of speech
+    (:func:`~.signals.speech_like`) and of noise
+    (:func:`~.signals.noise_like`), which :func:`synthesize_mixture`
+    places in the room.  Nothing here outlives the call but the result.
+
+    Returns
+    -------
+    (scene, mixture, reverberant_speech, reverberant_noise)
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    scene = sample_scene(rng, sampling, seed=seed)
     speech = speech_like(duration, rng)
     noise = noise_like(duration, rng)
-    return synthesize_mixture(speech, noise, scene, max_order=max_order)
+    return (scene, *synthesize_mixture(speech, noise, scene, max_order=max_order))
 
 
 def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
@@ -780,14 +793,12 @@ def rebuild_scene_audio(record: dict, header: dict):
     """
     if record.get("seed") is None:
         raise ManifestSchemaError("scene record carries no seed; cannot regenerate")
-    seed = tuple(record["seed"])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sampling = _sampling_from_header(header)
-    scene = sample_scene(rng, sampling, seed=seed)
-    mixture, speech_img, noise_img = _synthesize_scene_audio(
-        scene, rng, header["duration"], header.get("max_order")
+    return _scene_from_seed(
+        tuple(record["seed"]),
+        _sampling_from_header(header),
+        header["duration"],
+        header.get("max_order"),
     )
-    return scene, mixture, speech_img, noise_img
 
 
 def _sampling_from_header(header: dict) -> SceneSampling:

@@ -17,6 +17,7 @@ from .errors import EmptySignalError, ValidationError
 
 __all__ = [
     "SAMPLE_RATE",
+    "REFERENCE_CHANNEL",
     "WaveBuffer",
     "rms",
     "speech_like",
@@ -26,6 +27,11 @@ __all__ = [
 # The pipeline's sample rate in Hz: every corpus, every RIR and every
 # waveform the model reads or writes is at this rate.
 SAMPLE_RATE = 16000
+
+# The microphone every single-channel quantity is taken at: the SNR that
+# scales a scene's noise, its target, the noisy input it is scored by,
+# and the reference of the beamformers.
+REFERENCE_CHANNEL = 0
 
 # RMS level of every synthesized source.
 SOURCE_RMS = 0.1

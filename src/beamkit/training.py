@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._decode import decode
+from ._decode import decode, require_finite
 from .autodiff import Tensor, is_grad_enabled, load_checkpoint, no_grad, save_checkpoint
 from .errors import (
     CheckpointError,
@@ -36,16 +36,10 @@ from .errors import (
     ValidationError,
 )
 from .metrics import SATURATION_DB, loss_tensors, si_snr_db, snr_db
-from .model import (
-    REFERENCE_CHANNEL,
-    ModelConfig,
-    NeuralBeamformer,
-    build_model,
-    ri_stack,
-)
+from .model import ModelConfig, NeuralBeamformer, build_model, ri_stack
 from .mvdr import oracle_mvdr_enhance
 from .rooms import read_manifest, rebuild_scene_audio
-from .signals import SAMPLE_RATE, WaveBuffer
+from .signals import REFERENCE_CHANNEL, SAMPLE_RATE, WaveBuffer
 from .stft import StftConfig, compress, decompress, istft, stft
 from .wavio import read_wav, write_wav
 
@@ -103,21 +97,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, "train")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ConfigError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
-            )
-        if not (math.isfinite(self.segment_seconds) and self.segment_seconds > 0.0):
-            raise ConfigError(
-                f"segment_seconds must be finite and > 0, got {self.segment_seconds}"
-            )
+        if self.learning_rate < 0.0:
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.segment_seconds <= 0.0:
+            raise ConfigError(f"segment_seconds must be > 0, got {self.segment_seconds}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The trainer's fields only, as a checkpoint records them."""
+        return {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
@@ -608,29 +600,20 @@ def _mvdr_waveform(mixture, speech_img, noise_img) -> np.ndarray:
 # The second table: named systems ``(mixture, speech_image, noise_image,
 # mvdr_estimate) -> mono samples``.
 SYSTEMS = {
-    "identity": lambda mixture, speech_img, noise_img, mvdr_est: mixture.data[0],
+    "identity": lambda mixture, speech_img, noise_img, mvdr_est: mixture.data[REFERENCE_CHANNEL],
     "oracle-mvdr": lambda mixture, speech_img, noise_img, mvdr_est: mvdr_est,
 }
 
 
 def _system_callable(system):
-    """Resolve an :func:`evaluate` system into one function of the
-    :data:`SYSTEMS` signature."""
+    """Resolve an :func:`evaluate` system, a model or a :data:`SYSTEMS`
+    name, into one function of the :data:`SYSTEMS` signature."""
     if isinstance(system, NeuralBeamformer):
         return lambda mixture, *_: enhance_waveform(system, mixture).data[0]
     if isinstance(system, str) and system in SYSTEMS:
         return SYSTEMS[system]
-    if not callable(system):
-        named = ", ".join(map(repr, SYSTEMS))
-        raise ConfigError(f"system must be a model, {named}, or a callable, got {system!r}")
-
-    def run(mixture, speech_img, noise_img, mvdr_est):
-        out = system(mixture, speech_img, noise_img)
-        if not isinstance(out, WaveBuffer) or out.num_channels != 1:
-            raise ValidationError("a callable system must return a mono WaveBuffer")
-        return out.data[0]
-
-    return run
+    named = ", ".join(map(repr, SYSTEMS))
+    raise ConfigError(f"system must be a model or one of {named}, got {system!r}")
 
 
 def check_max_scenes(max_scenes) -> None:
@@ -654,10 +637,11 @@ def evaluate(
 ) -> EvaluationResult:
     """Score a system against the noisy mixture and the oracle MVDR.
 
-    ``system`` is a trained model, a name in :data:`SYSTEMS` (``"identity"``
-    passes the noisy reference channel through, ``"oracle-mvdr"`` is the
-    baseline itself), or — for diagnostics — a callable
-    ``(mixture, speech_image, noise_image) -> mono WaveBuffer``.
+    ``system`` is a trained model or a name in :data:`SYSTEMS`
+    (``"identity"`` passes the noisy reference channel through,
+    ``"oracle-mvdr"`` is the baseline itself); anything else is a
+    ConfigError before any scene is regenerated.  A new system is one
+    more :data:`SYSTEMS` entry.
 
     Every scene is regenerated bit-exactly from its manifest seed, so
     the oracle columns have access to the true source images.  Each of
@@ -711,7 +695,7 @@ def _score_scene(record: dict, header: dict, enhance, audio_dir: str | None) -> 
     on it, and score every estimate.  A function of its own, so that one
     scene's audio is freed before the next scene is regenerated."""
     _, mixture, speech_img, noise_img = rebuild_scene_audio(record, header)
-    reference = speech_img.data[0]
+    reference = speech_img.data[REFERENCE_CHANNEL]
     mvdr_est = _mvdr_waveform(mixture, speech_img, noise_img)
     enhanced = enhance(mixture, speech_img, noise_img, mvdr_est)
 
@@ -719,7 +703,7 @@ def _score_scene(record: dict, header: dict, enhance, audio_dir: str | None) -> 
         write_wav(os.path.join(audio_dir, f"{record['id']}_enhanced.wav"),
                   WaveBuffer(enhanced, SAMPLE_RATE))
 
-    estimates = dict(zip(ESTIMATES, (mixture.data[0], enhanced, mvdr_est)))
+    estimates = dict(zip(ESTIMATES, (mixture.data[REFERENCE_CHANNEL], enhanced, mvdr_est)))
     values = {
         _column(metric, estimate): score(estimates[estimate], reference)
         for metric, score in METRICS.items()

@@ -149,6 +149,15 @@ class TestExitCodes:
     def test_unset_train_manifest_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 2
 
+    def test_ill_typed_train_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        # The manifests were once held outside their section, and this
+        # error named ``train_manifest``, a field no config file has.
+        rc = main(["train", "--out", str(tmp_path / "o"), "--set", "train.manifest=5"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["beamkit: configuration error: train.manifest must be a string "
+                       "or null, got 5"]
+
     def test_missing_train_manifest_file_exits_4(self, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path / "o"),
                    "--manifest", str(tmp_path / "nowhere.jsonl")])
@@ -691,6 +700,12 @@ class TestTrain:
         assert echo["command"] == "train"
         assert echo["config"]["train"]["epochs"] == 1
         assert echo["config"]["model"]["bf_type"] == "mask"
+        # A checkpoint records the trainer's fields, not the corpus paths.
+        from beamkit.autodiff import load_checkpoint
+
+        _, meta = load_checkpoint(trained_run / "checkpoint_final.bkt")
+        assert sorted(meta["train"]) == [
+            "batch_size", "epochs", "learning_rate", "seed", "segment_seconds"]
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import inspect
 import pytest
 
 from beamkit.autodiff.tensor import axis_norm, prelu
+from beamkit.config import RunConfig, TrainSection
 from beamkit.metrics import loss_tensors
 from beamkit.stft import compress, decompress
 from beamkit.training import MetricsRow, OptimState, evaluate
@@ -23,6 +24,9 @@ PARAMETERS = {
                  "plateau_count", "best_val_loss", "halvings"],
     evaluate: ["system", "manifest_path", "out_dir", "max_scenes", "dump_audio"],
     MetricsRow: ["scene_id", "snr_db", "values", "saturated"],
+    RunConfig: ["seed", "model", "train", "simulate", "enhance", "evaluate", "rir"],
+    TrainSection: ["epochs", "batch_size", "learning_rate", "segment_seconds", "seed",
+                   "manifest", "val_manifest"],
 }
 
 

@@ -542,15 +542,6 @@ class TestEvaluate:
             assert row.snr_enhanced_db == row.snr_noisy_db
             assert row.si_snr_gain_db == 0.0
 
-    def test_oracle_target_system_saturates(self, corpus):
-        def oracle_target(mixture, speech_img, noise_img):
-            return WaveBuffer(speech_img.data[0], mixture.sample_rate)
-
-        result = evaluate(oracle_target, corpus)
-        for row in result.rows:
-            assert row.si_snr_enhanced_db == SATURATION_DB
-            assert "si_snr_enhanced_db" in row.saturated
-
     def test_oracle_mvdr_as_system_copies_baseline_columns(self, corpus):
         result = evaluate("oracle-mvdr", corpus)
         for row in result.rows:
@@ -607,6 +598,7 @@ class TestEvaluate:
         monkeypatch.setitem(training.SYSTEMS, "target", target)
         row = evaluate("target", corpus, max_scenes=1).rows[0]
         assert row.si_snr_enhanced_db == SATURATION_DB
+        assert "si_snr_enhanced_db" in row.saturated
 
     def test_unknown_system_string_rejected(self, corpus):
         with pytest.raises(ConfigError, match="system"):
@@ -619,6 +611,9 @@ class TestEvaluate:
         monkeypatch.setattr("beamkit.training.rebuild_scene_audio", regenerate)
         with pytest.raises(ConfigError, match="system"):
             evaluate(5, corpus)
+        # A plain function is not a system: one is a SYSTEMS entry.
+        with pytest.raises(ConfigError, match="system must be a model or one of"):
+            evaluate(lambda mixture, speech_img, noise_img: mixture, corpus)
 
     @pytest.mark.parametrize("system", ["identity", "oracle-mvdr"])
     def test_oracle_mvdr_runs_once_per_scene(self, corpus, monkeypatch, system):

@@ -542,6 +542,18 @@ class TestEvaluate:
             assert row.snr_enhanced_db == row.snr_noisy_db
             assert row.si_snr_gain_db == 0.0
 
+    def test_oracle_target_system_saturates(self, corpus, monkeypatch):
+        import beamkit.training as training
+
+        def oracle_target(mixture, speech_img, noise_img, mvdr_est):
+            return speech_img.data[0]
+
+        monkeypatch.setitem(training.SYSTEMS, "oracle-target", oracle_target)
+        result = evaluate("oracle-target", corpus)
+        for row in result.rows:
+            assert row.si_snr_enhanced_db == SATURATION_DB
+            assert "si_snr_enhanced_db" in row.saturated
+
     def test_oracle_mvdr_as_system_copies_baseline_columns(self, corpus):
         result = evaluate("oracle-mvdr", corpus)
         for row in result.rows:
@@ -598,7 +610,6 @@ class TestEvaluate:
         monkeypatch.setitem(training.SYSTEMS, "target", target)
         row = evaluate("target", corpus, max_scenes=1).rows[0]
         assert row.si_snr_enhanced_db == SATURATION_DB
-        assert "si_snr_enhanced_db" in row.saturated
 
     def test_unknown_system_string_rejected(self, corpus):
         with pytest.raises(ConfigError, match="system"):

@@ -183,7 +183,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         master_seed=cfg.seed,
         sampling=sim.sampling,
         duration=sim.duration_seconds,
-        max_order=sim.max_order,
     )
     print(f"wrote {sim.count} scenes; manifest: {manifest}")
     return 0
@@ -267,7 +266,6 @@ def cmd_rir(cfg: RunConfig, out_dir: str) -> int:
             section.array_center, num_mics=section.num_mics, spacing=section.mic_spacing
         ),
         section.source_position,
-        max_order=section.max_order,
     )
     out_path = os.path.join(out_dir, "rir.wav")
     write_wav(out_path, WaveBuffer(taps, SAMPLE_RATE))

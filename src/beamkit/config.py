@@ -13,7 +13,7 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
       "model":    { ... ModelConfig fields ... },
       "train":    { ... TrainConfig fields ...,
                     "manifest": "path", "val_manifest": "path" },
-      "simulate": { "count": 40, "duration_seconds": 6.0, "max_order": null,
+      "simulate": { "count": 40, "duration_seconds": 6.0,
                     "sampling": { ... SceneSampling fields ... } },
       "enhance":  { "checkpoint": "path", "input_wav": "path" },
       "evaluate": { "manifest": "path", "system": "model",
@@ -22,7 +22,7 @@ Schema (all keys optional, defaults shown by ``default_config()``)::
       "rir":      { "room_dimensions": [6,5,3], "rt60": 0.3,
                     "source_position": [2,3,1.5],
                     "array_center": [3,2.5,1.5], "num_mics": 9,
-                    "mic_spacing": 0.04, "max_order": null }
+                    "mic_spacing": 0.04 }
     }
 
 Each key is one :class:`RunConfig` field and each section one dataclass,
@@ -41,8 +41,11 @@ entries follow these rules, with two entries for ranges and three for
 field, e.g. ``model.unet_block_depths_encoder[1] must be an integer``.
 The model's kernels, strides, LSTM depth and spectral compression are
 constants, not fields (see :mod:`beamkit.model`), and so are the STFT
-front end (see :mod:`beamkit.stft`) and the 16 kHz sample rate
-(:data:`beamkit.signals.SAMPLE_RATE`).
+front end (see :mod:`beamkit.stft`), the 16 kHz sample rate
+(:data:`beamkit.signals.SAMPLE_RATE`) and the image-method reflection
+order, which each room sets (:func:`beamkit.rooms.default_max_order`).
+An RT60, in ``rir.rt60`` or ``simulate.sampling.rt60_range``, is at most
+:data:`beamkit.rooms.MAX_RT60` seconds.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import asdict, dataclass, field
 from ._decode import decode, require_finite
 from .errors import ConfigError
 from .model import ModelConfig
-from .rooms import SceneSampling
+from .rooms import MAX_RT60, SceneSampling
 from .training import SYSTEMS, TrainConfig, check_max_scenes
 
 __all__ = [
@@ -80,7 +83,6 @@ class SimulateSection:
 
     count: int = 40
     duration_seconds: float = 6.0
-    max_order: int | None = None
     sampling: SceneSampling = field(default_factory=SceneSampling)
 
     def __post_init__(self):
@@ -90,10 +92,6 @@ class SimulateSection:
         if self.duration_seconds <= 0:
             raise ConfigError(
                 f"simulate.duration_seconds must be > 0, got {self.duration_seconds}"
-            )
-        if self.max_order is not None and self.max_order < 0:
-            raise ConfigError(
-                f"simulate.max_order must be >= 0 or null, got {self.max_order}"
             )
 
 
@@ -135,20 +133,15 @@ class RirSection:
     array_center: tuple[float, float, float] = (3.0, 2.5, 1.5)
     num_mics: int = 9
     mic_spacing: float = 0.04
-    max_order: int | None = None
 
     def __post_init__(self):
         require_finite(self, "rir")
-        if self.rt60 <= 0:
-            raise ConfigError(f"rir.rt60 must be > 0, got {self.rt60}")
+        if not 0 < self.rt60 <= MAX_RT60:
+            raise ConfigError(f"rir.rt60 must be in (0, {MAX_RT60}], got {self.rt60}")
         if self.num_mics < 1:
             raise ConfigError(f"rir.num_mics must be >= 1, got {self.num_mics}")
         if self.mic_spacing <= 0:
             raise ConfigError(f"rir.mic_spacing must be > 0, got {self.mic_spacing}")
-        if self.max_order is not None and self.max_order < 0:
-            raise ConfigError(
-                f"rir.max_order must be >= 0 or null, got {self.max_order}"
-            )
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "MANIFEST_NAME",
     "SPEED_OF_SOUND",
+    "MAX_RT60",
 ]
 
 MANIFEST_SCHEMA_VERSION = 2
@@ -68,8 +69,16 @@ MANIFEST_NAME = "manifest.jsonl"
 # Meters per second; every room uses it.
 SPEED_OF_SOUND = 343.0
 
-# Fields every manifest record must carry (``max_order`` and ``count`` are
-# informational and may be absent).
+# Longest reverberation time, in seconds, a run config may ask for.  An
+# RIR holds ``rt60 * SAMPLE_RATE`` taps per mic, so at this bound one 9-mic
+# RIR is 11.5 MB; the bound refuses a typo such as 1e6 s before it asks
+# for a terabyte.
+MAX_RT60 = 10.0
+
+# Fields every manifest record must carry (``count`` is informational and
+# may be absent).  A header written before the reflection order became the
+# room's own may hold ``"max_order": null``; any other order built audio
+# that the seeds no longer rebuild, so it is refused.
 _HEADER_FIELDS = ("duration", "sample_rate", "sampling")
 _SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
 # Typed record fields: the annotation their value decodes as (the config
@@ -79,7 +88,7 @@ _SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
 _HEADER_NUMBERS = {
     "duration": (float, lambda v: v > 0.0, "positive"),
     "sample_rate": (int, lambda v: v == SAMPLE_RATE, str(SAMPLE_RATE)),
-    "max_order": (int | None, lambda v: v is None or v >= 0, "null or >= 0"),
+    "max_order": (type(None), None, None),
 }
 _SCENE_VALUES = {
     # The id names the audio ``evaluate --dump-audio`` writes.
@@ -103,9 +112,9 @@ class RoomSpec:
     Parameters
     ----------
     dimensions : tuple of 3 floats
-        (length, width, height) in meters, all positive.
+        (length, width, height) in meters, all positive and finite.
     rt60 : float
-        Target reverberation time in seconds, positive.
+        Target reverberation time in seconds, positive and finite.
     """
 
     dimensions: tuple[float, float, float]
@@ -113,10 +122,12 @@ class RoomSpec:
 
     def __post_init__(self):
         dims = tuple(float(d) for d in self.dimensions)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise GeometryError(f"room dimensions must be three positive values, got {dims}")
-        if self.rt60 <= 0:
-            raise ValidationError(f"rt60 must be positive, got {self.rt60}")
+        if len(dims) != 3 or not all(0 < d < math.inf for d in dims):
+            raise GeometryError(
+                f"room dimensions must be three positive finite values, got {dims}"
+            )
+        if not 0 < self.rt60 < math.inf:
+            raise ValidationError(f"rt60 must be positive and finite, got {self.rt60}")
         object.__setattr__(self, "dimensions", dims)
 
     @property
@@ -187,9 +198,6 @@ class SceneSpec:
         Source positions in meters, strictly inside the room.
     snr_db : float
         Reference-channel speech-to-noise ratio after reverberation.
-    seed : tuple of ints or None
-        Entropy that deterministically regenerates this scene (and its
-        source audio) when it came from a corpus build.
     """
 
     room: RoomSpec
@@ -197,7 +205,6 @@ class SceneSpec:
     speech_position: np.ndarray
     noise_position: np.ndarray
     snr_db: float
-    seed: tuple[int, ...] | None = None
 
     def __post_init__(self):
         sources = {
@@ -208,8 +215,6 @@ class SceneSpec:
         for name, p in sources.items():
             p.setflags(write=False)
             object.__setattr__(self, name, p)
-        if self.seed is not None:
-            object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
 
 
 def _check_inside(room: RoomSpec, array: ArraySpec, **sources: np.ndarray):
@@ -293,14 +298,10 @@ def _image_distances(images: np.ndarray, mic: np.ndarray) -> np.ndarray:
     return np.sqrt((sq[0] + sq[1]) + sq[2])
 
 
-def image_method_rir(
-    room: RoomSpec,
-    array: ArraySpec,
-    source: Sequence[float],
-    max_order: int | None = None,
-) -> np.ndarray:
+def image_method_rir(room: RoomSpec, array: ArraySpec, source: Sequence[float]) -> np.ndarray:
     """Image-method impulse responses from one source position to every mic.
 
+    Every image up to the room's :func:`default_max_order` contributes.
     Sound travels at :data:`SPEED_OF_SOUND`, and each image lands on the
     sample nearest its delay at :data:`~.signals.SAMPLE_RATE`.
 
@@ -311,9 +312,6 @@ def image_method_rir(
         All mics must be strictly inside the room.
     source : array_like of 3 floats
         Source position in meters, strictly inside the room.
-    max_order : int, optional
-        Highest total reflection order to include; 0 keeps only the direct
-        path.  Defaults to :func:`default_max_order`.
 
     Returns
     -------
@@ -324,10 +322,6 @@ def image_method_rir(
     """
     src = np.asarray(source, dtype=np.float64)
     _check_inside(room, array, source=src)
-    if max_order is None:
-        max_order = default_max_order(room)
-    if max_order < 0:
-        raise ValidationError(f"max_order must be >= 0, got {max_order}")
 
     mics = array.mic_positions
     direct = np.linalg.norm(mics - src, axis=1)
@@ -342,7 +336,7 @@ def image_method_rir(
         int(np.max(direct) * samples_per_meter) + 64,
     )
 
-    images, orders = _image_lattice(room, src, max_order)
+    images, orders = _image_lattice(room, src, default_max_order(room))
     gains = beta**orders  # 0**0 == 1 keeps the direct path when beta == 0
 
     taps = np.zeros((mics.shape[0], num_taps), dtype=np.float64)
@@ -357,15 +351,13 @@ def image_method_rir(
 
 
 def synthesize_mixture(
-    speech: WaveBuffer,
-    noise: WaveBuffer,
-    scene: SceneSpec,
-    max_order: int | None = None,
+    speech: WaveBuffer, noise: WaveBuffer, scene: SceneSpec
 ) -> tuple[WaveBuffer, WaveBuffer, WaveBuffer]:
     """Reverberate both sources and mix them at the scene's target SNR.
 
-    Each mono source is convolved with its image-method RIRs (truncated to
-    the source length), the noise image is scaled so the energy ratio at
+    Each mono source is convolved with its RIRs from
+    :func:`image_method_rir` (truncated to the source length), the noise
+    image is scaled so the energy ratio at
     :data:`~.signals.REFERENCE_CHANNEL` matches ``scene.snr_db``, and the
     mixture is the exact sum of the two returned parts.
 
@@ -374,8 +366,6 @@ def synthesize_mixture(
     speech, noise : WaveBuffer
         Mono sources at :data:`~.signals.SAMPLE_RATE`.
     scene : SceneSpec
-    max_order : int, optional
-        Forwarded to :func:`image_method_rir`.
 
     Returns
     -------
@@ -403,8 +393,8 @@ def synthesize_mixture(
         raise EmptySignalError("noise source has zero energy; cannot set SNR")
 
     room, array = scene.room, scene.array
-    speech_rir = image_method_rir(room, array, scene.speech_position, max_order)
-    noise_rir = image_method_rir(room, array, scene.noise_position, max_order)
+    speech_rir = image_method_rir(room, array, scene.speech_position)
+    noise_rir = image_method_rir(room, array, scene.noise_position)
 
     speech_img = fftconvolve(s[np.newaxis, :], speech_rir, axes=-1)[:, : len(s)]
     noise_img = fftconvolve(n[np.newaxis, :], noise_rir, axes=-1)[:, : len(s)]
@@ -444,10 +434,10 @@ class SceneSampling:
     """Ranges and grids the random scene generator draws from.
 
     Defaults reproduce the training recipe: rooms from 3x3x2.5 m up to
-    10x10x3 m, RT60 in [0.05, 0.7] s, a 9-mic 4 cm linear array at 1.5 m
-    height, source distances on the {0.5, 1, 2, 3} m grid with at least
-    5 degrees of angular separation, and SNR on the 7-point grid
-    {-6, ..., +6} dB in 2 dB steps.
+    10x10x3 m, RT60 in [0.05, 0.7] s (never above :data:`MAX_RT60`), a
+    9-mic 4 cm linear array at 1.5 m height, source distances on the
+    {0.5, 1, 2, 3} m grid with at least 5 degrees of angular separation,
+    and SNR on the 7-point grid {-6, ..., +6} dB in 2 dB steps.
     """
 
     room_length: tuple[float, float] = (3.0, 10.0)
@@ -470,6 +460,10 @@ class SceneSampling:
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise ConfigError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
+        if self.rt60_range[1] > MAX_RT60:
+            raise ConfigError(
+                f"rt60_range must not exceed {MAX_RT60} s, got {self.rt60_range}"
+            )
         if self.num_mics < 1 or self.mic_spacing <= 0:
             raise ConfigError("array must have >= 1 mics with positive spacing")
         if not self.source_distances or not self.snr_grid_db:
@@ -491,18 +485,16 @@ def _draw_source(
     return center + distance * direction / norm
 
 
-def sample_scene(
-    rng: np.random.Generator,
-    cfg: SceneSampling = SceneSampling(),
-    seed: tuple[int, ...] | None = None,
-) -> SceneSpec:
+def sample_scene(rng: np.random.Generator, cfg: SceneSampling = SceneSampling()) -> SceneSpec:
     """Draw one scene satisfying every sampled-mode constraint.
 
     Room dimensions, RT60, array placement and SNR are drawn directly;
     source positions are rejection-sampled (distance and direction redrawn
     jointly) until both sources sit at least ``source_wall_margin`` inside
     the room and their directions from the array center differ by at least
-    ``min_doa_deg`` degrees.
+    ``min_doa_deg`` degrees.  The scene depends only on ``rng``'s state;
+    a caller that seeded ``rng`` keeps the seed itself, as
+    :func:`build_corpus` does in each scene record.
 
     Raises
     ------
@@ -560,15 +552,16 @@ def sample_scene(
         speech_position=speech,
         noise_position=noise,
         snr_db=snr_db,
-        seed=seed,
     )
 
 
-def _scene_record(scene: SceneSpec, scene_id: str, paths: dict, num_samples: int):
+def _scene_record(
+    scene: SceneSpec, scene_id: str, seed: tuple[int, ...], paths: dict, num_samples: int
+):
     return {
         "kind": "scene",
         "id": scene_id,
-        "seed": list(scene.seed),
+        "seed": list(seed),
         "room": {
             "dimensions": list(scene.room.dimensions),
             "rt60": scene.room.rt60,
@@ -590,13 +583,13 @@ def build_corpus(
     master_seed: int,
     sampling: SceneSampling = SceneSampling(),
     duration: float = 6.0,
-    max_order: int | None = None,
 ) -> str:
     """Synthesize a corpus of mixture/target pairs plus a manifest.
 
     Every scene derives its RNG stream from ``(master_seed, scene_index)``,
     so a rebuild with the same arguments is byte-identical file for file
-    and scenes are independent of generation order.  The manifest is
+    and scenes are independent of generation order.  Each room's RIRs sum
+    its images up to :func:`default_max_order`.  The manifest is
     line-delimited JSON: a header record (schema version, every
     :class:`SceneSampling` field and the other knobs that affect the audio)
     followed by one record per scene holding every scene field, the seed
@@ -615,8 +608,6 @@ def build_corpus(
     sampling : SceneSampling
     duration : float
         Source length per scene in seconds (~6 s chunks by default).
-    max_order : int, optional
-        Reflection-order override forwarded to the RIR generator.
 
     Returns
     -------
@@ -637,7 +628,6 @@ def build_corpus(
         "master_seed": int(master_seed),
         "duration": duration,
         "sample_rate": SAMPLE_RATE,
-        "max_order": max_order,
         "sampling": asdict(sampling),
     }
 
@@ -645,9 +635,8 @@ def build_corpus(
     with open(manifest_path, "w", encoding="utf-8") as manifest:
         manifest.write(json.dumps(header) + "\n")
         for index in range(count):
-            scene, mixture, speech_img, _ = _scene_from_seed(
-                (int(master_seed), index), sampling, duration, max_order
-            )
+            seed = (int(master_seed), index)
+            scene, mixture, speech_img, _ = _scene_from_seed(seed, sampling, duration)
 
             scene_id = f"scene_{index:06d}"
             mix_rel = f"audio/{scene_id}_mixture.wav"
@@ -659,6 +648,7 @@ def build_corpus(
             record = _scene_record(
                 scene,
                 scene_id,
+                seed,
                 {"mixture_path": mix_rel, "target_path": target_rel},
                 mixture.num_samples,
             )
@@ -666,12 +656,7 @@ def build_corpus(
     return manifest_path
 
 
-def _scene_from_seed(
-    seed: tuple[int, ...],
-    sampling: SceneSampling,
-    duration: float,
-    max_order: int | None,
-):
+def _scene_from_seed(seed: tuple[int, ...], sampling: SceneSampling, duration: float):
     """One scene and its audio from its seed, in the one draw order that
     :func:`build_corpus` writes and :func:`rebuild_scene_audio` repeats
     bit for bit: a generator on ``SeedSequence(seed)`` draws the scene
@@ -685,10 +670,10 @@ def _scene_from_seed(
     (scene, mixture, reverberant_speech, reverberant_noise)
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    scene = sample_scene(rng, sampling, seed=seed)
+    scene = sample_scene(rng, sampling)
     speech = speech_like(duration, rng)
     noise = noise_like(duration, rng)
-    return (scene, *synthesize_mixture(speech, noise, scene, max_order=max_order))
+    return (scene, *synthesize_mixture(speech, noise, scene))
 
 
 def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
@@ -705,11 +690,13 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
         On a file that is not UTF-8, a line that is not a JSON object, a
         missing/invalid header, a schema version this code does not
         understand, a header or scene record lacking a required field, an
-        ill-typed or out-of-range number (header ``duration``,
-        ``max_order``; scene ``seed``, ``snr_db``), a header
-        ``sample_rate`` other than :data:`~.signals.SAMPLE_RATE`, a
-        scene ``id``, ``mixture_path`` or ``target_path`` that is not a
-        string, an ``id`` that is not a plain file name, or a header ``sampling`` object that lacks a
+        ill-typed or out-of-range number (header ``duration``; scene
+        ``seed``, ``snr_db``), a header ``max_order`` other than ``null``
+        (its audio came from a reflection order this code no longer
+        builds), a header ``sample_rate`` other than
+        :data:`~.signals.SAMPLE_RATE`, a scene ``id``, ``mixture_path`` or
+        ``target_path`` that is not a string, an ``id`` that is not a plain
+        file name, or a header ``sampling`` object that lacks a
         :class:`SceneSampling` field or holds an unknown or ill-typed one.
         A version 1 manifest recorded only part of the sampler, so it
         cannot say which scenes it holds and is refused.
@@ -797,7 +784,6 @@ def rebuild_scene_audio(record: dict, header: dict):
         tuple(record["seed"]),
         _sampling_from_header(header),
         header["duration"],
-        header.get("max_order"),
     )
 
 

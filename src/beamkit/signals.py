@@ -9,6 +9,7 @@ from them can be regenerated bit for bit from its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,7 @@ def speech_like(duration: float, rng: np.random.Generator) -> WaveBuffer:
     Parameters
     ----------
     duration : float
-        Length in seconds (> 0).
+        Length in seconds, positive and finite.
     rng : numpy.random.Generator
         Source of all randomness; equal states give bit-identical output.
 
@@ -148,8 +149,8 @@ def speech_like(duration: float, rng: np.random.Generator) -> WaveBuffer:
     WaveBuffer
         Mono buffer of ``round(duration * SAMPLE_RATE)`` samples.
     """
-    if duration <= 0:
-        raise ValidationError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValidationError(f"duration must be positive and finite, got {duration}")
     n = int(round(duration * SAMPLE_RATE))
     if n == 0:
         raise EmptySignalError("requested duration rounds to zero samples")
@@ -224,7 +225,7 @@ def noise_like(duration: float, rng: np.random.Generator) -> WaveBuffer:
     Parameters
     ----------
     duration : float
-        Length in seconds (> 0).
+        Length in seconds, positive and finite.
     rng : numpy.random.Generator
         Source of all randomness.
 
@@ -233,8 +234,8 @@ def noise_like(duration: float, rng: np.random.Generator) -> WaveBuffer:
     WaveBuffer
         Mono buffer of ``round(duration * SAMPLE_RATE)`` samples.
     """
-    if duration <= 0:
-        raise ValidationError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValidationError(f"duration must be positive and finite, got {duration}")
     n = int(round(duration * SAMPLE_RATE))
     if n == 0:
         raise EmptySignalError("requested duration rounds to zero samples")

@@ -253,7 +253,8 @@ class TestExitCodes:
          (1, "duration", True, "header field duration must be a number, got True"),
          (1, "sample_rate", "16000", "header field sample_rate must be an integer, got '16000'"),
          (1, "sample_rate", 16000.5, "header field sample_rate must be an integer, got 16000.5"),
-         (1, "max_order", "3", "header field max_order must be an integer or null, got '3'"),
+         (1, "max_order", "3", "header field max_order must be null, got '3'"),
+         (1, "max_order", 4, ":1: manifest header field max_order must be null, got 4"),
          (2, "seed", "abc", ":2: scene record field seed must be a list, got 'abc'"),
          (2, "seed", [-1, 0], "field seed must be a list of integers >= 0, got [-1, 0]"),
          (2, "seed", [1.5, 0], "field seed[0] must be an integer, got 1.5"),
@@ -261,8 +262,8 @@ class TestExitCodes:
          (1, "duration", math.inf, ":1: manifest header field duration must be finite, got inf"),
          (3, "snr_db", math.nan, ":3: scene record field snr_db must be finite, got nan")],
         ids=["duration-string", "duration-bool", "sample_rate-string", "sample_rate-fraction",
-             "max_order-string", "seed-string", "seed-negative", "seed-fraction",
-             "snr_db-string", "duration-inf", "snr_db-nan"],
+             "max_order-string", "max_order-integer", "seed-string", "seed-negative",
+             "seed-fraction", "snr_db-string", "duration-inf", "snr_db-nan"],
     )
     def test_malformed_manifest_number_exits_3(
         self, tmp_path, corpus_dir, capsys, line_no, name, value, message
@@ -418,13 +419,16 @@ FIXED_TRAIN = [
     "train.plateau_patience=2", "train.lambda_ri=0.5", "train.lambda_mag=0.5",
 ]
 FIXED_TRAIN_FIELDS = {a.split("=")[0] for a in FIXED_TRAIN}
-# The STFT front end and the sample rate are constants too: (subcommand,
-# assignment, the one error line's unknown-field clause).
+# The STFT front end, the sample rate and the reflection order (each
+# room's default_max_order) are constants too: (subcommand, assignment,
+# the one error line's unknown-field clause).
 FIXED_FRONT_END = [
     ("simulate", "simulate.sample_rate=8000", "unknown simulate config fields: ['sample_rate']"),
     ("rir", "rir.sample_rate=8000", "unknown rir config fields: ['sample_rate']"),
     ("simulate", "stft.fft_size=512", "unknown config fields: ['stft']"),
     ("simulate", "model.freq_bins=257", "unknown model config fields: ['freq_bins']"),
+    ("simulate", "simulate.max_order=4", "unknown simulate config fields: ['max_order']"),
+    ("rir", "rir.max_order=4", "unknown rir config fields: ['max_order']"),
 ]
 # Non-finite numbers outside the train section: (subcommand, assignment,
 # the dotted field the one error line names).
@@ -566,10 +570,10 @@ class TestConfigDecoding:
             "model.stcm_dilations", "model.stcm_per_group",
             "model.stcm_squeeze_channels", "model.stcn_groups",
             "model.unet_block_depths_decoder", "model.unet_block_depths_encoder",
-            "rir.array_center", "rir.max_order", "rir.mic_spacing", "rir.num_mics",
+            "rir.array_center", "rir.mic_spacing", "rir.num_mics",
             "rir.room_dimensions", "rir.rt60", "rir.source_position",
             "seed",
-            "simulate.count", "simulate.duration_seconds", "simulate.max_order",
+            "simulate.count", "simulate.duration_seconds",
             "simulate.sampling.array_height", "simulate.sampling.array_wall_margin",
             "simulate.sampling.mic_spacing", "simulate.sampling.min_doa_deg",
             "simulate.sampling.num_mics", "simulate.sampling.rejection_budget",
@@ -896,6 +900,23 @@ class TestEvaluate:
         echo = json.loads((out / "effective_config.json").read_text())
         assert echo["config"]["evaluate"]["dump_audio"] is True
         assert echo["config"]["evaluate"]["max_scenes"] == 2
+
+    def test_header_with_null_max_order_evaluates_alike(self, corpus_dir, tmp_path):
+        # A corpus written while the reflection order was a setting
+        # carries "max_order": null in its header; it scores as before.
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        assert "max_order" not in header
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join([json.dumps({**header, "max_order": None}), *lines[1:]]) + "\n")
+        written = {}
+        for name, manifest in (("new", corpus_dir / "manifest.jsonl"), ("old", old)):
+            out = tmp_path / name
+            assert main(["evaluate", "--out", str(out), "--system", "oracle-mvdr",
+                         "--manifest", str(manifest)]) == 0
+            written[name] = [(out / f).read_bytes()
+                             for f in ("metrics.jsonl", "metrics_summary.txt")]
+        assert written["old"] == written["new"]
 
     def test_unset_checkpoint_for_model_system_exits_2(self, corpus_dir, tmp_path):
         rc = main(["evaluate", "--out", str(tmp_path / "o"),

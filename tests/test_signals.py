@@ -1,5 +1,6 @@
 """Synthetic test signals: the harmonic bank against its direct-sum oracle."""
 
+import math
 import re
 
 import numpy as np
@@ -68,3 +69,14 @@ def test_wave_buffer_refuses_a_rate_that_is_not_a_positive_integer(rate):
 def test_wave_buffer_keeps_an_integer_rate_as_int(rate):
     buffer = WaveBuffer(np.ones(320), rate)
     assert buffer.sample_rate == rate and type(buffer.sample_rate) is int
+
+
+@pytest.mark.parametrize(
+    "source", [signals.speech_like, signals.noise_like], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("duration", [math.nan, math.inf], ids=["nan", "inf"])
+def test_source_refuses_a_non_finite_duration(source, duration):
+    # NaN ended in numpy's "cannot convert float NaN to integer", inf in
+    # an OverflowError.
+    with pytest.raises(ValidationError, match="finite"):
+        source(duration, np.random.default_rng(0))

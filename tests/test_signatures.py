@@ -7,8 +7,15 @@ import inspect
 import pytest
 
 from beamkit.autodiff.tensor import axis_norm, prelu
-from beamkit.config import RunConfig, TrainSection
+from beamkit.config import RirSection, RunConfig, SimulateSection, TrainSection
 from beamkit.metrics import loss_tensors
+from beamkit.rooms import (
+    SceneSpec,
+    build_corpus,
+    image_method_rir,
+    sample_scene,
+    synthesize_mixture,
+)
 from beamkit.stft import compress, decompress
 from beamkit.training import MetricsRow, OptimState, evaluate
 from beamkit.wavio import write_wav
@@ -27,6 +34,16 @@ PARAMETERS = {
     RunConfig: ["seed", "model", "train", "simulate", "enhance", "evaluate", "rir"],
     TrainSection: ["epochs", "batch_size", "learning_rate", "segment_seconds", "seed",
                    "manifest", "val_manifest"],
+    # The reflection order is each room's default_max_order, and a corpus
+    # records each scene's seed itself.
+    image_method_rir: ["room", "array", "source"],
+    synthesize_mixture: ["speech", "noise", "scene"],
+    build_corpus: ["out_dir", "count", "master_seed", "sampling", "duration"],
+    sample_scene: ["rng", "cfg"],
+    SceneSpec: ["room", "array", "speech_position", "noise_position", "snr_db"],
+    SimulateSection: ["count", "duration_seconds", "sampling"],
+    RirSection: ["room_dimensions", "rt60", "source_position", "array_center", "num_mics",
+                 "mic_spacing"],
 }
 
 

@@ -24,7 +24,8 @@ _SCALARS = {
 def decode(cls, raw, label: str):
     """Build dataclass ``cls`` from the dict ``raw``; omitted fields keep
     their defaults.  ``label`` is the dotted path of ``raw`` (empty at the
-    config root) and prefixes every field an error names."""
+    config root) and prefixes every field an error names, the range
+    errors of ``cls``'s constructor included: those name the bare field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{label or 'config'} must be an object, got {raw!r}")
     hints = get_type_hints(cls)
@@ -32,10 +33,16 @@ def decode(cls, raw, label: str):
     if unknown:
         where = f"{label} " if label else ""
         raise ConfigError(f"unknown {where}config fields: {sorted(unknown)}")
-    return cls(**{
+    kwargs = {
         name: decode_value(hints[name], value, f"{label}.{name}" if label else name)
         for name, value in raw.items()
-    })
+    }
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        if not label:
+            raise
+        raise type(exc)(f"{label}.{exc}") from exc
 
 
 def decode_value(tp, value, path: str):
@@ -63,15 +70,13 @@ def decode_value(tp, value, path: str):
     raise ConfigError(f"{path} must be {expected}, got {value!r}")
 
 
-def require_finite(section, label: str = "") -> None:
+def require_finite(section) -> None:
     """A ConfigError naming the first float field of dataclass ``section``,
-    or float entry of a tuple field, that holds NaN or ±inf; ``label``
-    prefixes the field as in :func:`decode`."""
+    or float entry of a tuple field, that holds NaN or ±inf."""
     for f in fields(section):
         value = getattr(section, f.name)
-        path = f"{label}.{f.name}" if label else f.name
         entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
         for i, entry in entries:
             if isinstance(entry, float) and not math.isfinite(entry):
-                where = path if i is None else f"{path}[{i}]"
+                where = f.name if i is None else f"{f.name}[{i}]"
                 raise ConfigError(f"{where} must be finite, got {entry!r}")

@@ -182,10 +182,6 @@ class Tensor:
     def _not_scalar(self):
         raise ValidationError(f"tensor of shape {self.shape} is not a scalar")
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (no copy); treat as read-only."""
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 

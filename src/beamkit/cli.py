@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", dest="evaluate.manifest", help="corpus manifest to score")
     p.add_argument("--checkpoint", dest="evaluate.checkpoint", help="trained model checkpoint")
     p.add_argument(
-        "--system", dest="evaluate.system", choices=EVALUATE_SYSTEMS,
-        help="which system to score (default: model)",
+        "--system", dest="evaluate.system",
+        help=f"which system to score: {', '.join(EVALUATE_SYSTEMS)} (default: model)",
     )
     p.add_argument("--max-scenes", dest="evaluate.max_scenes", type=int, help="limit scene count")
     p.add_argument(

@@ -6,7 +6,7 @@ Everything is validated at construction — bad values fail before any
 work starts — and the effective configuration is echoed into the output
 directory for reproducibility.
 
-Schema (all keys optional, defaults shown by ``default_config()``)::
+Schema (all keys optional, defaults shown by ``RunConfig().to_dict()``)::
 
     {
       "seed": 0,
@@ -38,14 +38,18 @@ a string field takes only a string; a field whose default is ``null`` also
 takes ``null``; a list field takes a JSON list (stored as a tuple) whose
 entries follow these rules, with two entries for ranges and three for
 ``rir`` positions.  A violation is a ``ConfigError`` naming the dotted
-field, e.g. ``model.unet_block_depths_encoder[1] must be an integer``.
+field, e.g. ``model.unet_block_depths_encoder[1] must be an integer``,
+and so is a range error, e.g. ``simulate.sampling.room_length must
+satisfy 0 < low <= high``: each section names the bare field and the
+decoder puts the section's path in front.
 The model's kernels, strides, LSTM depth and spectral compression are
 constants, not fields (see :mod:`beamkit.model`), and so are the STFT
 front end (see :mod:`beamkit.stft`), the 16 kHz sample rate
 (:data:`beamkit.signals.SAMPLE_RATE`) and the image-method reflection
 order, which each room sets (:func:`beamkit.rooms.default_max_order`).
 An RT60, in ``rir.rt60`` or ``simulate.sampling.rt60_range``, is at most
-:data:`beamkit.rooms.MAX_RT60` seconds.
+:data:`beamkit.rooms.MAX_RT60` seconds, and ``simulate.duration_seconds``
+at most :data:`beamkit.rooms.MAX_DURATION` seconds.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from dataclasses import asdict, dataclass, field
 from ._decode import decode, require_finite
 from .errors import ConfigError
 from .model import ModelConfig
-from .rooms import MAX_RT60, SceneSampling
+from .rooms import MAX_DURATION, MAX_RT60, SceneSampling
 from .training import SYSTEMS, TrainConfig, check_max_scenes
 
 __all__ = [
@@ -69,7 +73,6 @@ __all__ = [
     "RirSection",
     "load_run_config",
     "apply_overrides",
-    "default_config",
 ]
 
 MAX_SEED = 2**64 - 1
@@ -86,12 +89,15 @@ class SimulateSection:
     sampling: SceneSampling = field(default_factory=SceneSampling)
 
     def __post_init__(self):
-        require_finite(self, "simulate")
+        require_finite(self)
         if self.count < 0:
-            raise ConfigError(f"simulate.count must be >= 0, got {self.count}")
+            raise ConfigError(f"count must be >= 0, got {self.count}")
         if self.duration_seconds <= 0:
+            raise ConfigError(f"duration_seconds must be > 0, got {self.duration_seconds}")
+        if self.duration_seconds > MAX_DURATION:
             raise ConfigError(
-                f"simulate.duration_seconds must be > 0, got {self.duration_seconds}"
+                f"duration_seconds must not exceed {MAX_DURATION} s, "
+                f"got {self.duration_seconds}"
             )
 
 
@@ -116,7 +122,7 @@ class EvaluateSection:
     def __post_init__(self):
         if self.system not in EVALUATE_SYSTEMS:
             raise ConfigError(
-                f"evaluate.system must be one of {EVALUATE_SYSTEMS}, "
+                f"system must be one of {EVALUATE_SYSTEMS}, "
                 f"got {self.system!r}"
             )
         check_max_scenes(self.max_scenes)
@@ -135,13 +141,13 @@ class RirSection:
     mic_spacing: float = 0.04
 
     def __post_init__(self):
-        require_finite(self, "rir")
+        require_finite(self)
         if not 0 < self.rt60 <= MAX_RT60:
-            raise ConfigError(f"rir.rt60 must be in (0, {MAX_RT60}], got {self.rt60}")
+            raise ConfigError(f"rt60 must be in (0, {MAX_RT60}], got {self.rt60}")
         if self.num_mics < 1:
-            raise ConfigError(f"rir.num_mics must be >= 1, got {self.num_mics}")
+            raise ConfigError(f"num_mics must be >= 1, got {self.num_mics}")
         if self.mic_spacing <= 0:
-            raise ConfigError(f"rir.mic_spacing must be > 0, got {self.mic_spacing}")
+            raise ConfigError(f"mic_spacing must be > 0, got {self.mic_spacing}")
 
 
 @dataclass(frozen=True)
@@ -178,11 +184,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def default_config() -> dict:
-    """The full schema with every default filled in (JSON-serializable)."""
-    return RunConfig().to_dict()
 
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:

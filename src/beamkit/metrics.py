@@ -1,11 +1,11 @@
 """Waveform quality metrics and the spectral training loss.
 
-Metrics operate on mono waveforms (``WaveBuffer`` or plain 1-D arrays)
-and saturate at ±60 dB so tables stay finite when an estimate is a
-perfect (or perfectly scaled) copy of the reference.  The training
-loss, :func:`loss_tensors`, combines a complex squared-error term with a
-magnitude squared-error term over time-frequency bins, differentiably
-on stacked real/imaginary planes.
+Metrics operate on mono waveforms given as 1-D arrays and saturate at
+±60 dB so tables stay finite when an estimate is a perfect (or perfectly
+scaled) copy of the reference.  The training loss, :func:`loss_tensors`,
+combines a complex squared-error term with a magnitude squared-error
+term over time-frequency bins, differentiably on stacked real/imaginary
+planes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .autodiff import Tensor, magnitude
 from .errors import ValidationError
-from .signals import WaveBuffer
 
 __all__ = [
     "SATURATION_DB",
@@ -37,20 +36,13 @@ LOSS_WEIGHT_MAG = 0.5
 
 
 def _as_mono(wave, name: str) -> np.ndarray:
-    """Coerce a WaveBuffer or array-like to a finite 1-D float64 vector."""
-    if isinstance(wave, WaveBuffer):
-        if wave.num_channels != 1:
-            raise ValidationError(
-                f"{name} must be mono, got {wave.num_channels} channels"
-            )
-        data = wave.data[0]
-    else:
-        data = np.asarray(wave, dtype=np.float64)
-        if data.ndim != 1:
-            raise ValidationError(f"{name} must be 1-D, got shape {data.shape}")
+    """Coerce an array-like to a finite 1-D float64 vector."""
+    data = np.asarray(wave, dtype=np.float64)
+    if data.ndim != 1:
+        raise ValidationError(f"{name} must be 1-D, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise ValidationError(f"{name} contains non-finite samples")
-    return np.asarray(data, dtype=np.float64)
+    return data
 
 
 def _saturate_db(numerator: float, denominator: float) -> float:

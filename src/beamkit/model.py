@@ -131,14 +131,20 @@ class ModelConfig:
                 f"stcm_dilations must list one dilation per block "
                 f"({self.stcm_per_group}), got {self.stcm_dilations}"
             )
-        if self.stcn_groups < 0 or self.stcm_per_group < 1:
-            raise ConfigError("temporal stack sizes must be positive")
+        if self.stcn_groups < 0:
+            raise ConfigError(f"stcn_groups must be >= 0, got {self.stcn_groups}")
+        if self.stcm_per_group < 1:
+            raise ConfigError(f"stcm_per_group must be >= 1, got {self.stcm_per_group}")
         if any(d < 1 for d in self.stcm_dilations):
-            raise ConfigError("temporal dilations must be >= 1")
+            raise ConfigError(
+                f"stcm_dilations entries must be >= 1, got {self.stcm_dilations}"
+            )
         if self.bf_type not in BF_TYPES:
             raise ConfigError(f"bf_type must be one of {BF_TYPES}, got {self.bf_type!r}")
         if self.bf_type == "mask" and self.multi_output:
-            raise ConfigError("bf_type 'mask' emits a single mask; multi_output must be False")
+            raise ConfigError(
+                "multi_output must be False with bf_type 'mask', which emits a single mask"
+            )
         if self.lstm_hidden < 1:
             raise ConfigError("lstm_hidden must be >= 1")
         self.encoder_widths()  # raises on an inconsistent width chain
@@ -159,8 +165,8 @@ class ModelConfig:
             nxt = downsampled_width(widths[-1], GLU_KERNEL[1], FREQ_STRIDE[1])
             if nxt < 2:
                 raise ConfigError(
-                    f"encoder layer {i + 1} would reduce the frequency width "
-                    f"to {nxt} (chain {widths}); reduce encoder_layers"
+                    f"encoder_layers={self.encoder_layers} is too many: encoder layer "
+                    f"{i + 1} would reduce the frequency width to {nxt} (chain {widths})"
                 )
             widths.append(nxt)
             inner = nxt
@@ -168,8 +174,9 @@ class ModelConfig:
                 inner = downsampled_width(inner, UNET_KERNEL[1], FREQ_STRIDE[1])
                 if inner < 2:
                     raise ConfigError(
-                        f"encoder layer {i + 1} sub-unet stage {j + 1} "
-                        f"would reduce the frequency width to {inner}"
+                        f"unet_block_depths_encoder[{i}] is too deep: encoder layer "
+                        f"{i + 1} sub-unet stage {j + 1} would reduce the frequency "
+                        f"width to {inner}"
                     )
         return widths
 

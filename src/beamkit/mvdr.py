@@ -57,10 +57,6 @@ class SteeringVector:
             raise ValidationError("steering vector contains non-finite values")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def num_mics(self) -> int:
-        return self.values.shape[1]
-
 
 def irm(speech: ComplexSpectrogram, noise: ComplexSpectrogram) -> np.ndarray:
     """Ideal ratio mask |S|/(|S|+|N|) on the reference channel, (freq, time).

@@ -61,6 +61,7 @@ __all__ = [
     "MANIFEST_NAME",
     "SPEED_OF_SOUND",
     "MAX_RT60",
+    "MAX_DURATION",
 ]
 
 MANIFEST_SCHEMA_VERSION = 2
@@ -75,6 +76,10 @@ SPEED_OF_SOUND = 343.0
 # for a terabyte.
 MAX_RT60 = 10.0
 
+# Longest scene, in seconds, a run config or manifest may ask for: ten
+# default scenes.  At this bound a 9-mic float64 mixture is 69 MB.
+MAX_DURATION = 60.0
+
 # Fields every manifest record must carry (``count`` is informational and
 # may be absent).  A header written before the reflection order became the
 # room's own may hold ``"max_order": null``; any other order built audio
@@ -86,7 +91,7 @@ _SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
 # meant, only strings for text), the range it must lie in (None: any
 # value of the type), and that range as an error states it.
 _HEADER_NUMBERS = {
-    "duration": (float, lambda v: v > 0.0, "positive"),
+    "duration": (float, lambda v: 0.0 < v <= MAX_DURATION, f"in (0, {MAX_DURATION}]"),
     "sample_rate": (int, lambda v: v == SAMPLE_RATE, str(SAMPLE_RATE)),
     "max_order": (type(None), None, None),
 }
@@ -175,14 +180,6 @@ class ArraySpec:
         pos = np.tile(np.asarray(center, dtype=np.float64), (num_mics, 1))
         pos[:, 0] += offsets
         return cls(pos)
-
-    @property
-    def num_mics(self) -> int:
-        return self.mic_positions.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.mic_positions.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -370,7 +367,8 @@ def synthesize_mixture(
     Returns
     -------
     (mixture, reverberant_speech, reverberant_noise)
-        Each with ``scene.array.num_mics`` channels and the speech length;
+        Each with one channel per row of ``scene.array.mic_positions``
+        and the speech length;
         ``mixture.data == reverberant_speech.data + reverberant_noise.data``
         holds bit-exactly.
     """
@@ -464,10 +462,14 @@ class SceneSampling:
             raise ConfigError(
                 f"rt60_range must not exceed {MAX_RT60} s, got {self.rt60_range}"
             )
-        if self.num_mics < 1 or self.mic_spacing <= 0:
-            raise ConfigError("array must have >= 1 mics with positive spacing")
-        if not self.source_distances or not self.snr_grid_db:
-            raise ConfigError("source_distances and snr_grid_db must be non-empty")
+        if self.num_mics < 1:
+            raise ConfigError(f"num_mics must be >= 1, got {self.num_mics}")
+        if self.mic_spacing <= 0:
+            raise ConfigError(f"mic_spacing must be > 0, got {self.mic_spacing}")
+        if not self.source_distances:
+            raise ConfigError("source_distances must be non-empty")
+        if not self.snr_grid_db:
+            raise ConfigError("snr_grid_db must be non-empty")
         if self.rejection_budget < 1:
             raise ConfigError("rejection_budget must be positive")
 

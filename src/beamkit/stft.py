@@ -21,7 +21,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,24 +67,13 @@ COMPRESSION_EXPONENT = 0.5
 @dataclass(frozen=True)
 class StftConfig:
     """The STFT front end as a value: it has no fields, and every
-    instance describes the module constants.
+    instance describes the module constants (:data:`FRAME_LENGTH`,
+    :data:`FRAME_SHIFT`, :data:`FFT_SIZE`, :data:`FREQ_BINS` and
+    :data:`ANALYSIS_WINDOW`).
 
     ``StftConfig()`` is what :func:`stft`, :func:`istft` and
-    :func:`cola_interior` accept as their configuration argument;
-    ``frame_length``, ``frame_shift``, ``fft_size`` and ``freq_bins`` read
-    :data:`FRAME_LENGTH`, :data:`FRAME_SHIFT`, :data:`FFT_SIZE` and
-    :data:`FREQ_BINS`.
+    :func:`cola_interior` accept as their configuration argument.
     """
-
-    frame_length: ClassVar[int] = FRAME_LENGTH
-    frame_shift: ClassVar[int] = FRAME_SHIFT
-    fft_size: ClassVar[int] = FFT_SIZE
-    freq_bins: ClassVar[int] = FREQ_BINS
-
-    @staticmethod
-    def analysis_window() -> np.ndarray:
-        """:data:`ANALYSIS_WINDOW`, the read-only periodic Hann window."""
-        return ANALYSIS_WINDOW
 
 
 @dataclass
@@ -100,8 +88,8 @@ class ComplexSpectrogram:
     Parameters
     ----------
     data : numpy.ndarray
-        Complex bins of shape ``(freq_bins, frames, channels)``.  A 2-D
-        array is promoted to a single channel.
+        Complex bins of shape ``(freq_bins, frames, channels)``; any
+        other rank is a :class:`~.errors.ValidationError`.
     frame_shift, frame_length, fft_size : int
         Frame geometry the bins were produced with.
     num_samples : int or None
@@ -116,11 +104,9 @@ class ComplexSpectrogram:
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.ndim == 2:
-            arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
             raise ValidationError(
-                f"spectrogram must be (freq, frames[, channels]), got ndim={arr.ndim}"
+                f"spectrogram must be (freq, frames, channels), got ndim={arr.ndim}"
             )
         expected_f = self.fft_size // 2 + 1
         if arr.shape[0] != expected_f:
@@ -140,20 +126,12 @@ class ComplexSpectrogram:
         self.data = arr
 
     @property
-    def freq_bins(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def num_frames(self) -> int:
         return self.data.shape[1]
 
     @property
     def num_channels(self) -> int:
         return self.data.shape[2]
-
-    def channel(self, index: int) -> np.ndarray:
-        """One channel as a 2-D complex view of shape ``(freq_bins, frames)``."""
-        return self.data[:, :, index]
 
     def with_data(self, data: np.ndarray) -> "ComplexSpectrogram":
         """A copy of this spectrogram's metadata wrapped around new bins."""

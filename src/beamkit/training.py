@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._decode import decode, require_finite
+from ._decode import require_finite
 from .autodiff import Tensor, is_grad_enabled, load_checkpoint, no_grad, save_checkpoint
 from .errors import (
     CheckpointError,
@@ -97,7 +97,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_finite(self, "train")
+        require_finite(self)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -110,11 +110,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         """The trainer's fields only, as a checkpoint records them."""
         return {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        """Decode a ``train`` section (type rules in :mod:`beamkit.config`)."""
-        return decode(cls, raw, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +297,13 @@ def _load_examples(
 
 @dataclass
 class TrainResult:
-    """Loss curve records plus the tracked best-validation state."""
+    """Loss curve records, the best validation epoch and loss, and the
+    paths written under ``out_dir`` (None without one).  The best
+    epoch's parameters are in ``best_checkpoint``."""
 
     records: list
     best_epoch: int
     best_val_loss: float
-    best_state: dict
     best_checkpoint: str | None = None
     final_checkpoint: str | None = None
     loss_curve_path: str | None = None
@@ -355,8 +351,9 @@ def train(
     ``out_dir`` set, the loss curve (line-delimited JSON), an aligned
     text summary, and best/final checkpoints are written there.  The
     model is left holding its final-epoch parameters; the best
-    validation state is returned (and saved) separately.  ``stft_cfg`` is
-    the fixed front end; it has nothing to set.
+    validation epoch and loss are returned, and with ``out_dir`` set
+    that epoch's parameters are saved to ``checkpoint_best.bkt``.
+    ``stft_cfg`` is the fixed front end; it has nothing to set.
 
     Raises
     ------
@@ -380,7 +377,6 @@ def train(
 
     records: list[dict] = []
     best_epoch = 0
-    best_state = model.state_dict()
     best_path = os.path.join(out_dir, "checkpoint_best.bkt") if out_dir else None
     final_path = os.path.join(out_dir, "checkpoint_final.bkt") if out_dir else None
 
@@ -416,7 +412,6 @@ def train(
         improved = val_loss < state.best_val_loss
         if improved:
             best_epoch = epoch
-            best_state = model.state_dict()
             if best_path is not None:
                 save_model_checkpoint(best_path, model, cfg, epoch, val_loss)
         lr_schedule(state, val_loss)
@@ -449,7 +444,6 @@ def train(
         records=records,
         best_epoch=best_epoch,
         best_val_loss=state.best_val_loss,
-        best_state=best_state,
         best_checkpoint=best_path,
         final_checkpoint=final_path,
         loss_curve_path=curve_path,
@@ -624,7 +618,7 @@ def check_max_scenes(max_scenes) -> None:
         or max_scenes < 1
     ):
         raise ConfigError(
-            f"evaluate.max_scenes must be an integer >= 1 or null, got {max_scenes!r}"
+            f"max_scenes must be an integer >= 1 or null, got {max_scenes!r}"
         )
 
 

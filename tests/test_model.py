@@ -39,7 +39,7 @@ from beamkit.model import (
     ri_unstack,
     tiny_config,
 )
-from beamkit.stft import ComplexSpectrogram, StftConfig, compress
+from beamkit.stft import FFT_SIZE, FRAME_LENGTH, FRAME_SHIFT, ComplexSpectrogram, compress
 
 
 def random_spec(rng, freq=161, frames=8, chans=9):
@@ -594,13 +594,12 @@ class TestEnhancePipeline:
     def test_geometry_fields_survive(self):
         rng = np.random.default_rng(9)
         model = self.mask_model()
-        cfg = StftConfig()
         data = rng.standard_normal((161, 5, 2)) + 1j * rng.standard_normal((161, 5, 2))
         spec = ComplexSpectrogram(
             data,
-            frame_shift=cfg.frame_shift,
-            frame_length=cfg.frame_length,
-            fft_size=cfg.fft_size,
+            frame_shift=FRAME_SHIFT,
+            frame_length=FRAME_LENGTH,
+            fft_size=FFT_SIZE,
             num_samples=700,
         )
         out = model.enhance_spectrogram(spec)

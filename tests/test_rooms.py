@@ -305,13 +305,13 @@ class TestSampleScene:
             (lx, ly, lz) = s.room.dimensions
             assert 3.0 <= lx <= 10.0 and 3.0 <= ly <= 10.0 and 2.5 <= lz <= 3.0
             assert 0.05 <= s.room.rt60 <= 0.7
-            assert s.array.num_mics == 9
+            assert s.array.mic_positions.shape[0] == 9
             spacing = np.diff(s.array.mic_positions[:, 0])
             np.testing.assert_allclose(spacing, 0.04, atol=1e-12)
             dims = np.asarray(s.room.dimensions)
             assert np.all(s.array.mic_positions > 0.5 - 1e-9)
             assert np.all(s.array.mic_positions < dims - (0.5 - 1e-9))
-            center = s.array.center
+            center = s.array.mic_positions.mean(axis=0)
             for pos in (s.speech_position, s.noise_position):
                 assert np.all(pos > 0.1 - 1e-12) and np.all(pos < dims - (0.1 - 1e-12))
                 dist = np.linalg.norm(pos - center)

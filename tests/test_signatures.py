@@ -17,7 +17,7 @@ from beamkit.rooms import (
     synthesize_mixture,
 )
 from beamkit.stft import compress, decompress
-from beamkit.training import MetricsRow, OptimState, evaluate
+from beamkit.training import MetricsRow, OptimState, TrainResult, evaluate
 from beamkit.wavio import write_wav
 
 PARAMETERS = {
@@ -30,6 +30,9 @@ PARAMETERS = {
     OptimState: ["learning_rate", "step_count", "first_moment", "second_moment",
                  "plateau_count", "best_val_loss", "halvings"],
     evaluate: ["system", "manifest_path", "out_dir", "max_scenes", "dump_audio"],
+    # The best epoch's parameters are in best_checkpoint, not in the result.
+    TrainResult: ["records", "best_epoch", "best_val_loss", "best_checkpoint",
+                  "final_checkpoint", "loss_curve_path", "summary_path"],
     MetricsRow: ["scene_id", "snr_db", "values", "saturated"],
     RunConfig: ["seed", "model", "train", "simulate", "enhance", "evaluate", "rir"],
     TrainSection: ["epochs", "batch_size", "learning_rate", "segment_seconds", "seed",

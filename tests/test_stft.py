@@ -1,6 +1,7 @@
 """Tests for the STFT front end and power compression."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from beamkit.errors import ConfigMismatchError, EmptySignalError, ValidationErro
 from beamkit.signals import WaveBuffer, noise_like, speech_like
 from beamkit.stft import (
     ANALYSIS_WINDOW,
+    FFT_SIZE,
+    FRAME_LENGTH,
+    FRAME_SHIFT,
+    FREQ_BINS,
     NORM_FLOOR,
     ComplexSpectrogram,
     StftConfig,
@@ -35,18 +40,20 @@ def roundtrip_error(x: np.ndarray, cfg: StftConfig = CFG) -> float:
 
 class TestConfig:
     def test_defaults(self):
-        assert CFG.frame_length == 320
-        assert CFG.frame_shift == 160
-        assert CFG.fft_size == 320
-        assert CFG.freq_bins == 161
+        assert FRAME_LENGTH == 320
+        assert FRAME_SHIFT == 160
+        assert FFT_SIZE == 320
+        assert FREQ_BINS == 161
+        # The configuration value describes the constants; it has nothing to set.
+        assert fields(CFG) == ()
 
     def test_window_is_periodic_hann(self):
-        w = CFG.analysis_window()
+        w = ANALYSIS_WINDOW
         n = np.arange(320)
         np.testing.assert_allclose(w, 0.5 * (1 - np.cos(2 * np.pi * n / 320)), atol=1e-12)
         assert w[0] == 0.0
-        # One read-only array, the bits scipy gives for a periodic Hann.
-        assert w is ANALYSIS_WINDOW and not w.flags.writeable
+        # A read-only array, the bits scipy gives for a periodic Hann.
+        assert not w.flags.writeable
         assert np.array_equal(w, get_window("hann", 320, fftbins=True))
 
 
@@ -56,7 +63,7 @@ class TestAnalysis:
         # frame transforms to the window's spectrum: 160 at bin 0, -80 at
         # bin 1, and nothing beyond.
         wave = WaveBuffer(np.ones(320), 16000)
-        spec = stft(wave, CFG).channel(0)
+        spec = stft(wave, CFG).data[:, :, 0]
         np.testing.assert_allclose(spec[0, 0], 160.0, atol=1e-9)
         np.testing.assert_allclose(spec[1, 0], -80.0, atol=1e-9)
         assert np.max(np.abs(spec[2:, 0])) < 1e-10 * np.abs(spec[0, 0])
@@ -64,7 +71,7 @@ class TestAnalysis:
     def test_sine_1khz_peaks_at_bin_20(self):
         t = np.arange(3200) / 16000
         wave = WaveBuffer(np.sin(2 * np.pi * 1000 * t), 16000)
-        spec = stft(wave, CFG).channel(0)
+        spec = stft(wave, CFG).data[:, :, 0]
         # 320-pt FFT at 16 kHz -> 50 Hz per bin; 1000 Hz falls on bin 20.
         mags = np.abs(spec[:, 5])
         assert int(np.argmax(mags)) == 20
@@ -79,7 +86,7 @@ class TestAnalysis:
         # before it: frame t covers [160 t, 160 t + 320).
         x = np.zeros(1600)
         x[400] = 1.0
-        spec = stft(WaveBuffer(x, 16000), CFG).channel(0)
+        spec = stft(WaveBuffer(x, 16000), CFG).data[:, :, 0]
         energy = np.sum(np.abs(spec) ** 2, axis=0)
         assert energy[0] == 0.0  # frame 0 covers [0, 320)
         assert energy[1] > 0  # frame 1 covers [160, 480)
@@ -93,7 +100,7 @@ class TestAnalysis:
         assert spec.data.shape == (161, 7, 3)
         for ch in range(3):
             mono = stft(WaveBuffer(x[ch], 16000), CFG)
-            np.testing.assert_array_equal(spec.channel(ch), mono.channel(0))
+            np.testing.assert_array_equal(spec.data[:, :, ch], mono.data[:, :, 0])
 
     def test_empty_signal_rejected(self):
         with pytest.raises(EmptySignalError):
@@ -134,6 +141,11 @@ class TestAnalysis:
         with pytest.raises(ValidationError, match="non-finite"):
             ComplexSpectrogram(data)
 
+    def test_two_dimensional_bins_rejected(self):
+        # Bins are (freq, frames, channels); a single channel keeps its axis.
+        with pytest.raises(ValidationError, match="got ndim=2"):
+            ComplexSpectrogram(np.zeros((161, 5), dtype=complex))
+
     def test_finite_bins_whose_sum_overflows_accepted(self):
         # The sum of these bins overflows in both parts; every bin is finite.
         data = np.full((161, 4, 2), 1e308 - 1e308j)
@@ -150,17 +162,17 @@ class TestAnalysis:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.abs(rhs).max())
 
 
-def gather_stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+def gather_stft(x: np.ndarray) -> np.ndarray:
     """The framing stft used before the copy-free one: every frame of every
     channel gathered by fancy indexing, windowed in a second copy, and all
     transformed at once.  Returns ``(freq, frames, channels)`` bins."""
-    shift, length = cfg.frame_shift, cfg.frame_length
+    shift, length = FRAME_SHIFT, FRAME_LENGTH
     num_frames = -(-x.shape[1] // shift)
     padded = np.zeros((x.shape[0], (num_frames - 1) * shift + length))
     padded[:, : x.shape[1]] = x
     starts = np.arange(num_frames) * shift
     frames = padded[:, starts[:, None] + np.arange(length)]
-    spec = np.fft.rfft(frames * cfg.analysis_window(), n=cfg.fft_size, axis=-1)
+    spec = np.fft.rfft(frames * ANALYSIS_WINDOW, n=FFT_SIZE, axis=-1)
     return spec.transpose(2, 1, 0)
 
 
@@ -171,7 +183,7 @@ class TestFraming:
     def test_matches_gather_framing(self, channels, num_samples, cfg):
         x = np.random.default_rng(num_samples).standard_normal((channels, num_samples))
         spec = stft(WaveBuffer(x, 16000), cfg)
-        assert np.array_equal(spec.data, gather_stft(x, cfg))
+        assert np.array_equal(spec.data, gather_stft(x))
         assert spec.data.flags.c_contiguous
 
     def test_peak_memory_within_half_the_output(self):
@@ -254,25 +266,24 @@ class TestSynthesis:
         back = istft(stft(wave, CFG), CFG)
         assert back.num_samples == 4000
 
-        window = CFG.analysis_window()
-        lead = window[: CFG.frame_shift] ** 2
+        lead = ANALYSIS_WINDOW[:FRAME_SHIFT] ** 2
         expected_scale = lead / np.maximum(lead, NORM_FLOOR)
         np.testing.assert_allclose(
-            back.data[0, : CFG.frame_shift],
-            x[: CFG.frame_shift] * expected_scale,
+            back.data[0, :FRAME_SHIFT],
+            x[:FRAME_SHIFT] * expected_scale,
             atol=1e-9,
         )
         # Beyond the floor crossing the scale is exactly one.
         exact = expected_scale == 1.0
         assert exact.sum() > 100
-        np.testing.assert_allclose(back.data[0, CFG.frame_shift :], x[CFG.frame_shift :], atol=1e-9)
+        np.testing.assert_allclose(back.data[0, FRAME_SHIFT:], x[FRAME_SHIFT:], atol=1e-9)
         assert back.data[0, 0] == 0.0
 
     @pytest.mark.parametrize("length,shift,window", [(320, 160, "hann")])
     @pytest.mark.parametrize("num_frames", [1, 2, 5, 37, 601])
     def test_overlap_add_equals_frame_loop(self, length, shift, window, num_frames):
         rng = np.random.default_rng(num_frames)
-        shape = (CFG.freq_bins, num_frames, 2)
+        shape = (FREQ_BINS, num_frames, 2)
         spec = ComplexSpectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         # Reference: one windowed frame at a time, in frame order, with a
         # window scipy builds afresh.

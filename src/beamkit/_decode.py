@@ -1,11 +1,15 @@
-"""The one decoder from JSON-shaped dicts to config dataclasses, shared by
-run configs, manifest headers and checkpoint metadata.  Its type rules
-are stated in :mod:`beamkit.config`."""
+"""The one decoder from JSON-shaped dicts to the dataclasses of every
+record beamkit reads: the run config, a checkpoint's header, tensor
+entries (:class:`~.autodiff.checkpoint.TensorEntry`) and model entry,
+and a manifest's :class:`~.rooms.ManifestHeader` and
+:class:`~.rooms.SceneRecord`.  Its type rules are stated in
+:mod:`beamkit.config`; each class's ``__post_init__`` holds its ranges."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
@@ -18,21 +22,27 @@ _SCALARS = {
     float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     type(None): ("null", lambda v: v is None),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
 }
 
 
 def decode(cls, raw, label: str):
-    """Build dataclass ``cls`` from the dict ``raw``; omitted fields keep
-    their defaults.  ``label`` is the dotted path of ``raw`` (empty at the
-    config root) and prefixes every field an error names, the range
-    errors of ``cls``'s constructor included: those name the bare field."""
+    """Build dataclass ``cls`` from the dict ``raw``; an omitted field
+    keeps its default, and one without a default is required.  ``label``
+    is the dotted path of ``raw`` (empty at the root) and prefixes every
+    field an error names, the range errors of ``cls``'s constructor
+    included: those name the bare field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{label or 'config'} must be an object, got {raw!r}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         where = f"{label} " if label else ""
         raise ConfigError(f"unknown {where}config fields: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{label} lacks field {f.name!r}".lstrip())
     kwargs = {
         name: decode_value(hints[name], value, f"{label}.{name}" if label else name)
         for name, value in raw.items()
@@ -43,6 +53,25 @@ def decode(cls, raw, label: str):
         if not label:
             raise
         raise type(exc)(f"{label}.{exc}") from exc
+
+
+# Resolving the annotations is most of a small record's decoding time.
+_type_hints = functools.cache(get_type_hints)
+
+
+def decode_record(cls, raw, where: str, error: type[Exception]):
+    """Dataclass ``cls`` from ``raw``, a record of a file, passing over the
+    keys ``cls`` does not declare.  A failure is one ``error`` led by
+    ``where``: ``<where> lacks field 'x'``, ``<where> field x must ...``."""
+    if not isinstance(raw, dict):
+        raise error(f"{where} is not a JSON object")
+    declared = [f.name for f in fields(cls)]
+    try:
+        return decode(cls, {name: raw[name] for name in declared if name in raw}, "")
+    except ConfigError as exc:
+        # Only a missing field's error does not begin with the field.
+        detail = str(exc) if str(exc).startswith("lacks field") else f"field {exc}"
+        raise error(f"{where} {detail}") from exc
 
 
 def decode_value(tp, value, path: str):

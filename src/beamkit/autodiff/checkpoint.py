@@ -23,16 +23,44 @@ import json
 import math
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CheckpointError
+from .._decode import decode_record
+from ..errors import CheckpointError, ConfigError
 
-__all__ = ["save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION", "MAGIC"]
+__all__ = ["save_checkpoint", "load_checkpoint", "TensorEntry", "CHECKPOINT_VERSION", "MAGIC"]
 
 MAGIC = b"BKTENSR\x00"
 CHECKPOINT_VERSION = 1
 _ALLOWED_DTYPES = ("<f8", "<f4", "<i8", "<i4")
+
+
+@dataclass(frozen=True)
+class _Header:
+    tensors: list  # of TensorEntry records
+    meta: dict
+
+
+@dataclass(frozen=True)
+class TensorEntry:
+    """One record of the header's ``tensors`` list: which bytes hold which array."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
+    nbytes: int
+
+    def __post_init__(self):
+        if self.dtype not in _ALLOWED_DTYPES:
+            raise ConfigError(f"dtype must be one of {_ALLOWED_DTYPES}, got {self.dtype!r}")
+        if not all(d >= 0 for d in self.shape):
+            raise ConfigError(f"shape must be a list of integers >= 0, got {list(self.shape)}")
+        expected = math.prod(self.shape) * np.dtype(self.dtype).itemsize
+        if self.nbytes != expected:
+            raise ConfigError(f"nbytes must be {expected} for this shape, got {self.nbytes}")
 
 
 def save_checkpoint(path: str | os.PathLike, tensors: dict[str, np.ndarray], meta: dict):
@@ -90,8 +118,9 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dic
     Raises
     ------
     CheckpointError
-        On a bad magic number, unsupported version, malformed header or
-        tensor entry, or truncated payload.
+        On a bad magic number or version, a malformed header or tensor
+        entry (see :class:`TensorEntry`), a tensor listed twice or out of
+        payload order, or a truncated payload.
     """
     with open(os.fspath(path), "rb") as fh:
         blob = fh.read()
@@ -108,53 +137,26 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dic
     if len(blob) < 20 + header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[20 : 20 + header_len].decode("utf-8"))
+        raw = json.loads(blob[20 : 20 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    header = decode_record(_Header, raw, f"{path}: header", CheckpointError)
 
-    if not (
-        isinstance(header, dict)
-        and isinstance(header.get("tensors"), list)
-        and isinstance(header.get("meta"), dict)
-    ):
-        raise CheckpointError(f"{path}: header lacks a 'tensors' list or a 'meta' object")
-
-    payload = blob[20 + header_len :]
+    payload = memoryview(blob)[20 + header_len :]
     tensors: dict[str, np.ndarray] = {}
-    for index, entry in enumerate(header["tensors"]):
-        _check_entry(path, index, entry, len(payload))
-        dtype = np.dtype(entry["dtype"])
-        array = np.frombuffer(
-            payload, dtype=dtype, count=entry["nbytes"] // dtype.itemsize, offset=entry["offset"]
-        ).reshape(entry["shape"])
-        tensors[entry["name"]] = array.copy()
-    return tensors, header["meta"]
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _check_entry(path, index: int, entry, payload_len: int):
-    """Raise :class:`CheckpointError` unless ``entry`` describes a readable tensor."""
-    if not isinstance(entry, dict) or not {"name", "dtype", "shape", "offset", "nbytes"} <= entry.keys():
-        raise CheckpointError(
-            f"{path}: tensor entry {index} needs name, dtype, shape, offset and nbytes"
-        )
-    name, shape = entry["name"], entry["shape"]
-    if not isinstance(name, str):
-        raise CheckpointError(f"{path}: tensor entry {index} has a non-string name")
-    if entry["dtype"] not in _ALLOWED_DTYPES:
-        raise CheckpointError(f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
-        raise CheckpointError(f"{path}: tensor {name!r} has invalid shape {shape!r}")
-    if not (_is_count(entry["offset"]) and _is_count(entry["nbytes"])):
-        raise CheckpointError(f"{path}: tensor {name!r} has an invalid offset or nbytes")
-    expected = math.prod(shape) * np.dtype(entry["dtype"]).itemsize
-    if expected != entry["nbytes"]:
-        raise CheckpointError(
-            f"{path}: tensor {name!r} of shape {shape} needs {expected} bytes, "
-            f"header says {entry['nbytes']}"
-        )
-    if entry["offset"] + entry["nbytes"] > payload_len:
-        raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
+    end = 0  # the payload is the tensors' bytes, concatenated in header order
+    for index, record in enumerate(header.tensors):
+        entry = decode_record(TensorEntry, record, f"{path}: tensor entry {index}", CheckpointError)
+        if entry.name in tensors:
+            raise CheckpointError(f"{path}: tensor {entry.name!r} is listed twice")
+        if entry.offset != end:
+            raise CheckpointError(
+                f"{path}: tensor {entry.name!r} starts at {entry.offset}, not {end}"
+            )
+        end += entry.nbytes
+        if end > len(payload):
+            raise CheckpointError(f"{path}: truncated payload for tensor {entry.name!r}")
+        dtype = np.dtype(entry.dtype)
+        flat = np.frombuffer(payload, dtype, entry.nbytes // dtype.itemsize, entry.offset)
+        tensors[entry.name] = flat.reshape(entry.shape).copy()
+    return tensors, header.meta

@@ -30,10 +30,11 @@ decoded and echoed as written.  The ``train`` section is
 :class:`TrainSection`: the trainer's :class:`~.training.TrainConfig`
 fields plus the manifests it reads.
 
-Type rules, checked by one decoder before any range check: a section is
-a JSON object without unknown keys; an integer field takes an integer but
-not ``true``, ``1.0`` or ``"1"``; a number field takes an integer or a
-finite float and keeps it as given; a boolean field takes only ``true``/``false``;
+Type rules, checked by one decoder (:func:`beamkit._decode.decode`)
+before any range check: a section is a JSON object without unknown
+keys; an integer field takes an integer but not ``true``, ``1.0`` or
+``"1"``; a number field takes an integer or a finite float and keeps it
+as given; a boolean field takes only ``true``/``false``;
 a string field takes only a string; a field whose default is ``null`` also
 takes ``null``; a list field takes a JSON list (stored as a tuple) whose
 entries follow these rules, with two entries for ranges and three for
@@ -42,6 +43,9 @@ field, e.g. ``model.unet_block_depths_encoder[1] must be an integer``,
 and so is a range error, e.g. ``simulate.sampling.room_length must
 satisfy 0 < low <= high``: each section names the bare field and the
 decoder puts the section's path in front.
+The records of manifests and checkpoints follow the same rules, except
+that their undeclared keys are passed over and a field without a
+default is required (a ``list`` or ``dict`` field takes any list or object).
 The model's kernels, strides, LSTM depth and spectral compression are
 constants, not fields (see :mod:`beamkit.model`), and so are the STFT
 front end (see :mod:`beamkit.stft`), the 16 kHz sample rate
@@ -233,8 +237,10 @@ def load_run_config(
         try:
             with open(os.fspath(config_path), "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{config_path} is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{config_path}: config must be an object, got {raw!r}")
     raw = apply_overrides(raw, list(overrides))
     if seed is not None:
         raw["seed"] = seed

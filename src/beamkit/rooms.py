@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import fftconvolve
 
-from ._decode import decode, decode_value, require_finite
+from ._decode import decode_record, require_finite
 from .errors import (
     ConfigError,
     EmptySignalError,
@@ -55,6 +55,8 @@ __all__ = [
     "sample_scene",
     "doa_separation_deg",
     "build_corpus",
+    "ManifestHeader",
+    "SceneRecord",
     "read_manifest",
     "rebuild_scene_audio",
     "MANIFEST_SCHEMA_VERSION",
@@ -79,35 +81,6 @@ MAX_RT60 = 10.0
 # Longest scene, in seconds, a run config or manifest may ask for: ten
 # default scenes.  At this bound a 9-mic float64 mixture is 69 MB.
 MAX_DURATION = 60.0
-
-# Fields every manifest record must carry (``count`` is informational and
-# may be absent).  A header written before the reflection order became the
-# room's own may hold ``"max_order": null``; any other order built audio
-# that the seeds no longer rebuild, so it is refused.
-_HEADER_FIELDS = ("duration", "sample_rate", "sampling")
-_SCENE_FIELDS = ("id", "seed", "snr_db", "mixture_path", "target_path")
-# Typed record fields: the annotation their value decodes as (the config
-# rules: no bools, no strings for numbers, integers where an integer is
-# meant, only strings for text), the range it must lie in (None: any
-# value of the type), and that range as an error states it.
-_HEADER_NUMBERS = {
-    "duration": (float, lambda v: 0.0 < v <= MAX_DURATION, f"in (0, {MAX_DURATION}]"),
-    "sample_rate": (int, lambda v: v == SAMPLE_RATE, str(SAMPLE_RATE)),
-    "max_order": (type(None), None, None),
-}
-_SCENE_VALUES = {
-    # The id names the audio ``evaluate --dump-audio`` writes.
-    "id": (
-        str,
-        lambda v: v not in ("", ".", "..") and os.path.basename(v) == v,
-        "a file name without a directory",
-    ),
-    "seed": (tuple[int, ...], lambda v: all(x >= 0 for x in v), "a list of integers >= 0"),
-    "snr_db": (float, None, None),
-    "mixture_path": (str, None, None),
-    "target_path": (str, None, None),
-}
-
 
 @dataclass(frozen=True)
 class RoomSpec:
@@ -678,30 +651,49 @@ def _scene_from_seed(seed: tuple[int, ...], sampling: SceneSampling, duration: f
     return (scene, *synthesize_mixture(speech, noise, scene))
 
 
+@dataclass(frozen=True)
+class ManifestHeader:
+    """A manifest's first record: what every scene's audio was built with.
+    A header from before the reflection order became the room's own may
+    hold ``"max_order": null``; the seeds no longer rebuild any other order."""
+
+    duration: float
+    sample_rate: int
+    sampling: SceneSampling
+    max_order: None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.duration <= MAX_DURATION:
+            raise ConfigError(f"duration must be in (0, {MAX_DURATION}], got {self.duration!r}")
+        if self.sample_rate != SAMPLE_RATE:
+            raise ConfigError(f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate!r}")
+
+
+@dataclass(frozen=True)
+class SceneRecord:
+    """A manifest scene record; the geometry, which the seed rebuilds, is passed over."""
+
+    id: str
+    seed: tuple[int, ...]
+    snr_db: float
+    mixture_path: str
+    target_path: str
+
+    def __post_init__(self):
+        # The id names the audio ``evaluate --dump-audio`` writes.
+        if self.id in ("", ".", "..") or os.path.basename(self.id) != self.id:
+            raise ConfigError(f"id must be a file name without a directory, got {self.id!r}")
+        if not all(x >= 0 for x in self.seed):
+            raise ConfigError(f"seed must be a list of integers >= 0, got {list(self.seed)!r}")
+
+
 def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
-    """Load a corpus manifest, checking its schema version.
+    """Load a corpus manifest: ``(header, scenes)``, the records as written.
 
-    Returns
-    -------
-    (header, scenes)
-        The header record and the list of scene records.
-
-    Raises
-    ------
-    ManifestSchemaError
-        On a file that is not UTF-8, a line that is not a JSON object, a
-        missing/invalid header, a schema version this code does not
-        understand, a header or scene record lacking a required field, an
-        ill-typed or out-of-range number (header ``duration``; scene
-        ``seed``, ``snr_db``), a header ``max_order`` other than ``null``
-        (its audio came from a reflection order this code no longer
-        builds), a header ``sample_rate`` other than
-        :data:`~.signals.SAMPLE_RATE`, a scene ``id``, ``mixture_path`` or
-        ``target_path`` that is not a string, an ``id`` that is not a plain
-        file name, or a header ``sampling`` object that lacks a
-        :class:`SceneSampling` field or holds an unknown or ill-typed one.
-        A version 1 manifest recorded only part of the sampler, so it
-        cannot say which scenes it holds and is refused.
+    A ManifestSchemaError refuses a file that is not UTF-8, a line that
+    is not a JSON object, a missing header, an unknown schema version
+    (version 1 recorded only part of the sampler) and, naming its line, a
+    record that :class:`ManifestHeader` or :class:`SceneRecord` refuses.
     """
     with open(os.fspath(manifest_path), "rb") as fh:
         raw = fh.read()
@@ -720,9 +712,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
             f"{manifest_path}: schema version {version!r} unsupported "
             f"(this build reads version {MANIFEST_SCHEMA_VERSION})"
         )
-    _require(header, _HEADER_FIELDS, f"{manifest_path}:1: manifest header")
-    _check_values(header, _HEADER_NUMBERS, f"{manifest_path}:1: manifest header")
-    _sampling_from_header(header)  # an ill-typed sampling fails here, before any scene
+    _decode_header(header, f"{manifest_path}:1: manifest header")
     scenes = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -731,8 +721,7 @@ def read_manifest(manifest_path: str | os.PathLike) -> tuple[dict, list[dict]]:
         if record.get("kind") != "scene":
             raise ManifestSchemaError(f"{manifest_path}:{line_no}: unknown record kind")
         where = f"{manifest_path}:{line_no}: scene record"
-        _require(record, _SCENE_FIELDS, where)
-        _check_values(record, _SCENE_VALUES, where)
+        decode_record(SceneRecord, record, where, ManifestSchemaError)
         scenes.append(record)
     return header, scenes
 
@@ -747,30 +736,14 @@ def _parse_record(manifest_path, line_no: int, line: str) -> dict:
     return record
 
 
-def _require(record, fields, where: str):
-    """Raise ManifestSchemaError naming the first of ``fields`` missing
-    from the JSON object ``record``."""
-    if not isinstance(record, dict):
-        raise ManifestSchemaError(f"{where} is not a JSON object")
-    for name in fields:
-        if name not in record:
-            raise ManifestSchemaError(f"{where} lacks field {name!r}")
-
-
-def _check_values(record: dict, rules: dict, where: str):
-    """Raise ManifestSchemaError naming the first field of ``rules`` that
-    ``record`` holds with an ill-typed or out-of-range value."""
-    for name, (annotation, in_range, bound) in rules.items():
-        if name not in record:
-            continue
-        try:
-            value = decode_value(annotation, record[name], name)
-        except ConfigError as exc:
-            raise ManifestSchemaError(f"{where} field {exc}") from exc
-        if in_range is not None and not in_range(value):
-            raise ManifestSchemaError(
-                f"{where} field {name} must be {bound}, got {record[name]!r}"
-            )
+def _decode_header(header: dict, where: str) -> ManifestHeader:
+    decoded = decode_record(ManifestHeader, header, where, ManifestSchemaError)
+    # The header must list every sampler field: a rebuild must not fill
+    # in a default that has changed since the corpus was built.
+    for f in fields(SceneSampling):
+        if f.name not in header["sampling"]:
+            raise ManifestSchemaError(f"{where} field 'sampling' lacks field {f.name!r}")
+    return decoded
 
 
 def rebuild_scene_audio(record: dict, header: dict):
@@ -780,21 +753,6 @@ def rebuild_scene_audio(record: dict, header: dict):
     -------
     (scene, mixture, reverberant_speech, reverberant_noise)
     """
-    if record.get("seed") is None:
-        raise ManifestSchemaError("scene record carries no seed; cannot regenerate")
-    return _scene_from_seed(
-        tuple(record["seed"]),
-        _sampling_from_header(header),
-        header["duration"],
-    )
-
-
-def _sampling_from_header(header: dict) -> SceneSampling:
-    sampling = header["sampling"]
-    _require(
-        sampling, [f.name for f in fields(SceneSampling)], "manifest header field 'sampling'"
-    )
-    try:
-        return decode(SceneSampling, sampling, "sampling")
-    except ConfigError as exc:
-        raise ManifestSchemaError(f"manifest header field {exc}") from exc
+    decoded = _decode_header(header, "manifest header")
+    scene = decode_record(SceneRecord, record, "scene record", ManifestSchemaError)
+    return _scene_from_seed(scene.seed, decoded.sampling, decoded.duration)

@@ -475,14 +475,14 @@ def save_model_checkpoint(
 def load_trained_model(path: str | os.PathLike) -> tuple[NeuralBeamformer, StftConfig, dict]:
     """Rebuild a model from a checkpoint: ``(model, StftConfig(), meta)``.
 
-    A missing or undecodable ``model`` entry is a CheckpointError; so is
-    one naming a field ``ModelConfig`` no longer has, such as the
-    ``freq_bins`` every checkpoint from a settable front end carries.
-    Any ``stft`` entry is ignored, as are the provenance entries."""
+    Any fault of the file is a CheckpointError: another ``kind``, a
+    ``model`` entry that is missing or does not decode (such as one with
+    the ``freq_bins`` of a settable front end), or tensors that do not fit
+    it.  Any ``stft`` entry is ignored, as are the provenance entries."""
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != CHECKPOINT_META_KIND:
-        raise ConfigMismatchError(
-            f"{path}: checkpoint metadata kind {meta.get('kind')!r} is not "
+        raise CheckpointError(
+            f"{path}: checkpoint metadata: kind {meta.get('kind')!r} is not "
             f"{CHECKPOINT_META_KIND!r}"
         )
     try:
@@ -490,7 +490,10 @@ def load_trained_model(path: str | os.PathLike) -> tuple[NeuralBeamformer, StftC
     except ConfigError as exc:
         raise CheckpointError(f"{path}: checkpoint metadata: {exc}") from exc
     model = build_model(model_cfg, seed=0)
-    model.load_state_dict(tensors)
+    try:
+        model.load_state_dict(tensors)
+    except ConfigMismatchError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return model, StftConfig(), meta
 
 

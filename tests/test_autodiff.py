@@ -1602,15 +1602,17 @@ class TestCheckpoint:
         [
             (lambda h: h.pop("tensors"), "tensors"),
             (lambda h: h.pop("meta"), "meta"),
-            (lambda h: h["tensors"][0].pop("nbytes"), "needs name"),
-            (lambda h: h["tensors"].__setitem__(0, "w"), "needs name"),
+            (lambda h: h["tensors"][0].pop("nbytes"), "tensor entry 0 lacks field 'nbytes'"),
+            (lambda h: h["tensors"].__setitem__(0, "w"), "tensor entry 0 is not a JSON object"),
             (lambda h: h["tensors"][0].update(shape=[7, 7, 7]), "bytes"),
             (lambda h: h["tensors"][0].update(shape=[-1]), "shape"),
             (lambda h: h["tensors"][0].update(dtype="|O"), "dtype"),
             (lambda h: h["tensors"][0].update(offset="0"), "offset"),
+            (lambda h: h["tensors"][0].update(offset=8), "starts at 8, not 0"),
+            (lambda h: h["tensors"].append(dict(h["tensors"][0])), "'w' is listed twice"),
         ],
         ids=["no-tensors", "no-meta", "entry-key", "entry-type", "shape-nbytes",
-             "negative-dim", "dtype", "offset-type"],
+             "negative-dim", "dtype", "offset-type", "offset-gap", "repeated-name"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit, match):
         from beamkit.autodiff import load_checkpoint, save_checkpoint

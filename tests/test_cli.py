@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, config echo, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import beamkit
 from beamkit import __version__
@@ -124,6 +127,33 @@ class TestExitCodes:
         rc = main(["rir", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("rir", []), ("rir", ["--set", "train.epochs=1"]), ("rir", ["--seed", "3"]),
+         ("simulate", ["--count", "1"])],
+        ids=["alone", "set", "seed", "flag"],
+    )
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, extra):
+        # With an override, a seed or a flag this ended in an AttributeError
+        # or TypeError traceback (exit 1).
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o"), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"beamkit: configuration error: {bad}: config must be an object, got [1, 2]"
+        ]
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # Ended in a UnicodeDecodeError traceback (exit 1).
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        rc = main(["rir", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"configuration error: {bad} is not UTF-8 JSON" in err[0]
 
     def test_unknown_config_section_exits_2(self, tmp_path):
         bad = tmp_path / "extra.json"
@@ -346,8 +376,10 @@ class TestExitCodes:
          ({"model": 5}, "model must be"),
          # a checkpoint written while ModelConfig still had these two fields
          ({"model": {**tiny_model_fields(), "use_unet_blocks": True, "compression": True}},
-          "unknown model config fields: ['compression', 'use_unet_blocks']")],
-        ids=["no-model", "model-not-object", "removed-model-switches"],
+          "unknown model config fields: ['compression', 'use_unet_blocks']"),
+         # a layer's checkpoint, not a model's (exited 2)
+         ({"kind": "linear"}, "kind 'linear' is not 'model_checkpoint'")],
+        ids=["no-model", "model-not-object", "removed-model-switches", "not-a-model"],
     )
     def test_malformed_checkpoint_metadata_exits_4(self, tmp_path, capsys, meta, field):
         from beamkit.autodiff import save_checkpoint
@@ -377,6 +409,36 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert "sampling.snr_grid_db must be a list, got 5" in err[0]
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(lambda s: s.update(rt60_range=[1e6, 1e6]),
+          "field sampling.rt60_range must not exceed 10.0 s, got (1000000.0, 1000000.0)"),
+         (lambda s: s.update(num_mics="9"), "field sampling.num_mics must be an integer, got '9'"),
+         (lambda s: s.pop("min_doa_deg"), "field 'sampling' lacks field 'min_doa_deg'"),
+         (lambda s: s.update(max_order=4), "field unknown sampling config fields: ['max_order']"),
+         (None, "field sampling must be an object, got [1, 2]")],
+        ids=["rt60-beyond-bound", "num_mics-string", "missing", "unknown", "not-an-object"],
+    )
+    def test_bad_header_sampling_names_manifest_and_line(
+        self, tmp_path, corpus_dir, capsys, edit, message
+    ):
+        # A bad sampling entry was reported without the manifest's path
+        # and line, which every other header error carries.
+        lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        if edit is None:
+            header["sampling"] = [1, 2]
+        else:
+            edit(header["sampling"])
+        tampered = tmp_path / "manifest.jsonl"
+        tampered.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        rc = main(["evaluate", "--system", "identity", "--out", str(tmp_path / "o"),
+                   "--manifest", str(tampered)])
+        assert rc == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"beamkit: validation error: {tampered}:1: manifest header {message}"
+        ]
 
     def test_corpus_wavs_at_another_rate_exit_4(self, tmp_path, corpus_dir, capsys):
         # The header still says 16000 Hz; train used to run on these WAVs,
@@ -735,6 +797,18 @@ def passthrough_checkpoint(tmp_path_factory):
     return path
 
 
+def rewrite_checkpoint_header(source, target, edit):
+    """Copy checkpoint ``source`` to ``target`` with ``edit`` applied to
+    its parsed JSON header; the payload is copied unchanged."""
+    raw = source.read_bytes()
+    length = int.from_bytes(raw[12:20], "little")
+    header = json.loads(raw[20 : 20 + length])
+    edit(header)
+    encoded = json.dumps(header).encode("utf-8")
+    target.write_bytes(raw[:12] + len(encoded).to_bytes(8, "little") + encoded
+                       + raw[20 + length :])
+
+
 @pytest.fixture(scope="module")
 def quiet_start_wav(tmp_path_factory):
     """Two-channel noise whose first analysis frame is silent.
@@ -846,6 +920,42 @@ class TestEnhance:
         with pytest.raises(CheckpointError, match="freq_bins"):
             load_trained_model(older)
 
+    def test_checkpoint_whose_tensors_do_not_fit_its_model_exits_4(
+        self, passthrough_checkpoint, quiet_start_wav, tmp_path, capsys
+    ):
+        # The file contradicts itself, so it is an i/o error, not a
+        # configuration error (exit 2) as it was.
+        from beamkit.autodiff import load_checkpoint, save_checkpoint
+
+        tensors, meta = load_checkpoint(passthrough_checkpoint)
+        meta["model"]["lstm_hidden"] = 17
+        edited = tmp_path / "edited.bkt"
+        save_checkpoint(edited, tensors, meta)
+        rc = main(["enhance", "--out", str(tmp_path / "o"), "--checkpoint", str(edited),
+                   "--input", str(quiet_start_wav)])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"i/o error: {edited}: parameter 'head.lstms.0.w_ih': checkpoint shape" in err[0]
+
+    def test_checkpoint_listing_a_tensor_twice_exits_4(
+        self, passthrough_checkpoint, quiet_start_wav, tmp_path, capsys
+    ):
+        # The later entry was loaded silently, and the run then failed with
+        # a state dict mismatch (exit 2).
+        def rename_second_as_first(header):
+            header["tensors"][1]["name"] = header["tensors"][0]["name"]
+
+        twice = tmp_path / "twice.bkt"
+        rewrite_checkpoint_header(passthrough_checkpoint, twice, rename_second_as_first)
+        rc = main(["enhance", "--out", str(tmp_path / "o"), "--checkpoint", str(twice),
+                   "--input", str(quiet_start_wav)])
+        assert rc == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"beamkit: i/o error: {twice}: tensor ")
+        assert err[0].endswith(" is listed twice")
+
     def test_wrong_sample_rate_exits_4(self, passthrough_checkpoint, tmp_path, capsys):
         slow = tmp_path / "slow.wav"
         write_wav(slow, WaveBuffer(np.zeros((2, 4000)) + 0.1, 8000))
@@ -926,3 +1036,68 @@ class TestEvaluate:
         rc = main(["evaluate", "--out", str(tmp_path / "o"),
                    "--manifest", str(corpus_dir / "manifest.jsonl")])
         assert rc == 2
+
+
+# Any JSON value: a scalar, or a short list or object of scalars.
+JSON_SCALARS = (strategies.none() | strategies.booleans() | strategies.integers()
+                | strategies.floats() | strategies.text(max_size=8))
+JSON_VALUES = (JSON_SCALARS | strategies.lists(JSON_SCALARS, max_size=3)
+               | strategies.dictionaries(strategies.text(max_size=4), JSON_SCALARS, max_size=2))
+
+
+def run_main(args) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one CLI run; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(args)
+    return rc, err.getvalue().strip().splitlines()
+
+
+class TestRecordFuzz:
+    """One field of a file record replaced by any JSON value: the run
+    succeeds, or fails with the file's exit code and one line."""
+
+    @pytest.fixture(scope="class")
+    def small_corpus(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz_corpus")
+        assert run_main(["simulate", "--out", str(out), "--count", "1",
+                         "--set", "simulate.duration_seconds=0.5",
+                         "--set", "simulate.sampling.num_mics=2"])[0] == 0
+        return out
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=strategies.data(), value=JSON_VALUES)
+    def test_manifest_record_field_exits_0_or_3(self, small_corpus, data, value):
+        lines = (small_corpus / "manifest.jsonl").read_text().splitlines()
+        line = data.draw(strategies.sampled_from([0, 1]), label="line")
+        record = json.loads(lines[line])
+        record[data.draw(strategies.sampled_from(sorted(record)), label="field")] = value
+        lines[line] = json.dumps(record)
+        fuzzed = small_corpus / "fuzzed.jsonl"
+        fuzzed.write_text("\n".join(lines) + "\n")
+        rc, err = run_main(["evaluate", "--system", "identity", "--manifest", str(fuzzed),
+                            "--out", str(small_corpus / "o")])
+        assert (rc, len(err)) in {(0, 0), (3, 1)}, err
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=strategies.data())
+    def test_checkpoint_tensor_entry_field_exits_0_or_4(
+        self, passthrough_checkpoint, quiet_start_wav, tmp_path_factory, data
+    ):
+        root = tmp_path_factory.getbasetemp() / "fuzz_checkpoint"
+        root.mkdir(exist_ok=True)
+
+        def replace(header):
+            # Besides any JSON value, the field may take another entry's
+            # value: a name listed twice, or an offset into another tensor.
+            entries = header["tensors"]
+            entry = data.draw(strategies.sampled_from(entries), label="entry")
+            field = data.draw(strategies.sampled_from(sorted(entry)), label="field")
+            others = strategies.sampled_from([other[field] for other in entries])
+            entry[field] = data.draw(JSON_VALUES | others, label="value")
+
+        fuzzed = root / "fuzzed.bkt"
+        rewrite_checkpoint_header(passthrough_checkpoint, fuzzed, replace)
+        rc, err = run_main(["enhance", "--checkpoint", str(fuzzed),
+                            "--input", str(quiet_start_wav), "--out", str(root / "o")])
+        assert (rc, len(err)) in {(0, 0), (4, 1)}, err

@@ -6,13 +6,23 @@ import inspect
 
 import pytest
 
+from beamkit._decode import decode
+from beamkit.autodiff.checkpoint import load_checkpoint
 from beamkit.autodiff.tensor import axis_norm, prelu
-from beamkit.config import RirSection, RunConfig, SimulateSection, TrainSection
+from beamkit.config import (
+    RirSection,
+    RunConfig,
+    SimulateSection,
+    TrainSection,
+    load_run_config,
+)
 from beamkit.metrics import loss_tensors
 from beamkit.rooms import (
     SceneSpec,
     build_corpus,
     image_method_rir,
+    read_manifest,
+    rebuild_scene_audio,
     sample_scene,
     synthesize_mixture,
 )
@@ -47,6 +57,12 @@ PARAMETERS = {
     SimulateSection: ["count", "duration_seconds", "sampling"],
     RirSection: ["room_dimensions", "rt60", "source_position", "array_center", "num_mics",
                  "mic_spacing"],
+    # The readers of the files a run reads, and their one decoder.
+    decode: ["cls", "raw", "label"],
+    read_manifest: ["manifest_path"],
+    rebuild_scene_audio: ["record", "header"],
+    load_checkpoint: ["path"],
+    load_run_config: ["config_path", "overrides", "seed"],
 }
 
 

@@ -412,12 +412,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "edit,message",
-        [(lambda s: s.update(rt60_range=[1e6, 1e6]),
+        [(lambda h: h["sampling"].update(rt60_range=[1e6, 1e6]),
           "field sampling.rt60_range must not exceed 10.0 s, got (1000000.0, 1000000.0)"),
-         (lambda s: s.update(num_mics="9"), "field sampling.num_mics must be an integer, got '9'"),
-         (lambda s: s.pop("min_doa_deg"), "field 'sampling' lacks field 'min_doa_deg'"),
-         (lambda s: s.update(max_order=4), "field unknown sampling config fields: ['max_order']"),
-         (None, "field sampling must be an object, got [1, 2]")],
+         (lambda h: h["sampling"].update(num_mics="9"),
+          "field sampling.num_mics must be an integer, got '9'"),
+         (lambda h: h["sampling"].pop("min_doa_deg"),
+          "field 'sampling' lacks field 'min_doa_deg'"),
+         (lambda h: h["sampling"].update(max_order=4),
+          "field unknown sampling config fields: ['max_order']"),
+         (lambda h: h.update(sampling=[1, 2]), "field sampling must be an object, got [1, 2]")],
         ids=["rt60-beyond-bound", "num_mics-string", "missing", "unknown", "not-an-object"],
     )
     def test_bad_header_sampling_names_manifest_and_line(
@@ -427,10 +430,7 @@ class TestExitCodes:
         # and line, which every other header error carries.
         lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
-        if edit is None:
-            header["sampling"] = [1, 2]
-        else:
-            edit(header["sampling"])
+        edit(header)
         tampered = tmp_path / "manifest.jsonl"
         tampered.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         rc = main(["evaluate", "--system", "identity", "--out", str(tmp_path / "o"),

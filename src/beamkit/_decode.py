@@ -35,16 +35,16 @@ def decode(cls, raw, label: str):
     included: those name the bare field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{label or 'config'} must be an object, got {raw!r}")
-    hints = _type_hints(cls)
-    unknown = set(raw) - {f.name for f in fields(cls)}
+    required, decoders = _record(cls)
+    unknown = raw.keys() - decoders.keys()
     if unknown:
         where = f"{label} " if label else ""
         raise ConfigError(f"unknown {where}config fields: {sorted(unknown)}")
-    for f in fields(cls):
-        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{label} lacks field {f.name!r}".lstrip())
+    for name in required:
+        if name not in raw:
+            raise ConfigError(f"{label} lacks field {name!r}".lstrip())
     kwargs = {
-        name: decode_value(hints[name], value, f"{label}.{name}" if label else name)
+        name: decoders[name](value, f"{label}.{name}" if label else name)
         for name, value in raw.items()
     }
     try:
@@ -55,17 +55,13 @@ def decode(cls, raw, label: str):
         raise type(exc)(f"{label}.{exc}") from exc
 
 
-# Resolving the annotations is most of a small record's decoding time.
-_type_hints = functools.cache(get_type_hints)
-
-
 def decode_record(cls, raw, where: str, error: type[Exception]):
     """Dataclass ``cls`` from ``raw``, a record of a file, passing over the
     keys ``cls`` does not declare.  A failure is one ``error`` led by
     ``where``: ``<where> lacks field 'x'``, ``<where> field x must ...``."""
     if not isinstance(raw, dict):
         raise error(f"{where} is not a JSON object")
-    declared = [f.name for f in fields(cls)]
+    declared = _record(cls)[1]
     try:
         return decode(cls, {name: raw[name] for name in declared if name in raw}, "")
     except ConfigError as exc:
@@ -74,29 +70,66 @@ def decode_record(cls, raw, where: str, error: type[Exception]):
         raise error(f"{where} {detail}") from exc
 
 
-def decode_value(tp, value, path: str):
-    """``value`` checked against annotation ``tp`` (a dataclass, a tuple,
-    a scalar or ``X | None``); a ConfigError names ``path`` otherwise.
-    A number field refuses NaN and ±inf."""
+# A record is decoded many times (a checkpoint lists one per tensor), so
+# each class's fields and each annotation's decoder are worked out once.
+@functools.cache
+def _record(cls):
+    """Dataclass ``cls``'s required field names, and each field's decoder
+    in field order."""
+    hints = get_type_hints(cls)
+    required = tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return required, {f.name: _decoder(hints[f.name]) for f in fields(cls)}
+
+
+@functools.cache
+def _decoder(tp):
+    """The function ``(value, path) -> value`` that checks ``value``
+    against annotation ``tp`` (a dataclass, a tuple, a scalar or
+    ``X | None``) and raises a ConfigError naming ``path`` otherwise.  A
+    number field refuses NaN and ±inf."""
     if is_dataclass(tp):
-        return decode(tp, value, path)
+        return functools.partial(decode, tp)
     args = get_args(tp)
     if get_origin(tp) is tuple:
-        variadic = args[-1] is Ellipsis
-        if not isinstance(value, (list, tuple)) or not variadic and len(value) != len(args):
-            shape = "a list" if variadic else f"a list of {len(args)} entries"
-            raise ConfigError(f"{path} must be {shape}, got {value!r}")
-        types = args[:1] * len(value) if variadic else args
-        return tuple(
-            decode_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value))
-        )
+        return _tuple_decoder(args)
     options = args or (tp,)  # the members of ``X | None``, or one scalar type
-    if any(_SCALARS[option][1](value) for option in options):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{path} must be finite, got {value!r}")
-        return value
+    tests = tuple(_SCALARS[option][1] for option in options)
+    accepts = tests[0] if len(tests) == 1 else lambda v: any(test(v) for test in tests)
     expected = " or ".join(_SCALARS[option][0] for option in options)
-    raise ConfigError(f"{path} must be {expected}, got {value!r}")
+
+    def decode_scalar(value, path):
+        if accepts(value):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path} must be finite, got {value!r}")
+            return value
+        raise ConfigError(f"{path} must be {expected}, got {value!r}")
+
+    return decode_scalar
+
+
+def _tuple_decoder(args):
+    """:func:`_decoder` of ``tuple[args]``: a list of ``len(args)``
+    entries, or of any length for ``tuple[X, ...]``."""
+    variadic = args[-1] is Ellipsis
+    entries = tuple(map(_decoder, args[:1] if variadic else args))
+    shape = "a list" if variadic else f"a list of {len(args)} entries"
+
+    def decode_tuple(value, path):
+        if not isinstance(value, (list, tuple)) or not variadic and len(value) != len(entries):
+            raise ConfigError(f"{path} must be {shape}, got {value!r}")
+        each = entries * len(value) if variadic else entries
+        try:
+            return tuple(entry(v, path) for entry, v in zip(each, value))
+        except ConfigError:
+            # Only a failing list pays for its entries' paths: the pass is
+            # repeated with them, and the first bad entry raises again.
+            for i, (entry, v) in enumerate(zip(each, value)):
+                entry(v, f"{path}[{i}]")
+            raise
+
+    return decode_tuple
 
 
 def require_finite(section) -> None:

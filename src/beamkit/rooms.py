@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from ._decode import decode_record, require_finite
 from .errors import (
@@ -320,13 +320,29 @@ def image_method_rir(room: RoomSpec, array: ArraySpec, source: Sequence[float]) 
     return taps
 
 
+def fftconvolve(source: np.ndarray, rirs: np.ndarray) -> np.ndarray:
+    """The mono ``source`` convolved with each row of ``rirs``, truncated to
+    ``len(source)`` samples: a contiguous ``(mics, len(source))`` array.
+
+    The transforms, their length and the order of the spectra product are
+    ``scipy.signal.fftconvolve``'s, so the result equals
+    ``fftconvolve(source[None], rirs, axes=-1)[:, :len(source)]`` bit for bit.
+    """
+    n = len(source)
+    length = next_fast_len(n + rirs.shape[-1] - 1, True)
+    spec = rfft(rirs, length)
+    np.multiply(rfft(source, length), spec, out=spec)
+    return np.ascontiguousarray(irfft(spec, length)[:, :n])
+
+
 def synthesize_mixture(
     speech: WaveBuffer, noise: WaveBuffer, scene: SceneSpec
 ) -> tuple[WaveBuffer, WaveBuffer, WaveBuffer]:
     """Reverberate both sources and mix them at the scene's target SNR.
 
     Each mono source is convolved with its RIRs from
-    :func:`image_method_rir` (truncated to the source length), the noise
+    :func:`image_method_rir` by :func:`fftconvolve` (truncated to the
+    source length, bit for bit as ``scipy.signal.fftconvolve``), the noise
     image is scaled so the energy ratio at
     :data:`~.signals.REFERENCE_CHANNEL` matches ``scene.snr_db``, and the
     mixture is the exact sum of the two returned parts.
@@ -367,8 +383,8 @@ def synthesize_mixture(
     speech_rir = image_method_rir(room, array, scene.speech_position)
     noise_rir = image_method_rir(room, array, scene.noise_position)
 
-    speech_img = fftconvolve(s[np.newaxis, :], speech_rir, axes=-1)[:, : len(s)]
-    noise_img = fftconvolve(n[np.newaxis, :], noise_rir, axes=-1)[:, : len(s)]
+    speech_img = fftconvolve(s, speech_rir)
+    noise_img = fftconvolve(n, noise_rir)
 
     e_speech = float(np.sum(speech_img[REFERENCE_CHANNEL] ** 2))
     e_noise = float(np.sum(noise_img[REFERENCE_CHANNEL] ** 2))
@@ -441,6 +457,9 @@ class SceneSampling:
             raise ConfigError(f"mic_spacing must be > 0, got {self.mic_spacing}")
         if not self.source_distances:
             raise ConfigError("source_distances must be non-empty")
+        if not 0 <= self.min_doa_deg <= 180:
+            # No two directions are further apart, so no draw could pass.
+            raise ConfigError(f"min_doa_deg must be in [0, 180], got {self.min_doa_deg}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be non-empty")
         if self.rejection_budget < 1:

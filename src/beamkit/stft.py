@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
 
 from .errors import ConfigMismatchError, EmptySignalError, ValidationError
 from .signals import SAMPLE_RATE, WaveBuffer
@@ -49,8 +48,11 @@ FRAME_SHIFT = 160
 FFT_SIZE = 320
 FREQ_BINS = FFT_SIZE // 2 + 1  # 161
 
-# The periodic Hann window of FRAME_LENGTH samples, float64, read-only.
-ANALYSIS_WINDOW = get_window("hann", FRAME_LENGTH, fftbins=True).astype(np.float64)
+# The periodic Hann window of FRAME_LENGTH samples, float64, read-only: the
+# symmetric window of FRAME_LENGTH + 1 points without its last, in the
+# arithmetic of scipy's ``general_cosine``, so it equals
+# ``scipy.signal.get_window("hann", FRAME_LENGTH)`` bit for bit.
+ANALYSIS_WINDOW = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, FRAME_LENGTH + 1)))[:-1]
 ANALYSIS_WINDOW.setflags(write=False)
 
 # Floor for the squared-window overlap-add normalizer in istft.  Inside the

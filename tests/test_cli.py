@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -118,6 +119,27 @@ class TestParser:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == f"beamkit {__version__}"
+
+    def test_a_run_leaves_scipy_signal_unimported(self, tmp_path):
+        # In a child process: this one has imported scipy.signal already,
+        # for the tests that take it as their oracle.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beamkit.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = textwrap.dedent(f"""
+            import sys
+            import beamkit, beamkit.cli
+            from beamkit.rooms import SceneSampling, build_corpus
+            from beamkit.training import evaluate
+            manifest = build_corpus({str(tmp_path / "c")!r}, 1, 3,
+                                    sampling=SceneSampling(num_mics=2), duration=0.5)
+            evaluate("oracle-mvdr", manifest)
+            assert "scipy.signal" not in sys.modules, "scipy.signal was imported"
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestExitCodes:
@@ -420,8 +442,11 @@ class TestExitCodes:
           "field 'sampling' lacks field 'min_doa_deg'"),
          (lambda h: h["sampling"].update(max_order=4),
           "field unknown sampling config fields: ['max_order']"),
-         (lambda h: h.update(sampling=[1, 2]), "field sampling must be an object, got [1, 2]")],
-        ids=["rt60-beyond-bound", "num_mics-string", "missing", "unknown", "not-an-object"],
+         (lambda h: h.update(sampling=[1, 2]), "field sampling must be an object, got [1, 2]"),
+         (lambda h: h["sampling"].update(min_doa_deg=181),
+          "field sampling.min_doa_deg must be in [0, 180], got 181")],
+        ids=["rt60-beyond-bound", "num_mics-string", "missing", "unknown", "not-an-object",
+             "min-doa-beyond-half-turn"],
     )
     def test_bad_header_sampling_names_manifest_and_line(
         self, tmp_path, corpus_dir, capsys, edit, message

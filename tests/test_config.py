@@ -126,10 +126,21 @@ def test_manifest_duration_beyond_bound_exits_3(tmp_path, capsys):
                            "got 1000000000.0")
 
 
+def test_min_doa_bounds_are_inclusive():
+    assert SceneSampling(min_doa_deg=0).min_doa_deg == 0
+    assert SceneSampling(min_doa_deg=180.0).min_doa_deg == 180.0
+
+
 RANGE_ERRORS = [
     ("simulate", "simulate.sampling.room_length=[5,3]",
      "simulate.sampling.room_length must satisfy 0 < low <= high, got (5, 3)"),
     ("simulate", "simulate.sampling.num_mics=0", "simulate.sampling.num_mics must be >= 1, got 0"),
+    # No two directions are more than 180 degrees apart, so no source
+    # draw could meet a larger separation.
+    ("simulate", "simulate.sampling.min_doa_deg=181",
+     "simulate.sampling.min_doa_deg must be in [0, 180], got 181"),
+    ("simulate", "simulate.sampling.min_doa_deg=-1",
+     "simulate.sampling.min_doa_deg must be in [0, 180], got -1"),
     ("simulate", "simulate.count=-1", "simulate.count must be >= 0, got -1"),
     ("train", "train.epochs=0", "train.epochs must be >= 1, got 0"),
     ("train", "model.stcn_groups=-1", "model.stcn_groups must be >= 0, got -1"),

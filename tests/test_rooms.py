@@ -5,6 +5,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from beamkit import rooms
 from beamkit.errors import (
@@ -283,6 +284,23 @@ class TestSynthesizeMixture:
         noise = WaveBuffer(noise_like(0.5, self.rng).data, 8000)
         with pytest.raises(ValidationError, match="speech rate 8000 Hz, expected 16000 Hz"):
             synthesize_mixture(speech, noise, self.scene)
+
+
+class TestFftConvolve:
+    @pytest.mark.parametrize("seconds", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("num_mics", [2, 9])
+    def test_matches_scipy_bit_for_bit(self, num_mics, seconds):
+        # scipy.signal is the oracle here only; beamkit does not import it.
+        rng = np.random.default_rng(np.random.SeedSequence((27, num_mics, int(seconds * 2))))
+        scene = sample_scene(rng, SceneSampling(num_mics=num_mics))
+        sources = [(speech_like(seconds, rng).mono(), scene.speech_position),
+                   (noise_like(seconds, rng).mono(), scene.noise_position)]
+        for source, position in sources:
+            rir = image_method_rir(scene.room, scene.array, position)
+            got = rooms.fftconvolve(source, rir)
+            want = fftconvolve(source[np.newaxis], rir, axes=-1)[:, : len(source)]
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 class TestSampleScene:

@@ -58,15 +58,20 @@ def decode(cls, raw, label: str):
 def decode_record(cls, raw, where: str, error: type[Exception]):
     """Dataclass ``cls`` from ``raw``, a record of a file, passing over the
     keys ``cls`` does not declare.  A failure is one ``error`` led by
-    ``where``: ``<where> lacks field 'x'``, ``<where> field x must ...``."""
+    ``where``: ``<where> lacks field 'x'``, ``<where> field x must ...``,
+    ``<where> has unknown x config fields: [...]``."""
     if not isinstance(raw, dict):
         raise error(f"{where} is not a JSON object")
     declared = _record(cls)[1]
     try:
         return decode(cls, {name: raw[name] for name in declared if name in raw}, "")
     except ConfigError as exc:
-        # Only a missing field's error does not begin with the field.
-        detail = str(exc) if str(exc).startswith("lacks field") else f"field {exc}"
+        # Only a missing or an unknown field's error does not begin with the field.
+        detail = str(exc)
+        if detail.startswith("unknown "):
+            detail = f"has {detail}"
+        elif not detail.startswith("lacks field"):
+            detail = f"field {detail}"
         raise error(f"{where} {detail}") from exc
 
 

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from ._decode import decode_record, require_finite
 from .errors import (
@@ -320,16 +320,32 @@ def image_method_rir(room: RoomSpec, array: ArraySpec, source: Sequence[float]) 
     return taps
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest ``2**a * 3**b * 5**c >= n``, a length the real FFT
+    does fast: ``scipy.fft.next_fast_len(n, True)``."""
+    best = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 = 3**b * 5**c, times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve(source: np.ndarray, rirs: np.ndarray) -> np.ndarray:
     """The mono ``source`` convolved with each row of ``rirs``, truncated to
     ``len(source)`` samples: a contiguous ``(mics, len(source))`` array.
 
-    The transforms, their length and the order of the spectra product are
-    ``scipy.signal.fftconvolve``'s, so the result equals
+    ``numpy.fft`` makes the transforms that ``scipy.signal.fftconvolve``
+    makes (the same pocketfft code), at its length and with the spectra
+    multiplied in its order, so the result equals
     ``fftconvolve(source[None], rirs, axes=-1)[:, :len(source)]`` bit for bit.
     """
     n = len(source)
-    length = next_fast_len(n + rirs.shape[-1] - 1, True)
+    length = _next_fast_len(n + rirs.shape[-1] - 1)
     spec = rfft(rirs, length)
     np.multiply(rfft(source, length), spec, out=spec)
     return np.ascontiguousarray(irfft(spec, length)[:, :n])
@@ -424,7 +440,9 @@ class SceneSampling:
     10x10x3 m, RT60 in [0.05, 0.7] s (never above :data:`MAX_RT60`), a
     9-mic 4 cm linear array at 1.5 m height, source distances on the
     {0.5, 1, 2, 3} m grid with at least 5 degrees of angular separation,
-    and SNR on the 7-point grid {-6, ..., +6} dB in 2 dB steps.
+    and SNR on the 7-point grid {-6, ..., +6} dB in 2 dB steps.  No
+    source distance may exceed the farthest a source can sit from the
+    array centre in the largest room, since no draw could place it.
     """
 
     room_length: tuple[float, float] = (3.0, 10.0)
@@ -457,6 +475,22 @@ class SceneSampling:
             raise ConfigError(f"mic_spacing must be > 0, got {self.mic_spacing}")
         if not self.source_distances:
             raise ConfigError("source_distances must be non-empty")
+        # A source keeps ``source_wall_margin`` from the walls; the array
+        # centre keeps ``array_wall_margin`` (plus half the aperture along
+        # x) and sits at ``array_height``.
+        margin = self.source_wall_margin
+        reach = math.hypot(
+            self.room_length[1] - margin - self.array_wall_margin
+            - (self.num_mics - 1) * self.mic_spacing / 2.0,
+            self.room_width[1] - margin - self.array_wall_margin,
+            max(self.array_height, self.room_height[1] - self.array_height) - margin,
+        )
+        if max(self.source_distances) > reach:
+            raise ConfigError(
+                f"source_distances must not exceed {reach:.3f} m, the farthest a source "
+                f"can be from the array centre in the largest room, "
+                f"got {self.source_distances}"
+            )
         if not 0 <= self.min_doa_deg <= 180:
             # No two directions are further apart, so no draw could pass.
             raise ConfigError(f"min_doa_deg must be in [0, 180], got {self.min_doa_deg}")

@@ -9,10 +9,12 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
+from wavfiles import IEEE_FLOAT, PCM, wav_file
 
 import beamkit
 from beamkit import __version__
@@ -120,26 +122,43 @@ class TestParser:
         assert result.returncode == 0
         assert result.stdout.strip() == f"beamkit {__version__}"
 
-    def test_a_run_leaves_scipy_signal_unimported(self, tmp_path):
-        # In a child process: this one has imported scipy.signal already,
-        # for the tests that take it as their oracle.
+    def test_a_run_leaves_scipy_unimported(self, tmp_path):
+        # In a child process: this one has imported scipy already, for the
+        # tests that take it as their oracle.
         src = os.path.dirname(os.path.dirname(os.path.abspath(beamkit.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        corpus, run = tmp_path / "c", tmp_path / "run"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {**tiny_model_fields(), "bf_type": "mask"},
+            "train": {"epochs": 1, "batch_size": 1, "segment_seconds": 0.4,
+                      "manifest": str(corpus / "manifest.jsonl")},
+        }))
         script = textwrap.dedent(f"""
             import sys
-            import beamkit, beamkit.cli
-            from beamkit.rooms import SceneSampling, build_corpus
-            from beamkit.training import evaluate
-            manifest = build_corpus({str(tmp_path / "c")!r}, 1, 3,
-                                    sampling=SceneSampling(num_mics=2), duration=0.5)
-            evaluate("oracle-mvdr", manifest)
-            assert "scipy.signal" not in sys.modules, "scipy.signal was imported"
+            from beamkit.cli import main
+            runs = [
+                ["simulate", "--out", {str(corpus)!r}, "--count", "1",
+                 "--set", "simulate.duration_seconds=0.5",
+                 "--set", "simulate.sampling.num_mics=2"],
+                ["train", "--config", {str(config)!r}, "--out", {str(run)!r}],
+                ["evaluate", "--system", "oracle-mvdr", "--out", {str(tmp_path / "e")!r},
+                 "--manifest", {str(corpus / "manifest.jsonl")!r}],
+                ["enhance", "--checkpoint", {str(run / "checkpoint_final.bkt")!r},
+                 "--input", {str(corpus / "audio" / "scene_000000_mixture.wav")!r},
+                 "--out", {str(tmp_path / "x")!r}],
+            ]
+            for args in runs:
+                assert main(args) == 0, args[0]
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
         """)
         result = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
+        assert (tmp_path / "x" / "enhanced.wav").is_file()
 
 
 class TestExitCodes:
@@ -441,7 +460,7 @@ class TestExitCodes:
          (lambda h: h["sampling"].pop("min_doa_deg"),
           "field 'sampling' lacks field 'min_doa_deg'"),
          (lambda h: h["sampling"].update(max_order=4),
-          "field unknown sampling config fields: ['max_order']"),
+          "has unknown sampling config fields: ['max_order']"),
          (lambda h: h.update(sampling=[1, 2]), "field sampling must be an object, got [1, 2]"),
          (lambda h: h["sampling"].update(min_doa_deg=181),
           "field sampling.min_doa_deg must be in [0, 180], got 181")],
@@ -1005,6 +1024,20 @@ class TestEnhance:
                    "--input", str(quiet_start_wav)])
         assert rc == 2
 
+    @pytest.mark.parametrize("cut", [8, 5], ids=["a-frame", "5-bytes"])
+    def test_truncated_wav_exits_4(self, passthrough_checkpoint, quiet_start_wav, tmp_path, cut):
+        # Used to print a two-line WavFileWarning, enhance the shorter
+        # signal and exit 0.
+        short = tmp_path / "short.wav"
+        short.write_bytes(quiet_start_wav.read_bytes()[:-cut])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = run_main(["enhance", "--out", str(tmp_path / "o"),
+                                "--checkpoint", str(passthrough_checkpoint),
+                                "--input", str(short)])
+        assert (rc, len(err), caught) == (4, 1, [])
+        assert f"data chunk holds {128000 - cut} of its 128000 bytes" in err[0]
+
 
 class TestEvaluate:
     def test_identity_prints_summary_and_writes_metrics(
@@ -1126,3 +1159,43 @@ class TestRecordFuzz:
         rc, err = run_main(["enhance", "--checkpoint", str(fuzzed),
                             "--input", str(quiet_start_wav), "--out", str(root / "o")])
         assert (rc, len(err)) in {(0, 0), (4, 1)}, err
+
+
+class TestWavFuzz:
+    """A WAV input cut short, or with one header or chunk-size byte
+    changed: enhance succeeds, or fails with exit 3 or 4 and one line,
+    and never with a Python warning."""
+
+    @pytest.fixture(scope="class")
+    def wavs(self):
+        rng = np.random.default_rng(2817)
+        signal = 0.1 * rng.standard_normal((800, 2))
+        return {
+            "float32": wav_file(signal.astype("<f4"), IEEE_FLOAT),
+            "pcm16": wav_file(np.round(signal * 32768).astype("<i2"), PCM),
+            "extensible": wav_file(signal.astype("<f4"), IEEE_FLOAT, extensible=True),
+        }
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=strategies.data())
+    def test_damaged_input_exits_0_3_or_4(
+        self, passthrough_checkpoint, wavs, tmp_path_factory, data
+    ):
+        root = tmp_path_factory.getbasetemp() / "fuzz_wav"
+        root.mkdir(exist_ok=True)
+        raw = bytearray(wavs[data.draw(strategies.sampled_from(sorted(wavs)), label="file")])
+        if data.draw(strategies.booleans(), label="truncate"):
+            raw = raw[: data.draw(strategies.integers(0, len(raw) - 1), label="length")]
+        else:
+            # Every chunk header, and so every chunk size, lies before the samples.
+            at = data.draw(strategies.integers(0, raw.index(b"data") + 7), label="offset")
+            raw[at] = data.draw(
+                strategies.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+        fuzzed = root / "fuzzed.wav"
+        fuzzed.write_bytes(bytes(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, err = run_main(["enhance", "--checkpoint", str(passthrough_checkpoint),
+                                "--input", str(fuzzed), "--out", str(root / "o")])
+        assert (rc, len(err)) in {(0, 0), (3, 1), (4, 1)}, err
+        assert caught == []

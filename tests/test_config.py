@@ -126,6 +126,24 @@ def test_manifest_duration_beyond_bound_exits_3(tmp_path, capsys):
                            "got 1000000000.0")
 
 
+def test_source_distance_bound_is_the_farthest_reach():
+    reach = math.hypot(10 - 0.1 - 0.5 - 8 * 0.04 / 2, 10 - 0.1 - 0.5, 1.5 - 0.1)
+    assert SceneSampling(source_distances=(0.5, reach)).source_distances == (0.5, reach)
+    with pytest.raises(ConfigError, match="^source_distances must not exceed 13.255 m"):
+        SceneSampling(source_distances=(0.5, math.nextafter(reach, math.inf)))
+    # A higher array reaches further down, a shorter one not as far along x.
+    assert SceneSampling(source_distances=(13.3,), array_height=2.0).array_height == 2.0
+    with pytest.raises(ConfigError, match="must not exceed 13.193 m"):
+        SceneSampling(source_distances=(13.25,), num_mics=2, mic_spacing=0.5)
+
+
+def test_manifest_unreachable_source_distance_exits_3(tmp_path, capsys):
+    rc, err = evaluate_with_header(tmp_path, capsys, "sampling.source_distances", [100])
+    assert rc == 3
+    assert len(err) == 1
+    assert "manifest header field sampling.source_distances must not exceed 13.353 m" in err[0]
+
+
 def test_min_doa_bounds_are_inclusive():
     assert SceneSampling(min_doa_deg=0).min_doa_deg == 0
     assert SceneSampling(min_doa_deg=180.0).min_doa_deg == 180.0
@@ -141,6 +159,12 @@ RANGE_ERRORS = [
      "simulate.sampling.min_doa_deg must be in [0, 180], got 181"),
     ("simulate", "simulate.sampling.min_doa_deg=-1",
      "simulate.sampling.min_doa_deg must be in [0, 180], got -1"),
+    # No source 0.1 m inside a 10 x 10 x 3 m room is further than 13.255 m
+    # from a centre 0.5 m (plus half the aperture) from the walls and
+    # 1.5 m high; the sampler used to spend its whole budget and exit 1.
+    ("simulate", "simulate.sampling.source_distances=[100]",
+     "simulate.sampling.source_distances must not exceed 13.255 m, the farthest a "
+     "source can be from the array centre in the largest room, got (100,)"),
     ("simulate", "simulate.count=-1", "simulate.count must be >= 0, got -1"),
     ("train", "train.epochs=0", "train.epochs must be >= 1, got 0"),
     ("train", "model.stcn_groups=-1", "model.stcn_groups must be >= 0, got -1"),

@@ -5,6 +5,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from beamkit import rooms
@@ -302,6 +303,13 @@ class TestFftConvolve:
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
 
+    def test_fast_length_matches_scipy(self):
+        # The transform length is scipy's too, so the bits can be.
+        rng = np.random.default_rng(2816)
+        targets = [*range(1, 5001), *rng.integers(5001, 2**24, 2000).tolist()]
+        assert [rooms._next_fast_len(n) for n in targets] == [
+            next_fast_len(n, True) for n in targets]
+
 
 class TestSampleScene:
     def test_fixed_seed_is_deterministic(self):
@@ -344,7 +352,8 @@ class TestSampleScene:
         assert seen == {-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0}
 
     def test_budget_exhaustion_raises(self):
-        cfg = SceneSampling(source_distances=(50.0,), rejection_budget=200)
+        # Only exactly opposite directions meet a 180-degree separation.
+        cfg = SceneSampling(min_doa_deg=180.0, rejection_budget=200)
         with pytest.raises(GenerationError):
             sample_scene(np.random.default_rng(80), cfg)
 
